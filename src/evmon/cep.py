@@ -1,14 +1,14 @@
 """Minimal complex-event-processing framework: typed operator chains.
 
-A Pipeline is a source plus an ordered list of stages (Map, Filter,
-TumblingWindow, Aggregate, Sink) ending in exactly one Sink. Windowing is
-event-time, keyed by chain: the watermark per key is the maximum record
-timestamp seen, a window [start, start+width) flushes when a record with
-timestamp >= its end arrives for that key, and all open windows flush when
-the source is exhausted (marked partial). Records whose timestamp falls
-behind the key's watermark are late; since upstream ingest guarantees
-per-chain order, lateness indicates an upstream defect and such records go
-to the dead-letter diagnostics rather than terminating the stream.
+A Pipeline is a source plus an ordered list of stages (Map, TumblingWindow,
+Aggregate, Sink) ending in exactly one Sink. Windowing is event-time, keyed
+by chain: the watermark per key is the maximum record timestamp seen, a
+window [start, start+width) flushes when a record with timestamp >= its end
+arrives for that key, and all open windows flush when the source is
+exhausted (marked partial). Records whose timestamp falls behind the key's
+watermark are late; since upstream ingest guarantees per-chain order,
+lateness indicates an upstream defect and such records go to the
+dead-letter diagnostics rather than terminating the stream.
 
 A pipeline instance is single-threaded end to end; run one instance per
 chain topic for parallelism.
@@ -66,11 +66,6 @@ class Map:
 
 
 @dataclass(frozen=True)
-class Filter:
-    pred: Callable[[Any], bool]
-
-
-@dataclass(frozen=True)
 class TumblingWindow:
     width_s: int
 
@@ -85,7 +80,7 @@ class Sink:
     consume: Callable[[Any], None]
 
 
-Stage = Map | Filter | TumblingWindow | Aggregate | Sink
+Stage = Map | TumblingWindow | Aggregate | Sink
 
 
 @dataclass(frozen=True)
@@ -143,25 +138,6 @@ def apply_map(
             if dead_letters is None:
                 raise
             dead_letters.append(DeadLetter(stage_index, record, f"map: {exc}"))
-
-
-def apply_filter(
-    stream: Iterable[Any],
-    pred: Callable[[Any], bool],
-    dead_letters: list[DeadLetter] | None = None,
-    stage_index: int = 0,
-) -> Iterator[Any]:
-    """Keep records where pred holds, preserving order."""
-    for record in stream:
-        try:
-            keep = pred(record)
-        except Exception as exc:  # noqa: BLE001
-            if dead_letters is None:
-                raise
-            dead_letters.append(DeadLetter(stage_index, record, f"filter: {exc}"))
-            continue
-        if keep:
-            yield record
 
 
 def _apply_window(
@@ -238,8 +214,6 @@ def run_pipeline(pipeline: Pipeline) -> RunReport:
     for i, stage in enumerate(pipeline.stages[:-1]):
         if isinstance(stage, Map):
             stream = apply_map(stream, stage.fn, report.dead_letters, i)
-        elif isinstance(stage, Filter):
-            stream = apply_filter(stream, stage.pred, report.dead_letters, i)
         elif isinstance(stage, TumblingWindow):
             stream = _apply_window(stream, stage.width_s, report.dead_letters, i)
         elif isinstance(stage, Aggregate):

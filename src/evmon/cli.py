@@ -3,9 +3,11 @@
 monitor wires the full pipeline per configured chain: an ingest poll loop
 feeding a raw topic, a normalization consumer publishing to a normalized
 topic, and one metric pipeline per metric kind consuming that topic in its
-own consumer group (the broker's fan-out). Each output file has exactly
-one writer thread. replay drives the same pipelines synchronously from a
-recorded JSONL stream, so its outputs are byte-identical across runs.
+own consumer group (the broker's fan-out). The topics carry the frozen
+model records themselves; each output file has exactly one writer thread,
+the only place its records are serialized. replay drives the same
+pipelines synchronously from a recorded JSONL stream, so its outputs are
+byte-identical across runs.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -35,6 +37,7 @@ from evmon.model import (
     InvalidProfile,
     MetricKind,
     NetworkProfile,
+    NormalizedBlockRecord,
     OverrideLimit,
     PriorityPolicy,
     RawBlockHeader,
@@ -45,7 +48,7 @@ from evmon.model import (
 )
 from evmon.normalize import Normalizer
 from evmon.records import MalformedRecord, WindowSummary
-from evmon.streamlog import StreamLog
+from evmon.streamlog import AtOffset, StreamLog
 
 log = logging.getLogger(__name__)
 
@@ -164,24 +167,20 @@ def _norm_topic(chain: str) -> str:
     return f"normalized.{chain}"
 
 
-def _drain(
-    broker: StreamLog,
-    topic: str,
-    group: str,
-    done: threading.Event,
-    decode: Callable[[dict[str, Any]], Any],
-) -> Iterator[Any]:
-    """Yield decoded records from a topic until caught up after done is set.
+def _drain(broker: StreamLog, topic: str, group: str, done: threading.Event) -> Iterator[Any]:
+    """Yield a topic's records from its first one, the very objects
+    appended, until caught up after done is set.
 
     Commits after every batch, so the group's progress would survive a
-    handle loss.
+    handle loss. A consumer that starts or falls behind retention stops
+    with OffsetEvicted instead of skipping records.
     """
-    handle = broker.subscribe(topic, group)
+    handle = broker.subscribe(topic, group, AtOffset(0))
     while True:
         batch = broker.poll(handle, 500)
         if batch:
-            for _, payload in batch:
-                yield decode(json.loads(payload))
+            for _, record in batch:
+                yield record
             broker.commit(handle, batch[-1][0])
         elif done.is_set() and handle.position >= broker.end_offset(topic):
             return
@@ -202,10 +201,9 @@ def _normalize_stages(
         raw_file.write(records.to_line(records.header_to_dict(header)))
         return header
 
-    def publish(record: Any) -> None:
-        line = records.to_line(records.normalized_to_dict(record))
-        broker.append(norm_topic, line.encode())
-        norm_file.write(line)
+    def publish(record: NormalizedBlockRecord) -> None:
+        broker.append(norm_topic, record)
+        norm_file.write(records.to_line(records.normalized_to_dict(record)))
 
     return (cep.Map(tap_raw), cep.Map(normalizer.normalize), cep.Sink(publish))
 
@@ -309,8 +307,7 @@ def _run_chain(
     with ExitStack() as stack:
         files = _open_chain_files(stack, chain_dir)
         norm_pipeline = cep.Pipeline(
-            source=_drain(broker, _raw_topic(chain), "normalize", ingest_done,
-                          records.header_from_dict),
+            source=_drain(broker, _raw_topic(chain), "normalize", ingest_done),
             stages=_normalize_stages(profile, broker, files["raw.jsonl"],
                                      files["normalized.jsonl"]),
         )
@@ -319,8 +316,7 @@ def _run_chain(
             collector: list[float] = []
             outcome.full_run_values[kind.value] = collector
             metric_pipelines[kind.value] = cep.Pipeline(
-                source=_drain(broker, _norm_topic(chain), f"metric.{kind.value}", norm_done,
-                              records.normalized_from_dict),
+                source=_drain(broker, _norm_topic(chain), f"metric.{kind.value}", norm_done),
                 stages=_metric_stages(kind, config.window_s, files[f"{kind.value}.jsonl"],
                                       files[f"{kind.value}_windows.jsonl"], collector),
             )
@@ -329,16 +325,13 @@ def _run_chain(
             try:
                 if replay_records is not None:
                     for header in replay_records:
-                        broker.append(_raw_topic(chain),
-                                      records.to_line(records.header_to_dict(header)).encode())
+                        broker.append(_raw_topic(chain), header)
                         outcome.blocks_ingested += 1
                 else:
                     assert client is not None
                     cursor = IngestCursor(chain=profile.chain, start_number=start_number)
                     outcome.blocks_ingested = poll_chain(
-                        profile, cursor,
-                        lambda h: broker.append(_raw_topic(chain),
-                                                records.to_line(records.header_to_dict(h)).encode()),
+                        profile, cursor, lambda h: broker.append(_raw_topic(chain), h),
                         client=client, stop=stop, max_blocks=max_blocks,
                     )
             except Exception as exc:  # noqa: BLE001 - isolate this chain

@@ -164,15 +164,6 @@ class RpcClient:
         self._session.close()
 
 
-def fetch_block(endpoint: str, chain: ChainRef, number: int) -> RawBlockHeader:
-    """One-shot fetch of a single block header."""
-    client = RpcClient(endpoint, chain)
-    try:
-        return client.fetch_block(number)
-    finally:
-        client.close()
-
-
 @dataclass
 class IngestCursor:
     """Per-chain ingest progress; emitted numbers increase by exactly 1.
@@ -238,8 +229,6 @@ def poll_chain(
             next_number = cursor.last_emitted + 1
 
         for number in range(next_number, head + 1):
-            if done():
-                break
             try:
                 header = _fetch_with_retry(client, profile, number, stop, poll_interval_s)
             except InvalidHeader:
@@ -250,6 +239,8 @@ def poll_chain(
             emit(header)
             cursor.last_emitted = number
             emitted += 1
+            if done():
+                break
         else:
             stop.wait(poll_interval_s)
     return emitted

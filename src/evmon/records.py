@@ -1,4 +1,4 @@
-"""JSONL serialization for every record crossing a file or topic boundary.
+"""JSONL serialization for every record crossing a file boundary.
 
 Field names are fixed: chain, chain_id, number, ts, gas_used, gas_limit,
 base_fee_wei, priority_fee_wei, eff_limit, eff_price_wei, flags, kind,

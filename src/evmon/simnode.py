@@ -398,15 +398,6 @@ class SimNodeServer(ThreadingHTTPServer):
         self.stop()
 
 
-def serve_rpc(
-    headers: list[RawBlockHeader], clock: Clock, port: int = 0
-) -> SimNodeServer:
-    """Start serving the ledger; caller stops the returned server."""
-    server = SimNodeServer(headers, clock, port)
-    server.start()
-    return server
-
-
 def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     """JSON-friendly scenario form; the schema is documented in the README."""
     if isinstance(scenario.regime, ConstantBaseFee):

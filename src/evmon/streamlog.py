@@ -2,10 +2,16 @@
 
 Stands in for an external message broker: temporary retention plus fan-out
 to parallel consumers. Each topic is a single ordered partition; offsets
-start at 0 and increase by exactly 1 per append; retention evicts only a
-prefix. Consumer groups are independent, so every group observes every
-retained record (broadcast across groups), while a group's committed
+start at 0 and increase by exactly 1 per append; count retention evicts
+only a prefix. Consumer groups are independent, so every group observes
+every retained record (broadcast across groups), while a group's committed
 offset survives its handles and drives resume-after-kill delivery.
+
+The log lives inside the process, so payloads are any Python objects and
+are handed to every consumer as they were appended, never copied or
+serialized; producers append immutable records. A handle whose position
+fell behind retention raises OffsetEvicted on poll instead of skipping the
+lost records.
 
 Appends are linearizable per broker (one lock); a ConsumerHandle belongs
 to a single owner thread.
@@ -14,9 +20,9 @@ to a single owner thread.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass
+from typing import Any
 
 
 class TopicMissing(KeyError):
@@ -24,7 +30,7 @@ class TopicMissing(KeyError):
 
 
 class OffsetEvicted(Exception):
-    """A requested start offset precedes the earliest retained record."""
+    """A start offset or read position precedes the earliest retained record."""
 
 
 class CommitRegression(Exception):
@@ -64,25 +70,15 @@ class ConsumerHandle:
 
 
 class _Topic:
-    def __init__(self, name: str, max_records: int, max_age_s: float | None) -> None:
+    def __init__(self, name: str, max_records: int) -> None:
         self.name = name
-        self.max_records = max_records
-        self.max_age_s = max_age_s
-        self.records: deque[tuple[int, float, bytes]] = deque()
+        self.payloads: deque[Any] = deque(maxlen=max_records)
         self.next_offset = 0
         self.committed: dict[str, int] = {}
 
     @property
     def earliest(self) -> int:
-        return self.next_offset - len(self.records)
-
-    def evict(self, now: float) -> None:
-        while len(self.records) > self.max_records:
-            self.records.popleft()
-        if self.max_age_s is not None:
-            horizon = now - self.max_age_s
-            while self.records and self.records[0][1] < horizon:
-                self.records.popleft()
+        return self.next_offset - len(self.payloads)
 
 
 DEFAULT_RETENTION_RECORDS = 100_000
@@ -96,16 +92,14 @@ class StreamLog:
         self._topics: dict[str, _Topic] = {}
         self._lock = threading.Lock()
 
-    def create_topic(
-        self, name: str, max_records: int | None = None, max_age_s: float | None = None
-    ) -> None:
+    def create_topic(self, name: str, max_records: int | None = None) -> None:
         with self._lock:
             if name in self._topics:
                 raise ValueError(f"topic {name!r} already exists")
             retention = max_records if max_records is not None else self._default_retention
             if retention <= 0:
                 raise ValueError("retention must be positive")
-            self._topics[name] = _Topic(name, retention, max_age_s)
+            self._topics[name] = _Topic(name, retention)
 
     def _topic(self, name: str) -> _Topic:
         try:
@@ -113,16 +107,13 @@ class StreamLog:
         except KeyError:
             raise TopicMissing(name) from None
 
-    def append(self, topic: str, payload: bytes) -> int:
+    def append(self, topic: str, payload: Any) -> int:
         """Append one record; returns its assigned offset."""
-        now = time.time()
         with self._lock:
             t = self._topic(topic)
-            offset = t.next_offset
-            t.records.append((offset, now, payload))
+            t.payloads.append(payload)
             t.next_offset += 1
-            t.evict(now)
-            return offset
+            return t.next_offset - 1
 
     def subscribe(self, topic: str, group: str, start: StartPosition = FromEarliest()) -> ConsumerHandle:
         """Position a new handle for the group per the start mode.
@@ -156,25 +147,27 @@ class StreamLog:
             return self.subscribe(topic, group, FromEarliest())
         return self.subscribe(topic, group, AtOffset(committed + 1))
 
-    def poll(self, handle: ConsumerHandle, max_records: int) -> list[tuple[int, bytes]]:
-        """Up to max_records records from the handle's position, in offset
-        order; advances the read position, not the commit. Empty when
-        caught up. A position that fell behind retention skips forward to
-        the earliest retained record.
+    def poll(self, handle: ConsumerHandle, max_records: int) -> list[tuple[int, Any]]:
+        """Up to max_records (offset, payload) pairs from the handle's
+        position, in offset order; advances the read position, not the
+        commit. Empty when caught up. Raises OffsetEvicted when the
+        position fell behind retention, so no record is lost silently.
         """
         if max_records <= 0:
             raise ValueError("max_records must be positive")
         with self._lock:
             t = self._topic(handle.topic)
             if handle.position < t.earliest:
-                handle.position = t.earliest
+                raise OffsetEvicted(
+                    f"{handle.topic}/{handle.group}: position {handle.position} "
+                    f"precedes earliest retained {t.earliest}"
+                )
             start_index = handle.position - t.earliest
-            out = []
-            for offset, _, payload in list(t.records)[start_index : start_index + max_records]:
-                out.append((offset, payload))
+            payloads = list(t.payloads)[start_index : start_index + max_records]
+            out = list(enumerate(payloads, handle.position))
             if out:
-                handle.position = out[-1][0] + 1
-                handle.last_polled = out[-1][0]
+                handle.position += len(out)
+                handle.last_polled = handle.position - 1
             return out
 
     def commit(self, handle: ConsumerHandle, offset: int) -> None:
@@ -204,8 +197,3 @@ class StreamLog:
         """The offset the next append will receive."""
         with self._lock:
             return self._topic(topic).next_offset
-
-    def dump(self, topic: str) -> list[tuple[int, bytes]]:
-        """Snapshot of all retained records, for debugging/topic dumps."""
-        with self._lock:
-            return [(offset, payload) for offset, _, payload in self._topic(topic).records]

@@ -3,19 +3,16 @@ import pytest
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
 from evmon.cep import (
     Aggregate,
-    Filter,
     Map,
     Pipeline,
     Sink,
     SinkFailure,
     TumblingWindow,
-    apply_filter,
     apply_map,
     assign_tumbling_window,
     run_pipeline,
 )
 from evmon.metrics import gas_price_sample, summarize_samples
-from evmon.model import ChainRef
 from evmon.normalize import Normalizer
 from evmon.simnode import generate_scenario
 
@@ -72,22 +69,6 @@ def test_map_failure_goes_to_dead_letters():
     assert len(out) == 9
     assert len(dead) == 1
     assert dead[0].record.number == 3
-
-
-def test_filter_trivial_predicates():
-    records = headers(10)
-    assert list(apply_filter(iter(records), lambda r: True)) == records
-    assert list(apply_filter(iter(records), lambda r: False)) == []
-
-
-def test_filter_by_chain_matches_reference():
-    chain_a = ChainRef("aaa", 1)
-    chain_b = ChainRef("bbb", 2)
-    mixed = []
-    for i in range(40):
-        mixed.append(make_header(number=i, chain=chain_a if i % 3 else chain_b))
-    got = list(apply_filter(iter(mixed), lambda r: r.chain == chain_a))
-    assert got == [r for r in mixed if r.chain == chain_a]
 
 
 def collecting_sink(into):
@@ -167,12 +148,10 @@ def test_order_preserved_through_map_and_filter():
     run_pipeline(
         Pipeline(
             source=headers(200),
-            stages=(Map(lambda r: r), Filter(lambda r: r.number % 2 == 0),
-                    collecting_sink(out)),
+            stages=(Map(lambda r: r), collecting_sink(out)),
         )
     )
-    numbers = [r.number for r in out]
-    assert numbers == sorted(numbers)
+    assert [r.number for r in out] == list(range(200))
 
 
 def test_window_conservation_over_scenario_stream():

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from conftest import adaptive_fee_scenario, constant_fee_scenario
+from evmon import records
 from evmon.cli import (
     ConfigParse,
     InputDataError,
@@ -143,6 +146,40 @@ def test_replay_is_byte_deterministic(tmp_path):
     assert run_into("run1") == run_into("run2")
 
 
+def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
+    """The broker carries the records themselves: replay decodes no
+    normalized record, encodes each header once (for raw.jsonl) and writes
+    the same bytes."""
+    fixtures = Path(__file__).parent / "fixtures"
+    fixture = fixtures / "replay_fixture.jsonl"
+    config = load_config(fixtures / "replay_config.json")
+
+    def run_into(subdir):
+        out = tmp_path / subdir
+        run_replay(fixture, dataclasses.replace(config, output_dir=out))
+        return {
+            str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()
+        }
+
+    expected = run_into("plain")
+
+    def refuse(obj):
+        raise AssertionError("a normalized record was decoded")
+
+    encoded = []
+    header_to_dict = records.header_to_dict
+
+    def counting(header):
+        encoded.append(header)
+        return header_to_dict(header)
+
+    monkeypatch.setattr(records, "normalized_from_dict", refuse)
+    monkeypatch.setattr(records, "header_to_dict", counting)
+    assert run_into("patched") == expected
+    assert len(encoded) == len(read_lines(fixture))
+
+
 def test_replay_empty_input(tmp_path):
     input_path = tmp_path / "empty.jsonl"
     input_path.write_text("", encoding="utf-8")
@@ -203,6 +240,28 @@ def test_monitor_two_simnode_chains(tmp_path):
         for kind in MetricKind:
             assert len(read_lines(chain_dir / f"{kind.value}.jsonl")) == 100
         assert report["chains"][chain]["blocks_ingested"] == 100
+
+
+def test_monitor_behind_retention_loses_nothing_silently(tmp_path):
+    """A consumer that falls behind retention stops with an error that
+    names its stage; otherwise every block reaches every file."""
+    scenario = constant_fee_scenario(block_count=2000)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
+                                      topic_retention=5))
+    report = run_monitor(config, max_blocks=2000, start_number=0,
+                         client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
+    chain = report["chains"]["arbitrum_like"]
+    if chain["errors"]:
+        for error in chain["errors"]:
+            stage, _, reason = error.partition(": ")
+            assert stage in ("normalize", *(kind.value for kind in MetricKind))
+            assert "precedes earliest retained" in reason
+    else:
+        for kind in MetricKind:
+            path = config.output_dir / "arbitrum_like" / f"{kind.value}.jsonl"
+            assert len(read_lines(path)) == 2000
 
 
 def test_monitor_partial_window_flagged(tmp_path):

@@ -14,7 +14,6 @@ from evmon.ingest import (
     RpcUnavailable,
     decode_block_fields,
     encode_quantity,
-    fetch_block,
     parse_quantity,
     poll_chain,
 )
@@ -145,6 +144,30 @@ def test_invalid_header_halts_chain_after_retries():
     assert numbers == [0, 1, 2]  # halted at the poisoned block, earlier emits kept
 
 
+class WaitRecorder(threading.Event):
+    """A stop event that records every wait and returns at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.waits = []
+
+    def wait(self, timeout=None):
+        self.waits.append(timeout)
+        return self.is_set()
+
+
+def test_last_block_at_head_returns_without_waiting():
+    profile = make_profile(poll_interval_ms=60_000)
+    stop = WaitRecorder()
+    emitted = []
+    count = poll_chain(profile, IngestCursor(chain=profile.chain, start_number=0),
+                       emitted.append, client=ScriptedSource([4], ledger(10)), stop=stop,
+                       max_blocks=5)
+    assert count == 5
+    assert [h.number for h in emitted] == [0, 1, 2, 3, 4]
+    assert stop.waits == []
+
+
 def test_start_defaults_to_current_head():
     count, numbers = run_poll(ScriptedSource([7, 9], ledger(10)), max_blocks=3)
     assert numbers == [7, 8, 9]
@@ -155,11 +178,12 @@ def test_fetch_block_from_simnode():
     ledger_blocks = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10_000)
     with SimNodeServer(ledger_blocks, clock) as server:
-        genesis = fetch_block(server.url, scenario.chain, 0)
+        client = RpcClient(server.url, scenario.chain)
+        genesis = client.fetch_block(0)
         assert genesis == ledger_blocks[0]
         assert genesis.base_fee_per_gas.value_wei == 10**7
         with pytest.raises(BlockNotFound):
-            fetch_block(server.url, scenario.chain, 50)
+            client.fetch_block(50)
 
 
 def test_rpc_client_reports_unreachable_endpoint():

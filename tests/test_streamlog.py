@@ -67,6 +67,26 @@ def test_subscribe_at_evicted_offset_fails():
     assert [o for o, _ in broker.poll(handle, 10)] == [5, 6, 7]
 
 
+def test_poll_behind_retention_raises_instead_of_skipping():
+    broker = fresh(retention=3)
+    broker.append("t", b"0")
+    handle = broker.subscribe("t", "g")
+    assert [o for o, _ in broker.poll(handle, 1)] == [0]
+    for i in range(10):
+        broker.append("t", b"%d" % (i + 1))
+    with pytest.raises(OffsetEvicted):
+        broker.poll(handle, 10)
+
+
+def test_poll_hands_back_the_appended_object():
+    broker = fresh()
+    record = {"number": 7}
+    broker.append("t", record)
+    [(offset, payload)] = broker.poll(broker.subscribe("t", "g"), 10)
+    assert offset == 0
+    assert payload is record
+
+
 def test_subscribe_latest_sees_only_later_appends():
     broker = fresh()
     broker.append("t", b"old")
