@@ -1,14 +1,18 @@
 """Minimal complex-event-processing framework: typed operator chains.
 
 A Pipeline is a source plus an ordered list of stages (Map, TumblingWindow,
-Aggregate, Sink) ending in exactly one Sink. Windowing is event-time, keyed
-by chain: the watermark per key is the maximum record timestamp seen, a
-window [start, start+width) flushes when a record with timestamp >= its end
+Sink) ending in exactly one Sink. Windowing is event-time, keyed by chain:
+the watermark per key is the maximum record timestamp seen, a window
+[start, start+width) flushes when a record with timestamp >= its end
 arrives for that key, and all open windows flush when the source is
-exhausted (marked partial). Records whose timestamp falls behind the key's
-watermark are late; since upstream ingest guarantees per-chain order,
-lateness indicates an upstream defect and such records go to the
-dead-letter diagnostics rather than terminating the stream.
+exhausted (marked partial). A TumblingWindow owns its aggregate: each
+flushed window leaves the stage only as the value of the window's fn.
+Records whose timestamp falls behind the key's watermark are late; since
+upstream ingest guarantees per-chain order, lateness indicates an upstream
+defect and such records go to the dead-letter diagnostics rather than
+terminating the stream, as do records (or windows) a stage function fails
+on. An exception from the source or the sink aborts the run, and the
+PipelineFailure it raises carries the counts so far.
 
 A pipeline instance is single-threaded end to end; run one instance per
 chain topic for parallelism.
@@ -49,7 +53,7 @@ def assign_tumbling_window(record: KeyedRecord, width_s: int) -> WindowAssignmen
 
 @dataclass(frozen=True)
 class FlushedWindow:
-    """A closed window handed to the Aggregate stage.
+    """A closed window handed to its TumblingWindow's aggregate.
 
     partial is True when the flush came from source exhaustion (shutdown or
     end of stream) rather than from the watermark passing the window end.
@@ -67,11 +71,10 @@ class Map:
 
 @dataclass(frozen=True)
 class TumblingWindow:
+    """Tumbling windows width_s wide; fn turns each flushed window into the
+    record the stage emits."""
+
     width_s: int
-
-
-@dataclass(frozen=True)
-class Aggregate:
     fn: Callable[[FlushedWindow], Any]
 
 
@@ -80,7 +83,7 @@ class Sink:
     consume: Callable[[Any], None]
 
 
-Stage = Map | TumblingWindow | Aggregate | Sink
+Stage = Map | TumblingWindow | Sink
 
 
 @dataclass(frozen=True)
@@ -110,16 +113,12 @@ class RunReport:
     def records_out(self) -> int:
         return self.stage_out[-1] if self.stage_out else 0
 
-    @property
-    def dead_letter_count(self) -> int:
-        return len(self.dead_letters)
 
-
-class SinkFailure(Exception):
-    """The terminal sink raised; the run aborts with the report so far."""
+class PipelineFailure(Exception):
+    """The source or the sink raised; the run aborts with the report so far."""
 
     def __init__(self, cause: BaseException, report: RunReport) -> None:
-        super().__init__(f"sink failed: {cause}")
+        super().__init__(f"pipeline aborted: {cause}")
         self.cause = cause
         self.report = report
 
@@ -179,21 +178,15 @@ def _validate(pipeline: Pipeline) -> None:
         raise ValueError("pipeline must end in a Sink")
     if sum(isinstance(s, Sink) for s in stages) != 1:
         raise ValueError("pipeline must contain exactly one Sink, the terminal stage")
-    for i, stage in enumerate(stages):
-        if isinstance(stage, Aggregate):
-            if i == 0 or not isinstance(stages[i - 1], TumblingWindow):
-                raise ValueError("Aggregate must directly follow a TumblingWindow")
-        if isinstance(stage, TumblingWindow):
-            if i + 1 >= len(stages) or not isinstance(stages[i + 1], Aggregate):
-                raise ValueError("TumblingWindow must be directly followed by an Aggregate")
 
 
 def run_pipeline(pipeline: Pipeline) -> RunReport:
     """Drive the source through the stages until exhaustion.
 
     Returns exact counts: records in, records out of every stage, dead
-    letters. A sink exception aborts the run by raising SinkFailure with
-    the report accumulated so far.
+    letters. An exception from the source or the sink aborts the run by
+    raising PipelineFailure with the report accumulated so far; stage
+    functions (map and window aggregate) fail per record, into dead letters.
     """
     _validate(pipeline)
     report = RunReport(stage_out=[0] * len(pipeline.stages))
@@ -215,18 +208,17 @@ def run_pipeline(pipeline: Pipeline) -> RunReport:
         if isinstance(stage, Map):
             stream = apply_map(stream, stage.fn, report.dead_letters, i)
         elif isinstance(stage, TumblingWindow):
-            stream = _apply_window(stream, stage.width_s, report.dead_letters, i)
-        elif isinstance(stage, Aggregate):
-            stream = apply_map(stream, stage.fn, report.dead_letters, i)
+            windows = _apply_window(stream, stage.width_s, report.dead_letters, i)
+            stream = apply_map(windows, stage.fn, report.dead_letters, i)
         else:
             raise TypeError(f"unexpected stage {stage!r}")
         stream = counted(stream, i)
 
     sink_index = len(pipeline.stages) - 1
-    for record in stream:
-        try:
+    try:
+        for record in stream:
             sink.consume(record)
-        except Exception as exc:  # noqa: BLE001 - abort contract
-            raise SinkFailure(exc, report) from exc
-        report.stage_out[sink_index] += 1
+            report.stage_out[sink_index] += 1
+    except Exception as exc:  # noqa: BLE001 - abort contract
+        raise PipelineFailure(exc, report) from exc
     return report

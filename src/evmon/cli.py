@@ -47,7 +47,7 @@ from evmon.model import (
     validate_profile,
 )
 from evmon.normalize import Normalizer
-from evmon.records import MalformedRecord, WindowSummary
+from evmon.records import WindowSummary
 from evmon.streamlog import AtOffset, StreamLog
 
 log = logging.getLogger(__name__)
@@ -153,8 +153,8 @@ def load_config(path: Path | str) -> RunConfig:
 @dataclass
 class _ChainOutcome:
     blocks_ingested: int = 0
-    normalize_report: RunReport | None = None
-    metric_reports: dict[str, RunReport] = field(default_factory=dict)
+    # by pipeline: "normalize" and each metric kind
+    reports: dict[str, RunReport] = field(default_factory=dict)
     full_run_values: dict[str, list[float]] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
 
@@ -202,8 +202,9 @@ def _normalize_stages(
         return header
 
     def publish(record: NormalizedBlockRecord) -> None:
-        broker.append(norm_topic, record)
+        # write first: a record whose line failed must not reach the metrics
         norm_file.write(records.to_line(records.normalized_to_dict(record)))
+        broker.append(norm_topic, record)
 
     return (cep.Map(tap_raw), cep.Map(normalizer.normalize), cep.Sink(publish))
 
@@ -242,8 +243,7 @@ def _metric_stages(
     return (
         cep.Map(make_sample),
         cep.Map(tap),
-        cep.TumblingWindow(window_s),
-        cep.Aggregate(aggregate),
+        cep.TumblingWindow(window_s, aggregate),
         cep.Sink(sink),
     )
 
@@ -266,19 +266,12 @@ def _open_chain_files(stack: ExitStack, chain_dir: Path) -> dict[str, TextIO]:
     }
 
 
-def _write_dead_letters(chain_dir: Path, outcome: _ChainOutcome) -> int:
-    reports = [outcome.normalize_report, *outcome.metric_reports.values()]
-    entries = []
-    for pipeline_name, report in zip(["normalize", *outcome.metric_reports], reports):
-        if report is None:
-            continue
-        for dead in report.dead_letters:
-            entries.append({"pipeline": pipeline_name, "stage": dead.stage_index,
-                            "reason": dead.reason})
+def _write_dead_letters(chain_dir: Path, outcome: _ChainOutcome) -> None:
     with open(chain_dir / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(records.to_line(entry))
-    return len(entries)
+        for pipeline_name, report in outcome.reports.items():
+            for dead in report.dead_letters:
+                fh.write(records.to_line({"pipeline": pipeline_name, "stage": dead.stage_index,
+                                          "reason": dead.reason}))
 
 
 def _run_chain(
@@ -297,7 +290,8 @@ def _run_chain(
 
     Live mode (client) spawns the poll loop and the three consumers as
     threads; replay mode (replay_records) appends the recorded stream and
-    runs each pipeline synchronously, which makes outputs byte-stable.
+    runs each pipeline synchronously, which makes outputs byte-stable. A
+    pipeline that aborts still leaves its report, and an error naming it.
     """
     chain = profile.chain.name
     chain_dir = config.output_dir / chain
@@ -306,16 +300,15 @@ def _run_chain(
 
     with ExitStack() as stack:
         files = _open_chain_files(stack, chain_dir)
-        norm_pipeline = cep.Pipeline(
+        pipelines = {"normalize": cep.Pipeline(
             source=_drain(broker, _raw_topic(chain), "normalize", ingest_done),
             stages=_normalize_stages(profile, broker, files["raw.jsonl"],
                                      files["normalized.jsonl"]),
-        )
-        metric_pipelines = {}
+        )}
         for kind in METRIC_KINDS:
             collector: list[float] = []
             outcome.full_run_values[kind.value] = collector
-            metric_pipelines[kind.value] = cep.Pipeline(
+            pipelines[kind.value] = cep.Pipeline(
                 source=_drain(broker, _norm_topic(chain), f"metric.{kind.value}", norm_done),
                 stages=_metric_stages(kind, config.window_s, files[f"{kind.value}.jsonl"],
                                       files[f"{kind.value}_windows.jsonl"], collector),
@@ -340,36 +333,25 @@ def _run_chain(
             finally:
                 ingest_done.set()
 
-        def normalize() -> None:
+        def consume(name: str) -> None:
             try:
-                outcome.normalize_report = cep.run_pipeline(norm_pipeline)
-            except Exception as exc:  # noqa: BLE001
-                outcome.errors.append(f"normalize: {exc}")
-                log.exception("%s: normalize pipeline failed", chain)
+                outcome.reports[name] = cep.run_pipeline(pipelines[name])
+            except cep.PipelineFailure as exc:
+                outcome.reports[name] = exc.report
+                outcome.errors.append(f"{name}: {exc.cause}")
+                log.exception("%s: %s pipeline failed", chain, name)
             finally:
-                norm_done.set()
-
-        def metric(kind_value: str) -> None:
-            try:
-                outcome.metric_reports[kind_value] = cep.run_pipeline(
-                    metric_pipelines[kind_value]
-                )
-            except Exception as exc:  # noqa: BLE001
-                outcome.errors.append(f"{kind_value}: {exc}")
-                log.exception("%s: %s pipeline failed", chain, kind_value)
+                if name == "normalize":
+                    norm_done.set()
 
         if replay_records is not None:
             ingest()
-            normalize()
-            for kind in METRIC_KINDS:
-                metric(kind.value)
+            for name in pipelines:
+                consume(name)
         else:
-            workers = [threading.Thread(target=ingest, name=f"{chain}-ingest"),
-                       threading.Thread(target=normalize, name=f"{chain}-normalize")]
-            workers += [
-                threading.Thread(target=metric, args=(kind.value,), name=f"{chain}-{kind.value}")
-                for kind in METRIC_KINDS
-            ]
+            workers = [threading.Thread(target=ingest, name=f"{chain}-ingest")]
+            workers += [threading.Thread(target=consume, args=(name,), name=f"{chain}-{name}")
+                        for name in pipelines]
             for worker in workers:
                 worker.start()
             for worker in workers:
@@ -381,27 +363,25 @@ def _run_chain(
 def _build_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict[str, Any]:
     chains: dict[str, Any] = {}
     for chain, outcome in outcomes.items():
-        norm = outcome.normalize_report
+        norm = outcome.reports["normalize"]
         samples = {}
         windows = {}
         full_run: dict[str, Any] = {}
-        dead = len(norm.dead_letters) if norm else 0
         for kind in METRIC_KINDS:
-            report = outcome.metric_reports.get(kind.value)
-            samples[kind.value] = report.stage_out[0] if report else 0
-            windows[kind.value] = report.records_out if report else 0
-            dead += len(report.dead_letters) if report else 0
-            values = outcome.full_run_values.get(kind.value) or []
+            report = outcome.reports[kind.value]
+            samples[kind.value] = report.stage_out[0]
+            windows[kind.value] = report.records_out
+            values = outcome.full_run_values[kind.value]
             full_run[kind.value] = (
                 records.stats_to_dict(metrics.summarize(values)) if values else None
             )
         chains[chain] = {
             "blocks_ingested": outcome.blocks_ingested,
-            "raw_records": norm.records_in if norm else 0,
-            "normalized_records": norm.records_out if norm else 0,
+            "raw_records": norm.records_in,
+            "normalized_records": norm.records_out,
             "samples": samples,
             "windows": windows,
-            "dead_letters": dead,
+            "dead_letters": sum(len(r.dead_letters) for r in outcome.reports.values()),
             "full_run_stats": full_run,
             "errors": outcome.errors,
         }
@@ -607,15 +587,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigParse, InvalidProfile) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (MalformedRecord, InputDataError, metrics.EmptySeries, FileNotFoundError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except cep.SinkFailure as exc:
-        print(f"runtime abort: {exc}", file=sys.stderr)
-        return 3
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime abort: {exc}", file=sys.stderr)
         return 3

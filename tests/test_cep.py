@@ -2,11 +2,10 @@ import pytest
 
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
 from evmon.cep import (
-    Aggregate,
     Map,
     Pipeline,
+    PipelineFailure,
     Sink,
-    SinkFailure,
     TumblingWindow,
     apply_map,
     assign_tumbling_window,
@@ -90,11 +89,7 @@ def test_window_flushes_when_timestamp_passes_end():
     report = run_pipeline(
         Pipeline(
             source=records,
-            stages=(
-                TumblingWindow(60),
-                Aggregate(lambda fw: fw),
-                collecting_sink(flushed),
-            ),
+            stages=(TumblingWindow(60, lambda fw: fw), collecting_sink(flushed)),
         )
     )
     assert len(flushed) == 2
@@ -104,7 +99,7 @@ def test_window_flushes_when_timestamp_passes_end():
     assert (first.assignment.start, first.assignment.end) == (0, 60)
     assert last.partial is True  # open window flushed at exhaustion
     assert len(last.records) == 1
-    assert report.dead_letter_count == 0
+    assert len(report.dead_letters) == 0
 
 
 def test_late_record_goes_to_dead_letters():
@@ -116,9 +111,9 @@ def test_late_record_goes_to_dead_letters():
     out = []
     report = run_pipeline(
         Pipeline(source=records,
-                 stages=(TumblingWindow(60), Aggregate(lambda fw: fw), collecting_sink(out)))
+                 stages=(TumblingWindow(60, lambda fw: fw), collecting_sink(out)))
     )
-    assert report.dead_letter_count == 1
+    assert len(report.dead_letters) == 1
     assert "late" in report.dead_letters[0].reason
     assert sum(len(fw.records) for fw in out) == 2
 
@@ -128,19 +123,51 @@ def test_pipeline_shape_validation():
         run_pipeline(Pipeline(source=[], stages=(Map(lambda r: r),)))
     with pytest.raises(ValueError):
         run_pipeline(Pipeline(source=[], stages=(Sink(print), Sink(print))))
-    with pytest.raises(ValueError):
-        run_pipeline(Pipeline(source=[], stages=(Aggregate(lambda fw: fw), Sink(print))))
-    with pytest.raises(ValueError):
-        run_pipeline(Pipeline(source=[], stages=(TumblingWindow(60), Sink(print))))
 
 
 def test_sink_failure_aborts_with_report():
     def bad_sink(record):
         raise OSError("disk full")
 
-    with pytest.raises(SinkFailure) as excinfo:
+    with pytest.raises(PipelineFailure) as excinfo:
         run_pipeline(Pipeline(source=headers(5), stages=(Map(lambda r: r), Sink(bad_sink))))
     assert excinfo.value.report.records_in >= 1
+
+
+def test_source_failure_aborts_with_report():
+    def failing_source(k):
+        yield from headers(k)
+        raise OSError("connection reset")
+
+    with pytest.raises(PipelineFailure) as excinfo:
+        run_pipeline(Pipeline(source=failing_source(7),
+                              stages=(Map(lambda r: r), collecting_sink([]))))
+    assert isinstance(excinfo.value.cause, OSError)
+    assert excinfo.value.report.records_in == 7
+    assert excinfo.value.report.stage_out == [7, 7]
+
+
+def test_aggregate_failure_goes_to_dead_letters_at_window_stage():
+    # one record per minute: windows start at 0, 60, 120, 180
+    records = [make_header(number=i, timestamp=i * 60) for i in range(4)]
+
+    def count_or_explode(window):
+        if window.assignment.start == 60:
+            raise RuntimeError("boom")
+        return len(window.records)
+
+    out = []
+    report = run_pipeline(
+        Pipeline(source=records,
+                 stages=(Map(lambda r: r), TumblingWindow(60, count_or_explode),
+                         collecting_sink(out)))
+    )
+    assert out == [1, 1, 1]
+    assert len(report.dead_letters) == 1
+    dead = report.dead_letters[0]
+    assert dead.stage_index == 1
+    assert dead.record.assignment.start == 60
+    assert report.stage_out == [4, 3, 3]
 
 
 def test_order_preserved_through_map_and_filter():
@@ -167,8 +194,7 @@ def test_window_conservation_over_scenario_stream():
             stages=(
                 Map(normalizer.normalize),
                 Map(gas_price_sample),
-                TumblingWindow(300),
-                Aggregate(lambda fw: summarize_samples(fw.records)),
+                TumblingWindow(300, lambda fw: summarize_samples(fw.records)),
                 collecting_sink(summaries),
             ),
         )
@@ -182,8 +208,7 @@ def test_windows_tile_time_range_disjointly():
     flushed = []
     run_pipeline(
         Pipeline(source=ledger,
-                 stages=(TumblingWindow(60), Aggregate(lambda fw: fw),
-                         collecting_sink(flushed)))
+                 stages=(TumblingWindow(60, lambda fw: fw), collecting_sink(flushed)))
     )
     spans = [(fw.assignment.start, fw.assignment.end) for fw in flushed]
     for (_, prev_end), (start, _) in zip(spans, spans[1:]):

@@ -180,6 +180,42 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
     assert len(encoded) == len(read_lines(fixture))
 
 
+def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
+    """A pipeline that aborts still reports what it wrote: every count in
+    run_report.json equals the lines in its file, and the error names the
+    pipeline. The other chain runs to the end."""
+    fixtures = Path(__file__).parent / "fixtures"
+    config = dataclasses.replace(load_config(fixtures / "replay_config.json"),
+                                 output_dir=tmp_path)
+    normalized_to_dict = records.normalized_to_dict
+    calls = []
+
+    def disk_full_on_50th_call(record):
+        calls.append(record)
+        if len(calls) == 50:
+            raise OSError("disk full")
+        return normalized_to_dict(record)
+
+    monkeypatch.setattr(records, "normalized_to_dict", disk_full_on_50th_call)
+    run_replay(fixtures / "replay_fixture.jsonl", config)
+    report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
+    for chain, entry in report["chains"].items():
+        chain_dir = tmp_path / chain
+        assert entry["raw_records"] == len(read_lines(chain_dir / "raw.jsonl"))
+        assert entry["normalized_records"] == len(read_lines(chain_dir / "normalized.jsonl"))
+        for kind in MetricKind:
+            lines = read_lines(chain_dir / f"{kind.value}.jsonl")
+            assert entry["samples"][kind.value] == len(lines)
+            assert entry["samples"][kind.value] == entry["normalized_records"]
+    arb = report["chains"]["arbitrum_like"]
+    assert (arb["raw_records"], arb["normalized_records"]) == (50, 49)
+    assert len(arb["errors"]) == 1
+    assert arb["errors"][0].startswith("normalize: ")
+    eth = report["chains"]["ethereum_like"]
+    assert eth["errors"] == []
+    assert eth["raw_records"] == eth["normalized_records"] == eth["blocks_ingested"] == 200
+
+
 def test_replay_empty_input(tmp_path):
     input_path = tmp_path / "empty.jsonl"
     input_path.write_text("", encoding="utf-8")
@@ -420,6 +456,14 @@ def test_main_exit_codes(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
     assert main(["stats", "--input", str(empty)]) == 2
+
+    malformed = tmp_path / "malformed.jsonl"
+    malformed.write_text("{not json\n", encoding="utf-8")
+    assert main(["replay", "--input", str(malformed), "--config", str(config)]) == 2
+
+    (tmp_path / "two").mkdir()
+    unconfigured, _ = two_chain_fixture(tmp_path / "two", blocks=5)
+    assert main(["replay", "--input", str(unconfigured), "--config", str(config)]) == 2
 
 
 def test_main_replay_and_plot_end_to_end(tmp_path):

@@ -1,0 +1,46 @@
+"""A traced replay still yields the per-layer metrics the benchmark reads.
+
+perfbench/spans.py rewraps cep stage functions and the metrics functions
+in place, so this runs in a subprocess: the patches last for the life of
+the process that installs them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TRACED_REPLAY = """
+import dataclasses
+import json
+import sys
+from pathlib import Path
+
+import spans
+from evmon import cli
+
+out = Path(sys.argv[1])
+fixtures = Path("tests/fixtures")
+tracer = spans.Tracer()
+spans.install(tracer)
+config = cli.load_config(fixtures / "replay_config.json")
+cli.run_replay(fixtures / "replay_fixture.jsonl", dataclasses.replace(config, output_dir=out))
+tracer.write(out)
+blocks = len((fixtures / "replay_fixture.jsonl").read_text(encoding="utf-8").splitlines())
+print(json.dumps(spans.layer_metrics(out, blocks)))
+"""
+
+
+def test_traced_replay_reports_layer_metrics(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", TRACED_REPLAY, str(tmp_path)], cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": "src:perfbench"}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    layers = json.loads(result.stdout.strip().splitlines()[-1])
+    assert layers["metrics.summarize_us"] > 0
+    assert layers["cep.self_us_per_record"] > 0
