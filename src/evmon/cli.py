@@ -5,9 +5,12 @@ feeding a raw topic, a normalization consumer publishing to a normalized
 topic, and one metric pipeline per metric kind consuming that topic in its
 own consumer group (the broker's fan-out). The topics carry the frozen
 model records themselves; each output file has exactly one writer thread,
-the only place its records are serialized. replay drives the same
-pipelines synchronously from a recorded JSONL stream, so its outputs are
-byte-identical across runs.
+the only place its records are serialized. A consumer sleeps on the log
+until the next append or until its producer closes the topic, which ends
+its stream; a normalize consumer that dies closes its raw topic, which
+stops the chain's ingest. replay drives the same pipelines synchronously
+from a recorded JSONL stream, so its outputs are byte-identical across
+runs.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -22,7 +25,6 @@ import os
 import signal
 import sys
 import threading
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -48,7 +50,7 @@ from evmon.model import (
 )
 from evmon.normalize import Normalizer
 from evmon.records import WindowSummary
-from evmon.streamlog import AtOffset, StreamLog
+from evmon.streamlog import AtOffset, StreamLog, TopicClosed
 
 log = logging.getLogger(__name__)
 
@@ -167,13 +169,14 @@ def _norm_topic(chain: str) -> str:
     return f"normalized.{chain}"
 
 
-def _drain(broker: StreamLog, topic: str, group: str, done: threading.Event) -> Iterator[Any]:
+def _drain(broker: StreamLog, topic: str, group: str) -> Iterator[Any]:
     """Yield a topic's records from its first one, the very objects
-    appended, until caught up after done is set.
+    appended, until caught up on a closed topic.
 
-    Commits after every batch, so the group's progress would survive a
-    handle loss. A consumer that starts or falls behind retention stops
-    with OffsetEvicted instead of skipping records.
+    Blocks on the log only after an empty poll. Commits after every batch,
+    so the group's progress would survive a handle loss. A consumer that
+    starts or falls behind retention stops with OffsetEvicted instead of
+    skipping records.
     """
     handle = broker.subscribe(topic, group, AtOffset(0))
     while True:
@@ -182,10 +185,8 @@ def _drain(broker: StreamLog, topic: str, group: str, done: threading.Event) -> 
             for _, record in batch:
                 yield record
             broker.commit(handle, batch[-1][0])
-        elif done.is_set() and handle.position >= broker.end_offset(topic):
+        elif not broker.wait(handle):
             return
-        else:
-            time.sleep(0.001)
 
 
 def _normalize_stages(
@@ -292,16 +293,17 @@ def _run_chain(
     threads; replay mode (replay_records) appends the recorded stream and
     runs each pipeline synchronously, which makes outputs byte-stable. A
     pipeline that aborts still leaves its report, and an error naming it.
+    Each producer closes its topic when it ends; the normalize consumer
+    also closes the raw topic, so ingest stops when normalize dies.
     """
     chain = profile.chain.name
     chain_dir = config.output_dir / chain
-    ingest_done = threading.Event()
-    norm_done = threading.Event()
+    raw_topic, norm_topic = _raw_topic(chain), _norm_topic(chain)
 
     with ExitStack() as stack:
         files = _open_chain_files(stack, chain_dir)
         pipelines = {"normalize": cep.Pipeline(
-            source=_drain(broker, _raw_topic(chain), "normalize", ingest_done),
+            source=_drain(broker, raw_topic, "normalize"),
             stages=_normalize_stages(profile, broker, files["raw.jsonl"],
                                      files["normalized.jsonl"]),
         )}
@@ -309,29 +311,32 @@ def _run_chain(
             collector: list[float] = []
             outcome.full_run_values[kind.value] = collector
             pipelines[kind.value] = cep.Pipeline(
-                source=_drain(broker, _norm_topic(chain), f"metric.{kind.value}", norm_done),
+                source=_drain(broker, norm_topic, f"metric.{kind.value}"),
                 stages=_metric_stages(kind, config.window_s, files[f"{kind.value}.jsonl"],
                                       files[f"{kind.value}_windows.jsonl"], collector),
             )
+
+        def emit(header: RawBlockHeader) -> None:
+            broker.append(raw_topic, header)
+            outcome.blocks_ingested += 1
 
         def ingest() -> None:
             try:
                 if replay_records is not None:
                     for header in replay_records:
-                        broker.append(_raw_topic(chain), header)
-                        outcome.blocks_ingested += 1
+                        emit(header)
                 else:
                     assert client is not None
                     cursor = IngestCursor(chain=profile.chain, start_number=start_number)
-                    outcome.blocks_ingested = poll_chain(
-                        profile, cursor, lambda h: broker.append(_raw_topic(chain), h),
-                        client=client, stop=stop, max_blocks=max_blocks,
-                    )
+                    poll_chain(profile, cursor, emit, client=client, stop=stop,
+                               max_blocks=max_blocks)
+            except TopicClosed:
+                pass  # the normalize consumer died and closed the raw topic
             except Exception as exc:  # noqa: BLE001 - isolate this chain
                 outcome.errors.append(f"ingest: {exc}")
                 log.exception("%s: ingest failed", chain)
             finally:
-                ingest_done.set()
+                broker.close(raw_topic)
 
         def consume(name: str) -> None:
             try:
@@ -342,7 +347,8 @@ def _run_chain(
                 log.exception("%s: %s pipeline failed", chain, name)
             finally:
                 if name == "normalize":
-                    norm_done.set()
+                    broker.close(raw_topic)
+                    broker.close(norm_topic)
 
         if replay_records is not None:
             ingest()

@@ -11,16 +11,21 @@ The log lives inside the process, so payloads are any Python objects and
 are handed to every consumer as they were appended, never copied or
 serialized; producers append immutable records. A handle whose position
 fell behind retention raises OffsetEvicted on poll instead of skipping the
-lost records.
+lost records. A poll slices only the batch it returns, so its cost does
+not grow with retention.
 
-Appends are linearizable per broker (one lock); a ConsumerHandle belongs
-to a single owner thread.
+Consumers do not poll on a timer: after an empty poll, wait blocks until
+the next append or until the producer closes the topic, which marks the
+end of its stream. A closed topic accepts no further appends.
+
+Each topic has its own lock, the lock of the Condition its waiters sleep
+on, so appends are linearizable per topic and threads working on different
+topics never contend. A ConsumerHandle belongs to a single owner thread.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass
 from typing import Any
 
@@ -31,6 +36,10 @@ class TopicMissing(KeyError):
 
 class OffsetEvicted(Exception):
     """A start offset or read position precedes the earliest retained record."""
+
+
+class TopicClosed(Exception):
+    """An append to a topic whose producer already closed it."""
 
 
 class CommitRegression(Exception):
@@ -70,15 +79,23 @@ class ConsumerHandle:
 
 
 class _Topic:
-    def __init__(self, name: str, max_records: int) -> None:
-        self.name = name
-        self.payloads: deque[Any] = deque(maxlen=max_records)
+    """payloads[i] holds offset base + i. Evicted slots are set to None at
+    once and cut off the front when as many as max_records piled up, so an
+    append costs O(1) amortized and a poll O(batch). Every field is guarded
+    by cond's lock."""
+
+    def __init__(self, max_records: int) -> None:
+        self.max_records = max_records
+        self.payloads: list[Any] = []
+        self.base = 0
         self.next_offset = 0
         self.committed: dict[str, int] = {}
+        self.closed = False
+        self.cond = threading.Condition(threading.Lock())
 
     @property
     def earliest(self) -> int:
-        return self.next_offset - len(self.payloads)
+        return max(self.base, self.next_offset - self.max_records)
 
 
 DEFAULT_RETENTION_RECORDS = 100_000
@@ -90,7 +107,7 @@ class StreamLog:
     def __init__(self, default_retention: int = DEFAULT_RETENTION_RECORDS) -> None:
         self._default_retention = default_retention
         self._topics: dict[str, _Topic] = {}
-        self._lock = threading.Lock()
+        self._lock = threading.Lock()  # topic creation only; each topic has its own
 
     def create_topic(self, name: str, max_records: int | None = None) -> None:
         with self._lock:
@@ -99,7 +116,7 @@ class StreamLog:
             retention = max_records if max_records is not None else self._default_retention
             if retention <= 0:
                 raise ValueError("retention must be positive")
-            self._topics[name] = _Topic(name, retention)
+            self._topics[name] = _Topic(retention)
 
     def _topic(self, name: str) -> _Topic:
         try:
@@ -108,12 +125,41 @@ class StreamLog:
             raise TopicMissing(name) from None
 
     def append(self, topic: str, payload: Any) -> int:
-        """Append one record; returns its assigned offset."""
-        with self._lock:
-            t = self._topic(topic)
+        """Append one record and wake the topic's waiters; returns its
+        assigned offset. Raises TopicClosed once the topic is closed."""
+        t = self._topic(topic)
+        with t.cond:
+            if t.closed:
+                raise TopicClosed(topic)
             t.payloads.append(payload)
             t.next_offset += 1
+            evicted = t.next_offset - t.max_records - 1 - t.base
+            if evicted >= 0:
+                t.payloads[evicted] = None
+                if evicted + 1 >= t.max_records:
+                    del t.payloads[: evicted + 1]
+                    t.base += evicted + 1
+            t.cond.notify_all()
             return t.next_offset - 1
+
+    def close(self, topic: str) -> None:
+        """Mark the end of the topic's stream and wake every waiter.
+        Idempotent; the retained records stay readable."""
+        t = self._topic(topic)
+        with t.cond:
+            t.closed = True
+            t.cond.notify_all()
+
+    def wait(self, handle: ConsumerHandle) -> bool:
+        """Block until a record exists at the handle's position (True), or
+        until the topic is closed with nothing left to read (False)."""
+        t = self._topic(handle.topic)
+        with t.cond:
+            while handle.position >= t.next_offset:
+                if t.closed:
+                    return False
+                t.cond.wait()
+            return True
 
     def subscribe(self, topic: str, group: str, start: StartPosition = FromEarliest()) -> ConsumerHandle:
         """Position a new handle for the group per the start mode.
@@ -122,8 +168,8 @@ class StreamLog:
         retained record; an offset at or beyond the end is allowed and
         simply waits for future appends.
         """
-        with self._lock:
-            t = self._topic(topic)
+        t = self._topic(topic)
+        with t.cond:
             if isinstance(start, FromEarliest):
                 position = t.earliest
             elif isinstance(start, FromLatest):
@@ -140,8 +186,8 @@ class StreamLog:
 
     def resume(self, topic: str, group: str) -> ConsumerHandle:
         """Re-subscribe after the group's last commit (Earliest when none)."""
-        with self._lock:
-            t = self._topic(topic)
+        t = self._topic(topic)
+        with t.cond:
             committed = t.committed.get(group)
         if committed is None:
             return self.subscribe(topic, group, FromEarliest())
@@ -155,16 +201,15 @@ class StreamLog:
         """
         if max_records <= 0:
             raise ValueError("max_records must be positive")
-        with self._lock:
-            t = self._topic(handle.topic)
+        t = self._topic(handle.topic)
+        with t.cond:
             if handle.position < t.earliest:
                 raise OffsetEvicted(
                     f"{handle.topic}/{handle.group}: position {handle.position} "
                     f"precedes earliest retained {t.earliest}"
                 )
-            start_index = handle.position - t.earliest
-            payloads = list(t.payloads)[start_index : start_index + max_records]
-            out = list(enumerate(payloads, handle.position))
+            start = handle.position - t.base
+            out = list(enumerate(t.payloads[start : start + max_records], handle.position))
             if out:
                 handle.position += len(out)
                 handle.last_polled = handle.position - 1
@@ -176,8 +221,8 @@ class StreamLog:
             raise ValueError(
                 f"cannot commit {offset}: beyond last polled offset {handle.last_polled}"
             )
-        with self._lock:
-            t = self._topic(handle.topic)
+        t = self._topic(handle.topic)
+        with t.cond:
             current = t.committed.get(handle.group)
             if current is not None and offset < current:
                 raise CommitRegression(
@@ -186,14 +231,11 @@ class StreamLog:
             t.committed[handle.group] = offset
 
     def committed(self, topic: str, group: str) -> int | None:
-        with self._lock:
-            return self._topic(topic).committed.get(group)
+        t = self._topic(topic)
+        with t.cond:
+            return t.committed.get(group)
 
     def earliest_offset(self, topic: str) -> int:
-        with self._lock:
-            return self._topic(topic).earliest
-
-    def end_offset(self, topic: str) -> int:
-        """The offset the next append will receive."""
-        with self._lock:
-            return self._topic(topic).next_offset
+        t = self._topic(topic)
+        with t.cond:
+            return t.earliest

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
+
+import pytest
+
 from evmon.model import (
     ChainRef,
     FeeQuantity,
@@ -23,6 +27,17 @@ from evmon.simnode import (
 )
 
 TEST_CHAIN = ChainRef(name="testnet", chain_id=777)
+
+HANG_TIMEOUT_S = 120
+
+
+@pytest.fixture(autouse=True)
+def hang_guard():
+    """Consumers block on the log without a timeout, so a lost wake-up
+    would hang the suite: dump every thread's stack and exit instead."""
+    faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True)
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 def make_profile(

@@ -1,5 +1,7 @@
+import collections
 import dataclasses
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ from evmon.model import InvalidProfile, MetricKind, OverrideLimit, PriorityPolic
 from evmon.records import header_to_dict, sample_to_dict, to_line
 from evmon.simnode import LedgerRpcClient, ManualClock, SimNodeServer, generate_scenario
 from evmon.metrics import EmptySeries
+from evmon.streamlog import StreamLog
 from evmon.model import ChainRef, MetricSample
 
 
@@ -298,6 +301,78 @@ def test_monitor_behind_retention_loses_nothing_silently(tmp_path):
         for kind in MetricKind:
             path = config.output_dir / "arbitrum_like" / f"{kind.value}.jsonl"
             assert len(read_lines(path)) == 2000
+
+
+def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
+    """A normalize consumer that dies closes its raw topic, so ingest stops
+    short of max_blocks instead of fetching for nobody, and the report
+    keeps the counts reached."""
+    scenario = constant_fee_scenario(block_count=5000)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
+                                      topic_retention=100_000))
+    normalized_to_dict = records.normalized_to_dict
+    calls = []
+
+    def disk_full_on_50th_call(record):
+        calls.append(record)
+        if len(calls) == 50:
+            raise OSError("disk full")
+        return normalized_to_dict(record)
+
+    monkeypatch.setattr(records, "normalized_to_dict", disk_full_on_50th_call)
+
+    class NetworkPacedClient(LedgerRpcClient):
+        """Releases the interpreter lock on each fetch, as a fetch over the
+        network does; a fetch that never releases it can starve the
+        consumer's file writes until ingest is done."""
+
+        def fetch_block(self, number):
+            time.sleep(0.0001)
+            return super().fetch_block(number)
+
+    report = run_monitor(config, max_blocks=5000, start_number=0,
+                         client_factory=lambda p: NetworkPacedClient(ledger, clock, p.chain))
+    chain = report["chains"]["arbitrum_like"]
+    assert chain["blocks_ingested"] < 5000
+    assert len(chain["errors"]) == 1
+    assert chain["errors"][0].startswith("normalize: ")
+    chain_dir = config.output_dir / "arbitrum_like"
+    assert chain["raw_records"] == len(read_lines(chain_dir / "raw.jsonl"))
+    assert chain["normalized_records"] == len(read_lines(chain_dir / "normalized.jsonl")) == 49
+    for kind in MetricKind:
+        assert chain["samples"][kind.value] == len(read_lines(chain_dir / f"{kind.value}.jsonl"))
+        assert chain["windows"][kind.value] == len(
+            read_lines(chain_dir / f"{kind.value}_windows.jsonl"))
+
+
+def test_idle_monitor_does_not_spin(tmp_path, monkeypatch):
+    """With nothing new after the head, each consumer blocks on the log
+    instead of polling it on a timer."""
+    arb = constant_fee_scenario(block_count=20)
+    eth = adaptive_fee_scenario(block_count=20)
+    ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
+    clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)]))
+    poll = StreamLog.poll
+    empty_polls = collections.Counter()
+
+    def counted_poll(self, handle, max_records):
+        batch = poll(self, handle, max_records)
+        if not batch:
+            empty_polls[handle.topic, handle.group] += 1
+        return batch
+
+    monkeypatch.setattr(StreamLog, "poll", counted_poll)
+    report = run_monitor(config, duration_s=0.5, client_factory=lambda p: LedgerRpcClient(
+        ledgers[p.chain.name], clock, p.chain))
+    for chain in ledgers:
+        assert report["chains"][chain]["blocks_ingested"] == 1
+        assert report["chains"][chain]["errors"] == []
+    assert len(empty_polls) == 6
+    assert max(empty_polls.values()) <= 3
 
 
 def test_monitor_partial_window_flagged(tmp_path):

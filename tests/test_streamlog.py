@@ -1,5 +1,7 @@
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -10,6 +12,7 @@ from evmon.streamlog import (
     FromLatest,
     OffsetEvicted,
     StreamLog,
+    TopicClosed,
     TopicMissing,
 )
 
@@ -222,3 +225,129 @@ def test_concurrent_appends_are_gapless():
             break
         offsets += [o for o, _ in batch]
     assert offsets == list(range(2_000))
+
+
+def test_wait_returns_at_once_when_a_record_is_there():
+    broker = fresh()
+    broker.append("t", b"x")
+    assert broker.wait(broker.subscribe("t", "g")) is True
+
+
+def test_wait_wakes_on_append_from_another_thread():
+    broker = fresh()
+    handle = broker.subscribe("t", "g")
+    woke = []
+    waiter = threading.Thread(target=lambda: woke.append(broker.wait(handle)), daemon=True)
+    waiter.start()
+    broker.append("t", b"x")
+    waiter.join(timeout=5)
+    assert not waiter.is_alive()
+    assert woke == [True]
+
+
+def test_wait_after_close_drains_then_returns_false():
+    broker = fresh()
+    for i in range(3):
+        broker.append("t", b"%d" % i)
+    broker.close("t")
+    broker.close("t")  # idempotent
+    handle = broker.subscribe("t", "g")
+    assert broker.wait(handle) is True
+    assert [o for o, _ in broker.poll(handle, 2)] == [0, 1]
+    assert broker.wait(handle) is True
+    assert [o for o, _ in broker.poll(handle, 2)] == [2]
+    assert broker.wait(handle) is False
+
+
+def test_close_wakes_a_waiter():
+    broker = fresh()
+    handle = broker.subscribe("t", "g")
+    woke = []
+    waiter = threading.Thread(target=lambda: woke.append(broker.wait(handle)), daemon=True)
+    waiter.start()
+    broker.close("t")
+    waiter.join(timeout=5)
+    assert not waiter.is_alive()
+    assert woke == [False]
+
+
+def test_append_after_close_raises():
+    broker = fresh()
+    broker.append("t", b"x")
+    broker.close("t")
+    with pytest.raises(TopicClosed):
+        broker.append("t", b"y")
+    assert broker.earliest_offset("t") == 0
+
+
+def test_poll_matches_reference_model_across_compactions():
+    """Retention 3 with bursts of appends between polls of varying size:
+    every batch, every eviction and the earliest offset agree with a plain
+    list of everything appended."""
+    retention = 3
+    broker = fresh(retention=retention)
+    handle = broker.subscribe("t", "g")
+    rng = random.Random(5)
+    appended = []
+    position = 0
+    evictions = 0
+    while len(appended) < 1_000:
+        for _ in range(rng.randint(0, 4)):
+            assert broker.append("t", ("p", len(appended))) == len(appended)
+            appended.append(("p", len(appended)))
+        earliest = max(0, len(appended) - retention)
+        assert broker.earliest_offset("t") == earliest
+        max_records = rng.randint(1, 5)
+        if position < earliest:
+            with pytest.raises(OffsetEvicted):
+                broker.poll(handle, max_records)
+            handle = broker.subscribe("t", "g", FromEarliest())
+            position = earliest
+            evictions += 1
+            continue
+        end = min(position + max_records, len(appended))
+        assert broker.poll(handle, max_records) == [(o, appended[o]) for o in range(position, end)]
+        position = end
+    assert evictions > 0
+
+
+def test_waiting_consumers_see_every_record_then_the_end():
+    """Four groups block on the log while a producer appends, then closes
+    once all of them caught up: each sees every record once, in order, and
+    then the end. A lost wake-up would leave a consumer hanging."""
+    broker = fresh()
+    total = 2_000
+    read = {}
+    seen = {}
+
+    def consume(group):
+        handle = broker.subscribe("t", group)
+        offsets = []
+        while True:
+            batch = broker.poll(handle, 50)
+            if batch:
+                offsets += [o for o, _ in batch]
+                read[group] = len(offsets)
+            elif not broker.wait(handle):
+                break
+        seen[group] = offsets
+
+    groups = [f"g{n}" for n in range(4)]
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumers = [threading.Thread(target=consume, args=(g,), daemon=True) for g in groups]
+        for t in consumers:
+            t.start()
+        for i in range(total):
+            broker.append("t", i)
+        deadline = time.monotonic() + 10
+        while any(read.get(g) != total for g in groups) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        broker.close("t")
+        for t in consumers:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(t.is_alive() for t in consumers)
+    assert seen == {g: list(range(total)) for g in groups}
