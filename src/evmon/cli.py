@@ -1,16 +1,16 @@
 """Operator-facing command line: monitor, replay, stats, plot.
 
-monitor wires the full pipeline per configured chain: an ingest poll loop
-feeding a raw topic, a normalization consumer publishing to a normalized
-topic, and one metric pipeline per metric kind consuming that topic in its
-own consumer group (the broker's fan-out). The topics carry the frozen
-model records themselves; each output file has exactly one writer thread,
-the only place its records are serialized. A consumer sleeps on the log
-until the next append or until its producer closes the topic, which ends
-its stream; a normalize consumer that dies closes its raw topic, which
-stops the chain's ingest. replay drives the same pipelines synchronously
-from a recorded JSONL stream, so its outputs are byte-identical across
-runs.
+monitor and replay share one engine. Per configured chain, a normalization
+consumer on the chain's raw topic publishes to its normalized topic, and
+one metric pipeline per metric kind consumes that in its own consumer
+group (the broker's fan-out), each on its own thread. Only the feed of the
+raw topics differs: an ingest poll loop per chain for monitor, one
+streaming pass over a recorded JSONL file for replay. The topics carry the
+frozen model records; each output file has one writer thread, which writes
+in offset order, so replay's outputs are byte-identical across runs. A
+consumer topic_retention records behind holds its producer back; a
+pipeline that ends leaves its group, and a normalize consumer that ends
+closes its chain's topics, which stops the chain's producer.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -25,6 +25,7 @@ import os
 import signal
 import sys
 import threading
+from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -149,7 +150,7 @@ def load_config(path: Path | str) -> RunConfig:
     return config
 
 
-# --- the per-chain pipeline engine ------------------------------------------
+# --- the pipeline engine -----------------------------------------------------
 
 
 @dataclass
@@ -157,8 +158,11 @@ class _ChainOutcome:
     blocks_ingested: int = 0
     # by pipeline: "normalize" and each metric kind
     reports: dict[str, RunReport] = field(default_factory=dict)
-    full_run_values: dict[str, list[float]] = field(default_factory=dict)
+    full_run_values: dict[str, array] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
+
+
+_PIPELINES = ("normalize", *(kind.value for kind in METRIC_KINDS))
 
 
 def _raw_topic(chain: str) -> str:
@@ -169,14 +173,12 @@ def _norm_topic(chain: str) -> str:
     return f"normalized.{chain}"
 
 
-def _drain(broker: StreamLog, topic: str, group: str) -> Iterator[Any]:
+def _drain(broker: StreamLog, topic: str, group: str, files: tuple[TextIO, ...]) -> Iterator[Any]:
     """Yield a topic's records from its first one, the very objects
     appended, until caught up on a closed topic.
 
-    Blocks on the log only after an empty poll. Commits after every batch,
-    so the group's progress would survive a handle loss. A consumer that
-    starts or falls behind retention stops with OffsetEvicted instead of
-    skipping records.
+    After an empty poll, flushes the consumer's files and blocks on the
+    log. Commits after every batch, which frees a held-back producer.
     """
     handle = broker.subscribe(topic, group, AtOffset(0))
     while True:
@@ -185,8 +187,11 @@ def _drain(broker: StreamLog, topic: str, group: str) -> Iterator[Any]:
             for _, record in batch:
                 yield record
             broker.commit(handle, batch[-1][0])
-        elif not broker.wait(handle):
-            return
+        else:
+            for fh in files:
+                fh.flush()
+            if not broker.wait(handle):
+                return
 
 
 def _normalize_stages(
@@ -215,7 +220,7 @@ def _metric_stages(
     window_s: int,
     sample_file: TextIO,
     window_file: TextIO,
-    collector: list[float],
+    collector: array,
 ) -> tuple[cep.Stage, ...]:
     make_sample = (
         metrics.gas_price_sample
@@ -262,111 +267,91 @@ _CHAIN_FILES = (
 def _open_chain_files(stack: ExitStack, chain_dir: Path) -> dict[str, TextIO]:
     chain_dir.mkdir(parents=True, exist_ok=True)
     return {
-        name: stack.enter_context(open(chain_dir / name, "w", encoding="utf-8", buffering=1))
+        name: stack.enter_context(open(chain_dir / name, "w", encoding="utf-8"))
         for name in _CHAIN_FILES
     }
 
 
-def _write_dead_letters(chain_dir: Path, outcome: _ChainOutcome) -> None:
-    with open(chain_dir / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
-        for pipeline_name, report in outcome.reports.items():
-            for dead in report.dead_letters:
-                fh.write(records.to_line({"pipeline": pipeline_name, "stage": dead.stage_index,
-                                          "reason": dead.reason}))
-
-
-def _run_chain(
+def _start_consumers(
     profile: ValidatedProfile,
     config: RunConfig,
     broker: StreamLog,
     outcome: _ChainOutcome,
-    stop: threading.Event,
-    *,
-    client: BlockSource | None = None,
-    replay_records: list[RawBlockHeader] | None = None,
-    max_blocks: int | None = None,
-    start_number: int | None = None,
-) -> None:
-    """Run one chain's ingest + pipelines to completion.
-
-    Live mode (client) spawns the poll loop and the three consumers as
-    threads; replay mode (replay_records) appends the recorded stream and
-    runs each pipeline synchronously, which makes outputs byte-stable. A
-    pipeline that aborts still leaves its report, and an error naming it.
-    Each producer closes its topic when it ends; the normalize consumer
-    also closes the raw topic, so ingest stops when normalize dies.
-    """
+    stack: ExitStack,
+) -> list[threading.Thread]:
+    """Open one chain's files and start its three consumers. A pipeline
+    that aborts still leaves its report, and an error naming it."""
     chain = profile.chain.name
-    chain_dir = config.output_dir / chain
     raw_topic, norm_topic = _raw_topic(chain), _norm_topic(chain)
+    files = _open_chain_files(stack, config.output_dir / chain)
+    raw_file, norm_file = files["raw.jsonl"], files["normalized.jsonl"]
+    pipelines = {"normalize": cep.Pipeline(
+        source=_drain(broker, raw_topic, "normalize", (raw_file, norm_file)),
+        stages=_normalize_stages(profile, broker, raw_file, norm_file),
+    )}
+    for kind in METRIC_KINDS:
+        sample_file = files[f"{kind.value}.jsonl"]
+        window_file = files[f"{kind.value}_windows.jsonl"]
+        outcome.full_run_values[kind.value] = collector = array("d")
+        pipelines[kind.value] = cep.Pipeline(
+            source=_drain(broker, norm_topic, kind.value, (sample_file, window_file)),
+            stages=_metric_stages(kind, config.window_s, sample_file, window_file, collector),
+        )
 
-    with ExitStack() as stack:
-        files = _open_chain_files(stack, chain_dir)
-        pipelines = {"normalize": cep.Pipeline(
-            source=_drain(broker, raw_topic, "normalize"),
-            stages=_normalize_stages(profile, broker, files["raw.jsonl"],
-                                     files["normalized.jsonl"]),
-        )}
-        for kind in METRIC_KINDS:
-            collector: list[float] = []
-            outcome.full_run_values[kind.value] = collector
-            pipelines[kind.value] = cep.Pipeline(
-                source=_drain(broker, norm_topic, f"metric.{kind.value}"),
-                stages=_metric_stages(kind, config.window_s, files[f"{kind.value}.jsonl"],
-                                      files[f"{kind.value}_windows.jsonl"], collector),
-            )
-
-        def emit(header: RawBlockHeader) -> None:
-            broker.append(raw_topic, header)
-            outcome.blocks_ingested += 1
-
-        def ingest() -> None:
-            try:
-                if replay_records is not None:
-                    for header in replay_records:
-                        emit(header)
-                else:
-                    assert client is not None
-                    cursor = IngestCursor(chain=profile.chain, start_number=start_number)
-                    poll_chain(profile, cursor, emit, client=client, stop=stop,
-                               max_blocks=max_blocks)
-            except TopicClosed:
-                pass  # the normalize consumer died and closed the raw topic
-            except Exception as exc:  # noqa: BLE001 - isolate this chain
-                outcome.errors.append(f"ingest: {exc}")
-                log.exception("%s: ingest failed", chain)
-            finally:
+    def consume(name: str) -> None:
+        try:
+            outcome.reports[name] = cep.run_pipeline(pipelines[name])
+        except cep.PipelineFailure as exc:
+            outcome.reports[name] = exc.report
+            outcome.errors.append(f"{name}: {exc.cause}")
+            log.exception("%s: %s pipeline failed", chain, name)
+        finally:
+            broker.leave(raw_topic if name == "normalize" else norm_topic, name)
+            if name == "normalize":
                 broker.close(raw_topic)
+                broker.close(norm_topic)
 
-        def consume(name: str) -> None:
-            try:
-                outcome.reports[name] = cep.run_pipeline(pipelines[name])
-            except cep.PipelineFailure as exc:
-                outcome.reports[name] = exc.report
-                outcome.errors.append(f"{name}: {exc.cause}")
-                log.exception("%s: %s pipeline failed", chain, name)
-            finally:
-                if name == "normalize":
-                    broker.close(raw_topic)
-                    broker.close(norm_topic)
-
-        if replay_records is not None:
-            ingest()
-            for name in pipelines:
-                consume(name)
-        else:
-            workers = [threading.Thread(target=ingest, name=f"{chain}-ingest")]
-            workers += [threading.Thread(target=consume, args=(name,), name=f"{chain}-{name}")
-                        for name in pipelines]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join()
-
-    _write_dead_letters(chain_dir, outcome)
+    threads = [threading.Thread(target=consume, args=(name,), name=f"{chain}-{name}")
+               for name in _PIPELINES]
+    for thread in threads:
+        thread.start()
+    return threads
 
 
-def _build_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict[str, Any]:
+def _run(config: RunConfig, feed: Callable[[StreamLog, dict[str, _ChainOutcome]], None],
+         ) -> dict[str, Any]:
+    """Run every chain's consumers while feed appends the raw headers, then
+    write and return the run report. If feed raises, the consumers still
+    drain and end, and the error propagates with no report written."""
+    broker = StreamLog(retention=config.topic_retention)
+    outcomes = {profile.chain.name: _ChainOutcome() for profile in config.networks}
+    for chain in outcomes:
+        # each pipeline consumes in a group named after it
+        broker.create_topic(_raw_topic(chain), groups=("normalize",))
+        broker.create_topic(_norm_topic(chain), groups=_PIPELINES[1:])
+    consumers: list[threading.Thread] = []
+    with ExitStack() as stack:
+        try:
+            for profile in config.networks:
+                consumers += _start_consumers(profile, config, broker,
+                                              outcomes[profile.chain.name], stack)
+            feed(broker, outcomes)
+        finally:
+            for chain in outcomes:
+                broker.close(_raw_topic(chain))
+            for thread in consumers:
+                thread.join()
+
+    for chain, outcome in outcomes.items():
+        with open(config.output_dir / chain / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
+            for name in _PIPELINES:
+                for dead in outcome.reports[name].dead_letters:
+                    fh.write(records.to_line({"pipeline": name, "stage": dead.stage_index,
+                                              "reason": dead.reason}))
+    return _write_report(config, outcomes)
+
+
+def _write_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict[str, Any]:
     chains: dict[str, Any] = {}
     for chain, outcome in outcomes.items():
         norm = outcome.reports["normalize"]
@@ -391,17 +376,15 @@ def _build_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict
             "full_run_stats": full_run,
             "errors": outcome.errors,
         }
-    return {
+    report = {
         "window_s": config.window_s,
         "downsample_bucket_s": config.downsample_bucket_s,
         "chains": chains,
     }
-
-
-def _write_report(config: RunConfig, report: dict[str, Any]) -> None:
     config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / "run_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    return report
 
 
 def run_monitor(
@@ -428,64 +411,61 @@ def run_monitor(
     if client_factory is None:
         client_factory = lambda profile: RpcClient(profile.rpc_url, profile.chain)  # noqa: E731
 
-    broker = StreamLog(default_retention=config.topic_retention)
-    outcomes = {profile.chain.name: _ChainOutcome() for profile in config.networks}
-    for profile in config.networks:
-        broker.create_topic(_raw_topic(profile.chain.name))
-        broker.create_topic(_norm_topic(profile.chain.name))
+    def feed(broker: StreamLog, outcomes: dict[str, _ChainOutcome]) -> None:
+        def ingest(profile: ValidatedProfile, client: BlockSource) -> None:
+            raw_topic, outcome = _raw_topic(profile.chain.name), outcomes[profile.chain.name]
 
-    chain_threads = []
-    for profile in config.networks:
-        thread = threading.Thread(
-            target=_run_chain,
-            args=(profile, config, broker, outcomes[profile.chain.name], stop),
-            kwargs={
-                "client": client_factory(profile),
-                "max_blocks": max_blocks,
-                "start_number": start_number,
-            },
-            name=f"chain-{profile.chain.name}",
-        )
-        thread.start()
-        chain_threads.append(thread)
-    for thread in chain_threads:
-        thread.join()
+            def emit(header: RawBlockHeader) -> None:
+                broker.append(raw_topic, header)
+                outcome.blocks_ingested += 1
 
-    report = _build_report(config, outcomes)
-    _write_report(config, report)
-    return report
+            try:
+                poll_chain(profile, IngestCursor(chain=profile.chain, start_number=start_number),
+                           emit, client=client, stop=stop, max_blocks=max_blocks)
+            except TopicClosed:
+                pass  # the normalize consumer ended and closed the raw topic
+            except Exception as exc:  # noqa: BLE001 - isolate this chain
+                outcome.errors.append(f"ingest: {exc}")
+                log.exception("%s: ingest failed", profile.chain.name)
+            finally:
+                broker.close(raw_topic)
+
+        threads = [threading.Thread(target=ingest, args=(profile, client_factory(profile)),
+                                    name=f"{profile.chain.name}-ingest")
+                   for profile in config.networks]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+    return _run(config, feed)
 
 
 def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
-    """Replay a recorded RawBlockHeader JSONL through the full pipeline.
+    """Replay a recorded RawBlockHeader JSONL through monitor's engine.
 
-    Chains are processed sequentially in config order; outputs are a pure
-    function of (input bytes, config), hence byte-identical across runs.
+    One streaming pass appends each header to its chain's raw topic, so
+    memory stays bounded by topic_retention; outputs are a pure function
+    of (input bytes, config). A chain's blocks_ingested is its number of
+    input records. A record of an unconfigured chain, or a malformed
+    line, raises at that record.
     """
     input_path = Path(input_path)
-    by_chain: dict[str, list[RawBlockHeader]] = {}
-    for header in records.read_jsonl(input_path, records.header_from_dict):
-        by_chain.setdefault(header.chain.name, []).append(header)
-    configured = {profile.chain.name for profile in config.networks}
-    unknown = sorted(set(by_chain) - configured)
-    if unknown:
-        raise InputDataError(f"input contains chains with no configured profile: {unknown}")
+    if not input_path.is_file():  # fail before the output files are truncated
+        raise FileNotFoundError(f"no input file {input_path}")
 
-    broker = StreamLog(default_retention=config.topic_retention)
-    outcomes = {profile.chain.name: _ChainOutcome() for profile in config.networks}
-    stop = threading.Event()
-    for profile in config.networks:
-        chain = profile.chain.name
-        chain_records = by_chain.get(chain, [])
-        retention = max(config.topic_retention, len(chain_records) + 1)
-        broker.create_topic(_raw_topic(chain), max_records=retention)
-        broker.create_topic(_norm_topic(chain), max_records=retention)
-        _run_chain(profile, config, broker, outcomes[chain], stop,
-                   replay_records=chain_records)
+    def feed(broker: StreamLog, outcomes: dict[str, _ChainOutcome]) -> None:
+        for header in records.read_jsonl(input_path, records.header_from_dict):
+            chain = header.chain.name
+            if chain not in outcomes:
+                raise InputDataError(f"input contains chain {chain!r} with no configured profile")
+            outcomes[chain].blocks_ingested += 1
+            try:
+                broker.append(_raw_topic(chain), header)
+            except TopicClosed:
+                pass  # its normalize consumer died; the record is still counted
 
-    report = _build_report(config, outcomes)
-    _write_report(config, report)
-    return report
+    return _run(config, feed)
 
 
 def _load_series(input_path: Path) -> metrics.Series:

@@ -10,7 +10,7 @@ ignored.
 Transport failures back off exponentially (base = poll interval, capped at
 30 s) and never exit the process; a block that repeatedly decodes invalid
 halts this chain's ingest instead, preferring data integrity over
-availability.
+availability: poll_chain raises InvalidHeader naming the block.
 """
 
 from __future__ import annotations
@@ -182,21 +182,20 @@ def poll_chain(
     cursor: IngestCursor,
     emit: Callable[[RawBlockHeader], None],
     *,
-    client: BlockSource | None = None,
+    client: BlockSource,
     stop: threading.Event | None = None,
     max_blocks: int | None = None,
 ) -> int:
     """Poll the chain's head and emit each new block exactly once, in order.
 
     Runs until stop is set or max_blocks headers were emitted; returns the
-    emission count. Start position defaults to the head observed at
-    startup (monitoring, not archival backfill). emit is called in this
-    thread, so a blocking sink provides backpressure.
+    emission count. Raises InvalidHeader ("halted at block N: ...") when a
+    block stays invalid after retries. Start position defaults to the head
+    observed at startup (monitoring, not archival backfill). emit is called
+    in this thread, so a blocking sink provides backpressure.
     """
     if stop is None:
         stop = threading.Event()
-    if client is None:
-        client = RpcClient(profile.rpc_url, profile.chain)
     poll_interval_s = profile.poll_interval_ms / 1000.0
     backoff_s = poll_interval_s
     emitted = 0
@@ -229,10 +228,7 @@ def poll_chain(
             next_number = cursor.last_emitted + 1
 
         for number in range(next_number, head + 1):
-            try:
-                header = _fetch_with_retry(client, profile, number, stop, poll_interval_s)
-            except InvalidHeader:
-                return emitted  # diagnostic already logged; halt this chain
+            header = _fetch_with_retry(client, profile, number, stop, poll_interval_s)
             if header is None:
                 stop.wait(poll_interval_s)
                 break  # announced block not yet servable; re-poll the head
@@ -255,9 +251,10 @@ def _fetch_with_retry(
 ) -> RawBlockHeader | None:
     """Fetch one block, retrying transport errors with capped backoff.
 
-    A persistently invalid header logs a diagnostic and re-raises so
-    poll_chain halts this chain; a missing block (head/visibility race)
-    returns None so the outer loop re-polls.
+    A persistently invalid header logs a diagnostic and raises
+    InvalidHeader naming the block, which halts this chain's poll_chain; a
+    missing block (head/visibility race) returns None so the outer loop
+    re-polls.
     """
     backoff_s = poll_interval_s
     invalid_seen = 0
@@ -276,6 +273,6 @@ def _fetch_with_retry(
             if invalid_seen >= INVALID_HEADER_RETRIES:
                 log.error("%s: block %d invalid after %d attempts (%s); halting this chain",
                           profile.chain.name, number, invalid_seen, exc)
-                raise
+                raise InvalidHeader(f"halted at block {number}: {exc}") from exc
             stop.wait(poll_interval_s)
     return None

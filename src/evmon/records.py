@@ -39,8 +39,11 @@ class MalformedRecord(ValueError):
         self.reason = reason
 
 
+_encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would build one per line
+
+
 def to_line(obj: dict[str, Any]) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+    return _encode(obj) + "\n"
 
 
 def header_to_dict(header: RawBlockHeader) -> dict[str, Any]:

@@ -2,25 +2,28 @@
 
 Stands in for an external message broker: temporary retention plus fan-out
 to parallel consumers. Each topic is a single ordered partition; offsets
-start at 0 and increase by exactly 1 per append; count retention evicts
-only a prefix. Consumer groups are independent, so every group observes
-every retained record (broadcast across groups), while a group's committed
-offset survives its handles and drives resume-after-kill delivery.
+start at 0 and increase by exactly 1 per append. Consumer groups are
+independent, so every group observes every retained record (broadcast
+across groups), while a group's committed offset survives its handles and
+drives resume-after-kill delivery.
 
-The log lives inside the process, so payloads are any Python objects and
-are handed to every consumer as they were appended, never copied or
-serialized; producers append immutable records. A handle whose position
-fell behind retention raises OffsetEvicted on poll instead of skipping the
-lost records. A poll slices only the batch it returns, so its cost does
-not grow with retention.
+A topic retains its last `retention` records. Groups registered when the
+topic is created hold its producer back instead: append blocks while the
+slowest of them has `retention` records uncommitted, so none of them loses
+a record until it leaves. For other groups retention evicts only a prefix,
+and a handle that fell behind raises OffsetEvicted on poll instead of
+skipping the lost records.
 
-Consumers do not poll on a timer: after an empty poll, wait blocks until
-the next append or until the producer closes the topic, which marks the
-end of its stream. A closed topic accepts no further appends.
+Payloads are any Python objects, handed to every consumer as they were
+appended, never copied or serialized. A poll slices only the batch it
+returns. After an empty poll, wait blocks until the next append or until
+the producer closes the topic, which ends its stream; close also wakes a
+held-back append, which raises TopicClosed.
 
-Each topic has its own lock, the lock of the Condition its waiters sleep
-on, so appends are linearizable per topic and threads working on different
-topics never contend. A ConsumerHandle belongs to a single owner thread.
+Each topic has its own lock, shared by two Conditions: consumers sleep on
+one and a held-back producer on the other, so an append wakes only
+consumers and a commit only the producer. A ConsumerHandle belongs to a
+single owner thread.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class OffsetEvicted(Exception):
 
 
 class TopicClosed(Exception):
-    """An append to a topic whose producer already closed it."""
+    """An append to a topic that is closed, or that closed while it waited."""
 
 
 class CommitRegression(Exception):
@@ -80,22 +83,30 @@ class ConsumerHandle:
 
 class _Topic:
     """payloads[i] holds offset base + i. Evicted slots are set to None at
-    once and cut off the front when as many as max_records piled up, so an
+    once and cut off the front when as many as retention piled up, so an
     append costs O(1) amortized and a poll O(batch). Every field is guarded
-    by cond's lock."""
+    by the lock that cond (consumers) and space (the producer) share."""
 
-    def __init__(self, max_records: int) -> None:
-        self.max_records = max_records
+    def __init__(self, retention: int, groups: tuple[str, ...]) -> None:
+        self.retention = retention
+        self.groups = set(groups)
         self.payloads: list[Any] = []
         self.base = 0
         self.next_offset = 0
         self.committed: dict[str, int] = {}
         self.closed = False
-        self.cond = threading.Condition(threading.Lock())
+        lock = threading.Lock()
+        self.cond = threading.Condition(lock)
+        self.space = threading.Condition(lock)
 
     @property
     def earliest(self) -> int:
-        return max(self.base, self.next_offset - self.max_records)
+        return max(self.base, self.next_offset - self.retention)
+
+    def unacked(self) -> int:
+        """Records the slowest registered group has not committed."""
+        last = self.next_offset - 1
+        return last - min((self.committed.get(g, -1) for g in self.groups), default=last)
 
 
 DEFAULT_RETENTION_RECORDS = 100_000
@@ -104,19 +115,19 @@ DEFAULT_RETENTION_RECORDS = 100_000
 class StreamLog:
     """In-process broker: named topics, retention, consumer groups."""
 
-    def __init__(self, default_retention: int = DEFAULT_RETENTION_RECORDS) -> None:
-        self._default_retention = default_retention
+    def __init__(self, retention: int = DEFAULT_RETENTION_RECORDS) -> None:
+        if retention <= 0:
+            raise ValueError("retention must be positive")
+        self._retention = retention
         self._topics: dict[str, _Topic] = {}
         self._lock = threading.Lock()  # topic creation only; each topic has its own
 
-    def create_topic(self, name: str, max_records: int | None = None) -> None:
+    def create_topic(self, name: str, groups: tuple[str, ...] = ()) -> None:
+        """Create a topic whose groups hold back its producer from the start."""
         with self._lock:
             if name in self._topics:
                 raise ValueError(f"topic {name!r} already exists")
-            retention = max_records if max_records is not None else self._default_retention
-            if retention <= 0:
-                raise ValueError("retention must be positive")
-            self._topics[name] = _Topic(retention)
+            self._topics[name] = _Topic(self._retention, groups)
 
     def _topic(self, name: str) -> _Topic:
         try:
@@ -126,29 +137,40 @@ class StreamLog:
 
     def append(self, topic: str, payload: Any) -> int:
         """Append one record and wake the topic's waiters; returns its
-        assigned offset. Raises TopicClosed once the topic is closed."""
+        assigned offset. Blocks while a registered group has retention
+        records uncommitted; raises TopicClosed once the topic is closed."""
         t = self._topic(topic)
         with t.cond:
+            while not t.closed and t.unacked() >= t.retention:
+                t.space.wait()
             if t.closed:
                 raise TopicClosed(topic)
             t.payloads.append(payload)
             t.next_offset += 1
-            evicted = t.next_offset - t.max_records - 1 - t.base
+            evicted = t.next_offset - t.retention - 1 - t.base
             if evicted >= 0:
                 t.payloads[evicted] = None
-                if evicted + 1 >= t.max_records:
+                if evicted + 1 >= t.retention:
                     del t.payloads[: evicted + 1]
                     t.base += evicted + 1
             t.cond.notify_all()
             return t.next_offset - 1
 
     def close(self, topic: str) -> None:
-        """Mark the end of the topic's stream and wake every waiter.
-        Idempotent; the retained records stay readable."""
+        """Mark the end of the topic's stream and wake every waiter, held-back
+        appends too. Idempotent; the retained records stay readable."""
         t = self._topic(topic)
         with t.cond:
             t.closed = True
             t.cond.notify_all()
+            t.space.notify_all()
+
+    def leave(self, topic: str, group: str) -> None:
+        """Stop the group, whose consumer ended, holding back the producer."""
+        t = self._topic(topic)
+        with t.cond:
+            t.groups.discard(group)
+            t.space.notify_all()
 
     def wait(self, handle: ConsumerHandle) -> bool:
         """Block until a record exists at the handle's position (True), or
@@ -229,11 +251,7 @@ class StreamLog:
                     f"{handle.topic}/{handle.group}: commit {offset} behind {current}"
                 )
             t.committed[handle.group] = offset
-
-    def committed(self, topic: str, group: str) -> int | None:
-        t = self._topic(topic)
-        with t.cond:
-            return t.committed.get(group)
+            t.space.notify_all()
 
     def earliest_offset(self, topic: str) -> int:
         t = self._topic(topic)

@@ -1,13 +1,15 @@
 import collections
 import dataclasses
 import json
+import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from conftest import adaptive_fee_scenario, constant_fee_scenario
-from evmon import records
+from evmon import metrics, records
 from evmon.cli import (
     ConfigParse,
     InputDataError,
@@ -18,6 +20,7 @@ from evmon.cli import (
     run_replay,
     run_stats,
 )
+from evmon.ingest import InvalidHeader
 from evmon.model import InvalidProfile, MetricKind, OverrideLimit, PriorityPolicy
 from evmon.records import header_to_dict, sample_to_dict, to_line
 from evmon.simnode import LedgerRpcClient, ManualClock, SimNodeServer, generate_scenario
@@ -114,6 +117,14 @@ def read_lines(path):
     return path.read_text(encoding="utf-8").splitlines()
 
 
+# the per-chain files with one line per block
+SERIES_FILES = ("raw.jsonl", "normalized.jsonl", "gas_price_gwei.jsonl", "block_usage_ratio.jsonl")
+
+
+def output_bytes(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 def test_replay_produces_all_outputs(tmp_path):
     input_path, config_path = two_chain_fixture(tmp_path, blocks=100)
     config = load_config(config_path)
@@ -183,6 +194,40 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
     assert len(encoded) == len(read_lines(fixture))
 
 
+@pytest.mark.parametrize("switch_interval_s", [None, 1e-6])
+def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
+                                                         switch_interval_s):
+    """Replay streams its input through topics of 3 records: consumers hold
+    the reader back, so no record is lost and every output file, including
+    run_report.json, equals a replay at the default retention."""
+    fixtures = Path(__file__).parent / "fixtures"
+    fixture = fixtures / "replay_fixture.jsonl"
+    config = load_config(fixtures / "replay_config.json")
+    run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "default"))
+    expected = output_bytes(tmp_path / "default")
+
+    append = StreamLog.append
+    retained = collections.Counter()
+
+    def counted_append(self, topic, payload):
+        offset = append(self, topic, payload)
+        retained[topic] = max(retained[topic], offset + 1 - self.earliest_offset(topic))
+        return offset
+
+    monkeypatch.setattr(StreamLog, "append", counted_append)
+    switch_interval = sys.getswitchinterval()
+    if switch_interval_s is not None:
+        sys.setswitchinterval(switch_interval_s)
+    try:
+        run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "small",
+                                                topic_retention=3))
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert output_bytes(tmp_path / "small") == expected
+    assert len(retained) == 4
+    assert max(retained.values()) == 3
+
+
 def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
     """A pipeline that aborts still reports what it wrote: every count in
     run_report.json equals the lines in its file, and the error names the
@@ -193,13 +238,15 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
     normalized_to_dict = records.normalized_to_dict
     calls = []
 
-    def disk_full_on_50th_call(record):
-        calls.append(record)
-        if len(calls) == 50:
-            raise OSError("disk full")
+    def disk_full_on_50th_arbitrum_record(record):
+        # chains run concurrently, so only a per-chain count is deterministic
+        if record.chain.name == "arbitrum_like":
+            calls.append(record)
+            if len(calls) == 50:
+                raise OSError("disk full")
         return normalized_to_dict(record)
 
-    monkeypatch.setattr(records, "normalized_to_dict", disk_full_on_50th_call)
+    monkeypatch.setattr(records, "normalized_to_dict", disk_full_on_50th_arbitrum_record)
     run_replay(fixtures / "replay_fixture.jsonl", config)
     report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     for chain, entry in report["chains"].items():
@@ -212,6 +259,7 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
             assert entry["samples"][kind.value] == entry["normalized_records"]
     arb = report["chains"]["arbitrum_like"]
     assert (arb["raw_records"], arb["normalized_records"]) == (50, 49)
+    assert arb["blocks_ingested"] == 200  # replay counts every input record of the chain
     assert len(arb["errors"]) == 1
     assert arb["errors"][0].startswith("normalize: ")
     eth = report["chains"]["ethereum_like"]
@@ -282,8 +330,8 @@ def test_monitor_two_simnode_chains(tmp_path):
 
 
 def test_monitor_behind_retention_loses_nothing_silently(tmp_path):
-    """A consumer that falls behind retention stops with an error that
-    names its stage; otherwise every block reaches every file."""
+    """A 2,000-block backlog through retention 5: consumers that fall
+    behind hold ingest back, so every block reaches every file."""
     scenario = constant_fee_scenario(block_count=2000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -292,15 +340,141 @@ def test_monitor_behind_retention_loses_nothing_silently(tmp_path):
     report = run_monitor(config, max_blocks=2000, start_number=0,
                          client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
     chain = report["chains"]["arbitrum_like"]
-    if chain["errors"]:
-        for error in chain["errors"]:
-            stage, _, reason = error.partition(": ")
-            assert stage in ("normalize", *(kind.value for kind in MetricKind))
-            assert "precedes earliest retained" in reason
-    else:
-        for kind in MetricKind:
-            path = config.output_dir / "arbitrum_like" / f"{kind.value}.jsonl"
-            assert len(read_lines(path)) == 2000
+    assert chain["errors"] == []
+    for name in SERIES_FILES:
+        assert len(read_lines(config.output_dir / "arbitrum_like" / name)) == 2000
+
+
+def test_catchup_larger_than_retention_writes_every_block(tmp_path):
+    """Two chains catch up on 3,000 blocks each through retention 100."""
+    arb = constant_fee_scenario(block_count=3000)
+    eth = adaptive_fee_scenario(block_count=3000)
+    ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
+    clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)],
+        topic_retention=100))
+    report = run_monitor(config, max_blocks=3000, start_number=0,
+                         client_factory=lambda p: LedgerRpcClient(
+                             ledgers[p.chain.name], clock, p.chain))
+    for chain in ledgers:
+        entry = report["chains"][chain]
+        assert entry["errors"] == []
+        assert entry["blocks_ingested"] == entry["raw_records"] == 3000
+        for name in SERIES_FILES:
+            assert len(read_lines(config.output_dir / chain / name)) == 3000
+
+
+def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch):
+    """A metric pipeline whose window sink raises leaves its group, so at
+    retention 5 it no longer holds back normalize and ingest."""
+    window_summary_to_dict = records.window_summary_to_dict
+
+    def disk_full_for_usage(summary):
+        if summary.kind is MetricKind.BLOCK_USAGE_RATIO:
+            raise OSError("disk full")
+        return window_summary_to_dict(summary)
+
+    monkeypatch.setattr(records, "window_summary_to_dict", disk_full_for_usage)
+    scenario = constant_fee_scenario(block_count=1000)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
+                                      topic_retention=5))
+    report = run_monitor(config, max_blocks=1000, start_number=0,
+                         client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
+    chain = report["chains"]["arbitrum_like"]
+    assert chain["errors"] == ["block_usage_ratio: disk full"]
+    assert chain["blocks_ingested"] == chain["normalized_records"] == 1000
+    chain_dir = config.output_dir / "arbitrum_like"
+    for name in ("raw.jsonl", "normalized.jsonl", "gas_price_gwei.jsonl"):
+        assert len(read_lines(chain_dir / name)) == 1000
+    usage_samples = len(read_lines(chain_dir / "block_usage_ratio.jsonl"))
+    assert chain["samples"]["block_usage_ratio"] == usage_samples < 1000
+
+
+def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkeypatch):
+    """With one metric pipeline stalled, ingest blocks in append at
+    retention 5; setting stop then ends the run once the stall clears,
+    and every window still open is written as partial."""
+    gate = threading.Event()
+    block_usage_sample = metrics.block_usage_sample
+
+    def stalled(record):
+        gate.wait()
+        return block_usage_sample(record)
+
+    monkeypatch.setattr(metrics, "block_usage_sample", stalled)
+    append = StreamLog.append
+    raw_appends = {"started": 0, "done": 0}
+
+    def counted_append(self, topic, payload):
+        raw = topic.startswith("raw.")
+        if raw:
+            raw_appends["started"] += 1
+        offset = append(self, topic, payload)
+        if raw:
+            raw_appends["done"] += 1
+        return offset
+
+    monkeypatch.setattr(StreamLog, "append", counted_append)
+    scenario = constant_fee_scenario(block_count=1000)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
+                                      topic_retention=5))
+    stop = threading.Event()
+    reports = []
+    run = threading.Thread(target=lambda: reports.append(run_monitor(
+        config, start_number=0, stop_event=stop,
+        client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))), daemon=True)
+    run.start()
+    try:
+        steady, last = 0, None
+        deadline = time.monotonic() + 10
+        while steady < 20 and time.monotonic() < deadline:
+            time.sleep(0.01)
+            now = dict(raw_appends)
+            blocked = now["started"] > 5 and now["started"] == now["done"] + 1
+            steady = steady + 1 if blocked and now == last else 0
+            last = now
+        assert steady == 20, f"ingest never blocked in append: {raw_appends}"
+        stop.set()
+    finally:
+        gate.set()
+        run.join(timeout=10)
+    assert not run.is_alive()
+    chain = reports[0]["chains"]["arbitrum_like"]
+    assert chain["errors"] == []
+    assert chain["blocks_ingested"] == raw_appends["done"] < 1000
+    chain_dir = config.output_dir / "arbitrum_like"
+    for kind in MetricKind:
+        assert len(read_lines(chain_dir / f"{kind.value}.jsonl")) == chain["blocks_ingested"]
+        windows = read_lines(chain_dir / f"{kind.value}_windows.jsonl")
+        assert windows and json.loads(windows[-1])["partial"] is True
+
+
+def test_monitor_reports_a_chain_halted_by_an_invalid_header(tmp_path):
+    """A block that stays invalid halts its chain's ingest and names the
+    block in run_report.json errors; what came before it is kept."""
+    scenario = constant_fee_scenario(block_count=100)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+
+    class PoisonedAt30(LedgerRpcClient):
+        def fetch_block(self, number):
+            if number == 30:
+                raise InvalidHeader("poisoned block")
+            return super().fetch_block(number)
+
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)]))
+    report = run_monitor(config, max_blocks=100, start_number=0,
+                         client_factory=lambda p: PoisonedAt30(ledger, clock, p.chain))
+    chain = report["chains"]["arbitrum_like"]
+    assert chain["blocks_ingested"] == 30
+    assert chain["errors"] == ["ingest: halted at block 30: poisoned block"]
+    for name in SERIES_FILES:
+        assert len(read_lines(config.output_dir / "arbitrum_like" / name)) == 30
 
 
 def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
@@ -527,6 +701,7 @@ def test_main_exit_codes(tmp_path):
     config = write_config(tmp_path, [network_entry("a", 1)])
     missing_input = tmp_path / "missing.jsonl"
     assert main(["replay", "--input", str(missing_input), "--config", str(config)]) == 2
+    assert not (tmp_path / "out").exists()  # no output file was opened
 
     empty = tmp_path / "empty.jsonl"
     empty.write_text("", encoding="utf-8")
@@ -539,6 +714,19 @@ def test_main_exit_codes(tmp_path):
     (tmp_path / "two").mkdir()
     unconfigured, _ = two_chain_fixture(tmp_path / "two", blocks=5)
     assert main(["replay", "--input", str(unconfigured), "--config", str(config)]) == 2
+
+
+def test_replay_malformed_line_after_valid_records_exits_2(tmp_path):
+    """The bad line ends the run after the consumers drained the records
+    before it: no run_report.json is written and no thread is left
+    running."""
+    input_path, config_path = two_chain_fixture(tmp_path, blocks=50)
+    with open(input_path, "a", encoding="utf-8") as fh:
+        fh.write("{not json\n")
+    threads_before = set(threading.enumerate())
+    assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 2
+    assert set(threading.enumerate()) <= threads_before
+    assert not (tmp_path / "out" / "run_report.json").exists()
 
 
 def test_main_replay_and_plot_end_to_end(tmp_path):

@@ -140,8 +140,13 @@ def test_invalid_header_halts_chain_after_retries():
                 raise InvalidHeader("poisoned block")
             return super().fetch_block(number)
 
-    count, numbers = run_poll(PoisonSource([9], ledger(10)), max_blocks=10, start_number=0)
-    assert numbers == [0, 1, 2]  # halted at the poisoned block, earlier emits kept
+    profile = make_profile()
+    emitted = []
+    with pytest.raises(InvalidHeader, match="halted at block 3: poisoned block"):
+        poll_chain(profile, IngestCursor(chain=profile.chain, start_number=0), emitted.append,
+                   client=PoisonSource([9], ledger(10)), max_blocks=10)
+    # halted at the poisoned block, earlier emits kept
+    assert [h.number for h in emitted] == [0, 1, 2]
 
 
 class WaitRecorder(threading.Event):

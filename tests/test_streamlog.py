@@ -18,7 +18,7 @@ from evmon.streamlog import (
 
 
 def fresh(retention=100_000):
-    broker = StreamLog(default_retention=retention)
+    broker = StreamLog(retention=retention)
     broker.create_topic("t")
     return broker
 
@@ -351,3 +351,104 @@ def test_waiting_consumers_see_every_record_then_the_end():
         sys.setswitchinterval(switch_interval)
     assert not any(t.is_alive() for t in consumers)
     assert seen == {g: list(range(total)) for g in groups}
+
+
+def test_append_blocks_until_a_registered_group_commits():
+    broker = StreamLog(retention=2)
+    broker.create_topic("t", groups=("g",))
+    assert [broker.append("t", i) for i in range(2)] == [0, 1]
+    appended = threading.Event()
+    producer = threading.Thread(target=lambda: (broker.append("t", 2), appended.set()),
+                                daemon=True)
+    producer.start()
+    assert not appended.wait(0.05)
+    handle = broker.subscribe("t", "g")
+    assert [o for o, _ in broker.poll(handle, 10)] == [0, 1]
+    assert not appended.wait(0.05)  # read, but not committed
+    broker.commit(handle, 0)
+    assert appended.wait(5)
+    producer.join(timeout=5)
+    assert not producer.is_alive()
+    assert [o for o, _ in broker.poll(handle, 10)] == [2]
+    assert broker.earliest_offset("t") == 1
+
+
+def test_close_wakes_a_blocked_appender():
+    broker = StreamLog(retention=1)
+    broker.create_topic("t", groups=("g",))
+    broker.append("t", 0)
+    raised = []
+
+    def produce():
+        try:
+            broker.append("t", 1)
+        except TopicClosed:
+            raised.append(True)
+
+    producer = threading.Thread(target=produce, daemon=True)
+    producer.start()
+    producer.join(timeout=0.05)
+    assert producer.is_alive()
+    broker.close("t")
+    producer.join(timeout=5)
+    assert not producer.is_alive()
+    assert raised == [True]
+    assert [p for _, p in broker.poll(broker.subscribe("t", "g"), 10)] == [0]
+
+
+def test_leave_releases_the_producer():
+    broker = StreamLog(retention=1)
+    broker.create_topic("t", groups=("slow", "fast"))
+    broker.append("t", 0)
+    appended = threading.Event()
+    producer = threading.Thread(target=lambda: (broker.append("t", 1), appended.set()),
+                                daemon=True)
+    producer.start()
+    fast = broker.subscribe("t", "fast")
+    broker.poll(fast, 10)
+    broker.commit(fast, 0)
+    assert not appended.wait(0.05)  # "slow" still holds it back
+    broker.leave("t", "slow")
+    assert appended.wait(5)
+    producer.join(timeout=5)
+    assert not producer.is_alive()
+
+
+def test_registered_groups_see_every_record_through_a_tiny_retention():
+    """Retention 3, two registered groups reading in random batch sizes
+    while a producer appends 2,000 records under fast thread switching:
+    each group sees every record once, in order, and none is evicted."""
+    broker = StreamLog(retention=3)
+    broker.create_topic("t", groups=("g0", "g1"))
+    total = 2_000
+    seen = {}
+
+    def consume(group, seed):
+        rng = random.Random(seed)
+        handle = broker.subscribe("t", group, AtOffset(0))
+        offsets = []
+        while True:
+            batch = broker.poll(handle, rng.randint(1, 4))
+            if batch:
+                offsets += [o for o, _ in batch]
+                broker.commit(handle, batch[-1][0])
+            elif not broker.wait(handle):
+                break
+        seen[group] = offsets
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumers = [threading.Thread(target=consume, args=(g, n), daemon=True)
+                     for n, g in enumerate(("g0", "g1"))]
+        for t in consumers:
+            t.start()
+        for i in range(total):
+            broker.append("t", i)
+        broker.close("t")
+        for t in consumers:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not any(t.is_alive() for t in consumers)
+    assert seen == {g: list(range(total)) for g in ("g0", "g1")}
