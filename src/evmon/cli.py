@@ -8,9 +8,11 @@ raw topics differs: an ingest poll loop per chain for monitor, one
 streaming pass over a recorded JSONL file for replay. The topics carry the
 frozen model records; each output file has one writer thread, which writes
 in offset order, so replay's outputs are byte-identical across runs. A
-consumer topic_retention records behind holds its producer back; a
-pipeline that ends leaves its group, and a normalize consumer that ends
-closes its chain's topics, which stops the chain's producer.
+topic keeps a record until each of its consumer groups has committed it,
+and topic_retention is how far a producer may run ahead of its slowest
+group. A pipeline that ends leaves its group, which releases what it
+held, and a normalize consumer that ends closes its chain's topics, which
+stops the chain's producer.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -51,7 +53,7 @@ from evmon.model import (
 )
 from evmon.normalize import Normalizer
 from evmon.records import WindowSummary
-from evmon.streamlog import AtOffset, StreamLog, TopicClosed
+from evmon.streamlog import DEFAULT_RETENTION_RECORDS, StreamLog, TopicClosed
 
 log = logging.getLogger(__name__)
 
@@ -73,7 +75,7 @@ class RunConfig:
     output_dir: Path
     window_s: int = 300
     downsample_bucket_s: int = 300
-    topic_retention: int = 100_000
+    topic_retention: int = DEFAULT_RETENTION_RECORDS
 
 
 def _profile_from_dict(obj: dict[str, Any]) -> NetworkProfile:
@@ -139,9 +141,10 @@ def load_config(path: Path | str) -> RunConfig:
         config = RunConfig(
             networks=tuple(profiles),
             output_dir=Path(output_dir),
-            window_s=int(obj.get("window_s", 300)),
-            downsample_bucket_s=int(obj.get("downsample_bucket_s", 300)),
-            topic_retention=int(obj.get("topic_retention", 100_000)),
+            window_s=int(obj.get("window_s", RunConfig.window_s)),
+            downsample_bucket_s=int(obj.get("downsample_bucket_s",
+                                            RunConfig.downsample_bucket_s)),
+            topic_retention=int(obj.get("topic_retention", RunConfig.topic_retention)),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigParse(str(exc)) from exc
@@ -180,7 +183,7 @@ def _drain(broker: StreamLog, topic: str, group: str, files: tuple[TextIO, ...])
     After an empty poll, flushes the consumer's files and blocks on the
     log. Commits after every batch, which frees a held-back producer.
     """
-    handle = broker.subscribe(topic, group, AtOffset(0))
+    handle = broker.subscribe(topic, group)
     while True:
         batch = broker.poll(handle, 500)
         if batch:
@@ -404,6 +407,7 @@ def run_monitor(
     shutdown flushes open windows as partial summaries.
     """
     stop = stop_event if stop_event is not None else threading.Event()
+    timer = None
     if duration_s is not None:
         timer = threading.Timer(duration_s, stop.set)
         timer.daemon = True
@@ -438,7 +442,11 @@ def run_monitor(
         for thread in threads:
             thread.join()
 
-    return _run(config, feed)
+    try:
+        return _run(config, feed)
+    finally:
+        if timer is not None:
+            timer.cancel()  # a run that ended otherwise must not set the caller's event
 
 
 def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:

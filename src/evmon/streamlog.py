@@ -1,18 +1,17 @@
-"""Embedded append-only retention log with consumer-group offsets.
+"""Embedded append-only log with consumer-group offsets.
 
 Stands in for an external message broker: temporary retention plus fan-out
 to parallel consumers. Each topic is a single ordered partition; offsets
-start at 0 and increase by exactly 1 per append. Consumer groups are
-independent, so every group observes every retained record (broadcast
-across groups), while a group's committed offset survives its handles and
-drives resume-after-kill delivery.
+start at 0 and increase by exactly 1 per append. A topic's consumer groups
+are declared when it is created and are independent, so every group
+observes every record (broadcast across groups), while a group's committed
+offset survives its handles and drives resume-after-kill delivery.
 
-A topic retains its last `retention` records. Groups registered when the
-topic is created hold its producer back instead: append blocks while the
-slowest of them has `retention` records uncommitted, so none of them loses
-a record until it leaves. For other groups retention evicts only a prefix,
-and a handle that fell behind raises OffsetEvicted on poll instead of
-skipping the lost records.
+One retention rule: a topic keeps a record until every group it was
+created with has committed it, or left. retention is how far a producer
+may run ahead of its slowest group: append blocks while that group has
+retention records uncommitted. A topic with no group left stores nothing,
+and its appends never block.
 
 Payloads are any Python objects, handed to every consumer as they were
 appended, never copied or serialized. A poll slices only the batch it
@@ -37,34 +36,12 @@ class TopicMissing(KeyError):
     """The named topic has not been created."""
 
 
-class OffsetEvicted(Exception):
-    """A start offset or read position precedes the earliest retained record."""
-
-
 class TopicClosed(Exception):
     """An append to a topic that is closed, or that closed while it waited."""
 
 
 class CommitRegression(Exception):
     """A commit tried to move a group's offset backwards."""
-
-
-@dataclass(frozen=True)
-class FromEarliest:
-    """Start at the earliest retained record."""
-
-
-@dataclass(frozen=True)
-class FromLatest:
-    """Start after the current end: only records appended later."""
-
-
-@dataclass(frozen=True)
-class AtOffset:
-    offset: int
-
-
-StartPosition = FromEarliest | FromLatest | AtOffset
 
 
 @dataclass
@@ -82,10 +59,11 @@ class ConsumerHandle:
 
 
 class _Topic:
-    """payloads[i] holds offset base + i. Evicted slots are set to None at
-    once and cut off the front when as many as retention piled up, so an
-    append costs O(1) amortized and a poll O(batch). Every field is guarded
-    by the lock that cond (consumers) and space (the producer) share."""
+    """payloads[i] holds offset base + i, for every offset from the slowest
+    group's commit + 1 to the end, so len(payloads) is that group's
+    uncommitted count. commit and leave cut the committed prefix off, so an
+    append costs O(1) and a poll O(batch). Every field is guarded by the
+    lock that cond (consumers) and space (the producer) share."""
 
     def __init__(self, retention: int, groups: tuple[str, ...]) -> None:
         self.retention = retention
@@ -99,21 +77,21 @@ class _Topic:
         self.cond = threading.Condition(lock)
         self.space = threading.Condition(lock)
 
-    @property
-    def earliest(self) -> int:
-        return max(self.base, self.next_offset - self.retention)
-
-    def unacked(self) -> int:
-        """Records the slowest registered group has not committed."""
-        last = self.next_offset - 1
-        return last - min((self.committed.get(g, -1) for g in self.groups), default=last)
+    def trim(self) -> None:
+        """Drop every record all groups have committed, and wake the producer."""
+        low = min((self.committed.get(g, -1) + 1 for g in self.groups),
+                  default=self.next_offset)
+        if low > self.base:
+            del self.payloads[: low - self.base]
+            self.base = low
+            self.space.notify_all()
 
 
 DEFAULT_RETENTION_RECORDS = 100_000
 
 
 class StreamLog:
-    """In-process broker: named topics, retention, consumer groups."""
+    """In-process broker: named topics, consumer groups, bounded lead."""
 
     def __init__(self, retention: int = DEFAULT_RETENTION_RECORDS) -> None:
         if retention <= 0:
@@ -123,7 +101,7 @@ class StreamLog:
         self._lock = threading.Lock()  # topic creation only; each topic has its own
 
     def create_topic(self, name: str, groups: tuple[str, ...] = ()) -> None:
-        """Create a topic whose groups hold back its producer from the start."""
+        """Create a topic read by the given consumer groups, and only by them."""
         with self._lock:
             if name in self._topics:
                 raise ValueError(f"topic {name!r} already exists")
@@ -137,28 +115,25 @@ class StreamLog:
 
     def append(self, topic: str, payload: Any) -> int:
         """Append one record and wake the topic's waiters; returns its
-        assigned offset. Blocks while a registered group has retention
+        assigned offset. Blocks while the slowest group has retention
         records uncommitted; raises TopicClosed once the topic is closed."""
         t = self._topic(topic)
         with t.cond:
-            while not t.closed and t.unacked() >= t.retention:
+            while not t.closed and len(t.payloads) >= t.retention:
                 t.space.wait()
             if t.closed:
                 raise TopicClosed(topic)
-            t.payloads.append(payload)
+            if t.groups:
+                t.payloads.append(payload)
+            else:
+                t.base += 1  # nobody is left to read it
             t.next_offset += 1
-            evicted = t.next_offset - t.retention - 1 - t.base
-            if evicted >= 0:
-                t.payloads[evicted] = None
-                if evicted + 1 >= t.retention:
-                    del t.payloads[: evicted + 1]
-                    t.base += evicted + 1
             t.cond.notify_all()
             return t.next_offset - 1
 
     def close(self, topic: str) -> None:
         """Mark the end of the topic's stream and wake every waiter, held-back
-        appends too. Idempotent; the retained records stay readable."""
+        appends too. Idempotent; the records held stay readable."""
         t = self._topic(topic)
         with t.cond:
             t.closed = True
@@ -166,11 +141,11 @@ class StreamLog:
             t.space.notify_all()
 
     def leave(self, topic: str, group: str) -> None:
-        """Stop the group, whose consumer ended, holding back the producer."""
+        """Remove the group, whose consumer ended, and release what it held."""
         t = self._topic(topic)
         with t.cond:
             t.groups.discard(group)
-            t.space.notify_all()
+            t.trim()
 
     def wait(self, handle: ConsumerHandle) -> bool:
         """Block until a record exists at the handle's position (True), or
@@ -183,54 +158,31 @@ class StreamLog:
                 t.cond.wait()
             return True
 
-    def subscribe(self, topic: str, group: str, start: StartPosition = FromEarliest()) -> ConsumerHandle:
-        """Position a new handle for the group per the start mode.
-
-        AtOffset raises OffsetEvicted when the offset precedes the earliest
-        retained record; an offset at or beyond the end is allowed and
-        simply waits for future appends.
-        """
+    def subscribe(self, topic: str, group: str) -> ConsumerHandle:
+        """A new handle for one of the topic's groups, right after the
+        group's last commit: offset 0 for a group that never committed."""
         t = self._topic(topic)
         with t.cond:
-            if isinstance(start, FromEarliest):
-                position = t.earliest
-            elif isinstance(start, FromLatest):
-                position = t.next_offset
-            elif isinstance(start, AtOffset):
-                if start.offset < t.earliest:
-                    raise OffsetEvicted(
-                        f"{topic}: offset {start.offset} precedes earliest retained {t.earliest}"
-                    )
-                position = start.offset
-            else:
-                raise TypeError(f"unknown start position {start!r}")
-            return ConsumerHandle(topic=topic, group=group, position=position)
-
-    def resume(self, topic: str, group: str) -> ConsumerHandle:
-        """Re-subscribe after the group's last commit (Earliest when none)."""
-        t = self._topic(topic)
-        with t.cond:
-            committed = t.committed.get(group)
-        if committed is None:
-            return self.subscribe(topic, group, FromEarliest())
-        return self.subscribe(topic, group, AtOffset(committed + 1))
+            if group not in t.groups:
+                raise ValueError(f"{topic}: {group!r} is not a group of this topic")
+            return ConsumerHandle(topic=topic, group=group,
+                                  position=t.committed.get(group, -1) + 1)
 
     def poll(self, handle: ConsumerHandle, max_records: int) -> list[tuple[int, Any]]:
         """Up to max_records (offset, payload) pairs from the handle's
         position, in offset order; advances the read position, not the
-        commit. Empty when caught up. Raises OffsetEvicted when the
-        position fell behind retention, so no record is lost silently.
+        commit. Empty when caught up. Raises ValueError when the records
+        at the position were released: its group committed past it through
+        another handle, or left.
         """
         if max_records <= 0:
             raise ValueError("max_records must be positive")
         t = self._topic(handle.topic)
         with t.cond:
-            if handle.position < t.earliest:
-                raise OffsetEvicted(
-                    f"{handle.topic}/{handle.group}: position {handle.position} "
-                    f"precedes earliest retained {t.earliest}"
-                )
             start = handle.position - t.base
+            if start < 0:
+                raise ValueError(f"{handle.topic}/{handle.group}: position "
+                                 f"{handle.position} precedes the oldest record held, {t.base}")
             out = list(enumerate(t.payloads[start : start + max_records], handle.position))
             if out:
                 handle.position += len(out)
@@ -238,7 +190,8 @@ class StreamLog:
             return out
 
     def commit(self, handle: ConsumerHandle, offset: int) -> None:
-        """Durably mark the group's progress; resume delivers offset+1 next."""
+        """Mark the group's progress, releasing what every group has
+        committed; subscribe delivers offset+1 next."""
         if handle.last_polled is None or offset > handle.last_polled:
             raise ValueError(
                 f"cannot commit {offset}: beyond last polled offset {handle.last_polled}"
@@ -251,9 +204,11 @@ class StreamLog:
                     f"{handle.topic}/{handle.group}: commit {offset} behind {current}"
                 )
             t.committed[handle.group] = offset
-            t.space.notify_all()
+            t.trim()
 
     def earliest_offset(self, topic: str) -> int:
+        """The offset of the oldest record the topic holds (the next offset
+        when it holds none)."""
         t = self._topic(topic)
         with t.cond:
-            return t.earliest
+            return t.base

@@ -289,7 +289,7 @@ def test_acceptance_6_broker_resume():
     deliver exactly offsets 0..9_999 per consumer group with no
     post-commit redelivery."""
     broker = StreamLog()
-    broker.create_topic("blocks")
+    broker.create_topic("blocks", groups=("group0", "group1"))
     total = 10_000
     for i in range(total):
         broker.append("blocks", b"%d" % i)
@@ -300,7 +300,7 @@ def test_acceptance_6_broker_resume():
         delivered = set()
         committed = -1
         for _ in range(100):
-            handle = broker.resume("blocks", group)
+            handle = broker.subscribe("blocks", group)
             polled = []
             for _ in range(rng.randint(1, 4)):
                 polled += [o for o, _ in broker.poll(handle, rng.randint(1, 120))]
@@ -313,7 +313,7 @@ def test_acceptance_6_broker_resume():
                 committed = rng.choice(polled)
                 broker.commit(handle, committed)
             # handle dropped here: uncommitted progress is lost on purpose
-        handle = broker.resume("blocks", group)
+        handle = broker.subscribe("blocks", group)
         while True:
             batch = broker.poll(handle, 1_000)
             if not batch:

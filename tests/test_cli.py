@@ -365,17 +365,29 @@ def test_catchup_larger_than_retention_writes_every_block(tmp_path):
             assert len(read_lines(config.output_dir / chain / name)) == 3000
 
 
-def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch):
+@pytest.mark.parametrize("dead", [(MetricKind.BLOCK_USAGE_RATIO,), tuple(MetricKind)],
+                         ids=["one", "both"])
+def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, dead):
     """A metric pipeline whose window sink raises leaves its group, so at
-    retention 5 it no longer holds back normalize and ingest."""
+    retention 5 it no longer holds back normalize and ingest. Once both
+    have left, normalized.<chain> holds nothing and normalize runs on."""
     window_summary_to_dict = records.window_summary_to_dict
 
-    def disk_full_for_usage(summary):
-        if summary.kind is MetricKind.BLOCK_USAGE_RATIO:
+    def disk_full_for_dead(summary):
+        if summary.kind in dead:
             raise OSError("disk full")
         return window_summary_to_dict(summary)
 
-    monkeypatch.setattr(records, "window_summary_to_dict", disk_full_for_usage)
+    monkeypatch.setattr(records, "window_summary_to_dict", disk_full_for_dead)
+    append = StreamLog.append
+    held_after_append = {}
+
+    def counted_append(self, topic, payload):
+        offset = append(self, topic, payload)
+        held_after_append[topic] = offset + 1 - self.earliest_offset(topic)
+        return offset
+
+    monkeypatch.setattr(StreamLog, "append", counted_append)
     scenario = constant_fee_scenario(block_count=1000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -384,13 +396,33 @@ def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch):
     report = run_monitor(config, max_blocks=1000, start_number=0,
                          client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
     chain = report["chains"]["arbitrum_like"]
-    assert chain["errors"] == ["block_usage_ratio: disk full"]
+    assert sorted(chain["errors"]) == sorted(f"{kind.value}: disk full" for kind in dead)
     assert chain["blocks_ingested"] == chain["normalized_records"] == 1000
     chain_dir = config.output_dir / "arbitrum_like"
-    for name in ("raw.jsonl", "normalized.jsonl", "gas_price_gwei.jsonl"):
+    for name in ("raw.jsonl", "normalized.jsonl"):
         assert len(read_lines(chain_dir / name)) == 1000
-    usage_samples = len(read_lines(chain_dir / "block_usage_ratio.jsonl"))
-    assert chain["samples"]["block_usage_ratio"] == usage_samples < 1000
+    for kind in MetricKind:
+        samples = len(read_lines(chain_dir / f"{kind.value}.jsonl"))
+        assert chain["samples"][kind.value] == samples
+        assert (samples < 1000) if kind in dead else (samples == 1000)
+    if len(dead) == len(MetricKind):
+        assert held_after_append["normalized.arbitrum_like"] == 0
+
+
+def test_duration_timer_does_not_outlive_the_run(tmp_path):
+    """A run that ends before duration_s cancels its timer, so the
+    caller's stop_event stays clear afterwards."""
+    scenario = constant_fee_scenario(block_count=5)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)]))
+    stop = threading.Event()
+    report = run_monitor(config, max_blocks=5, start_number=0, duration_s=0.5,
+                         stop_event=stop,
+                         client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
+    assert report["chains"]["arbitrum_like"]["blocks_ingested"] == 5
+    assert not stop.is_set()
+    assert not stop.wait(0.8)
 
 
 def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkeypatch):

@@ -6,21 +6,24 @@ import time
 import pytest
 
 from evmon.streamlog import (
-    AtOffset,
     CommitRegression,
-    FromEarliest,
-    FromLatest,
-    OffsetEvicted,
     StreamLog,
     TopicClosed,
     TopicMissing,
 )
 
 
-def fresh(retention=100_000):
+def fresh(retention=100_000, groups=("g",)):
     broker = StreamLog(retention=retention)
-    broker.create_topic("t")
+    broker.create_topic("t", groups=groups)
     return broker
+
+
+def consume_and_commit(broker, group, max_records):
+    handle = broker.subscribe("t", group)
+    batch = broker.poll(handle, max_records)
+    broker.commit(handle, batch[-1][0])
+    return handle
 
 
 def test_first_append_gets_offset_zero():
@@ -39,46 +42,82 @@ def test_append_to_missing_topic():
         broker.append("nope", b"x")
 
 
-def test_retention_evicts_prefix_only():
-    broker = fresh(retention=1_000)
-    for i in range(10_000):
+def test_earliest_offset_follows_the_slowest_commit():
+    broker = fresh(retention=1_000, groups=("slow", "fast"))
+    for i in range(1_000):
         broker.append("t", b"%d" % i)
-    assert broker.earliest_offset("t") == 9_000
-    handle = broker.subscribe("t", "g", FromEarliest())
-    offsets = [offset for offset, _ in broker.poll(handle, 2_000)]
-    assert offsets == list(range(9_000, 10_000))
+    consume_and_commit(broker, "fast", 600)
+    assert broker.earliest_offset("t") == 0  # "slow" has committed nothing
+    consume_and_commit(broker, "slow", 250)
+    assert broker.earliest_offset("t") == 250
+    consume_and_commit(broker, "slow", 500)
+    assert broker.earliest_offset("t") == 600  # now "fast" is the slowest
+    handle = broker.subscribe("t", "fast")
+    assert [o for o, _ in broker.poll(handle, 2_000)] == list(range(600, 1_000))
+
+
+def test_leave_releases_the_records_its_group_held():
+    broker = fresh(groups=("slow", "fast"))
+    for i in range(10):
+        broker.append("t", i)
+    consume_and_commit(broker, "fast", 7)
+    assert broker.earliest_offset("t") == 0
+    broker.leave("t", "slow")
+    assert broker.earliest_offset("t") == 7
+    handle = broker.subscribe("t", "fast")
+    assert [p for _, p in broker.poll(handle, 10)] == [7, 8, 9]
+
+
+def test_a_topic_whose_groups_all_left_holds_nothing_and_never_blocks():
+    broker = fresh(retention=2, groups=("g0", "g1"))
+    broker.append("t", 0)
+    broker.append("t", 1)
+    broker.leave("t", "g0")
+    broker.leave("t", "g1")
+    assert broker.earliest_offset("t") == 2
+    appended = []
+    producer = threading.Thread(
+        target=lambda: appended.extend(broker.append("t", i) for i in range(2, 1_000)),
+        daemon=True)
+    producer.start()
+    producer.join(timeout=5)
+    assert not producer.is_alive()
+    assert appended == list(range(2, 1_000))
+    assert broker.earliest_offset("t") == 1_000
+
+
+def test_subscribe_an_undeclared_group_raises():
+    broker = fresh(groups=("g",))
+    broker.append("t", 0)
+    with pytest.raises(ValueError, match="'other'"):
+        broker.subscribe("t", "other")
+    broker.leave("t", "g")
+    with pytest.raises(ValueError, match="'g'"):
+        broker.subscribe("t", "g")
 
 
 def test_two_groups_both_see_everything():
-    broker = fresh()
+    broker = fresh(groups=("g1", "g2"))
     payloads = [b"%d" % i for i in range(5)]
     for p in payloads:
         broker.append("t", p)
     for group in ("g1", "g2"):
-        handle = broker.subscribe("t", group, FromEarliest())
+        handle = broker.subscribe("t", group)
         got = [payload for _, payload in broker.poll(handle, 10)]
         assert got == payloads
 
 
-def test_subscribe_at_evicted_offset_fails():
-    broker = fresh(retention=3)
-    for i in range(8):
-        broker.append("t", b"%d" % i)
-    with pytest.raises(OffsetEvicted):
-        broker.subscribe("t", "g", AtOffset(3))
-    handle = broker.subscribe("t", "g", AtOffset(5))
-    assert [o for o, _ in broker.poll(handle, 10)] == [5, 6, 7]
-
-
-def test_poll_behind_retention_raises_instead_of_skipping():
-    broker = fresh(retention=3)
-    broker.append("t", b"0")
-    handle = broker.subscribe("t", "g")
-    assert [o for o, _ in broker.poll(handle, 1)] == [0]
+def test_poll_at_a_released_position_raises_instead_of_skipping():
+    """A handle whose group committed past it through another handle reads
+    nothing wrong: its poll raises."""
+    broker = fresh()
     for i in range(10):
-        broker.append("t", b"%d" % (i + 1))
-    with pytest.raises(OffsetEvicted):
-        broker.poll(handle, 10)
+        broker.append("t", i)
+    stale = broker.subscribe("t", "g")
+    assert [o for o, _ in broker.poll(stale, 2)] == [0, 1]
+    consume_and_commit(broker, "g", 5)
+    with pytest.raises(ValueError, match="precedes"):
+        broker.poll(stale, 10)
 
 
 def test_poll_hands_back_the_appended_object():
@@ -88,15 +127,6 @@ def test_poll_hands_back_the_appended_object():
     [(offset, payload)] = broker.poll(broker.subscribe("t", "g"), 10)
     assert offset == 0
     assert payload is record
-
-
-def test_subscribe_latest_sees_only_later_appends():
-    broker = fresh()
-    broker.append("t", b"old")
-    handle = broker.subscribe("t", "g", FromLatest())
-    broker.append("t", b"new1")
-    broker.append("t", b"new2")
-    assert [p for _, p in broker.poll(handle, 10)] == [b"new1", b"new2"]
 
 
 def test_poll_caught_up_returns_empty():
@@ -133,7 +163,7 @@ def test_commit_resume_continues_after_committed():
     handle = broker.subscribe("t", "g")
     broker.poll(handle, 11)
     broker.commit(handle, 10)
-    resumed = broker.resume("t", "g")
+    resumed = broker.subscribe("t", "g")
     assert [o for o, _ in broker.poll(resumed, 1)] == [11]
 
 
@@ -185,7 +215,7 @@ def test_kill_resume_cycles_deliver_everything():
     delivered = set()
     committed = -1
     for _ in range(30):
-        handle = broker.resume("t", "g")
+        handle = broker.subscribe("t", "g")
         polled = []
         for _ in range(rng.randint(1, 5)):
             polled += [o for o, _ in broker.poll(handle, rng.randint(1, 200))]
@@ -196,7 +226,7 @@ def test_kill_resume_cycles_deliver_everything():
             broker.commit(handle, commit_to)
             committed = commit_to
         # handle dropped here = consumer killed with uncommitted progress
-    handle = broker.resume("t", "g")
+    handle = broker.subscribe("t", "g")
     while True:
         batch = broker.poll(handle, 500)
         if not batch:
@@ -281,41 +311,43 @@ def test_append_after_close_raises():
 
 
 def test_poll_matches_reference_model_across_compactions():
-    """Retention 3 with bursts of appends between polls of varying size:
-    every batch, every eviction and the earliest offset agree with a plain
-    list of everything appended."""
+    """Retention 3, two groups polling batches of varying size and
+    committing random offsets between bursts of appends: every batch agrees
+    with a plain list of everything appended, and the earliest offset is
+    the lowest commit + 1."""
     retention = 3
-    broker = fresh(retention=retention)
-    handle = broker.subscribe("t", "g")
+    groups = ("g0", "g1")
+    broker = fresh(retention=retention, groups=groups)
+    handles = {g: broker.subscribe("t", g) for g in groups}
+    committed = dict.fromkeys(groups, -1)
     rng = random.Random(5)
     appended = []
-    position = 0
-    evictions = 0
     while len(appended) < 1_000:
-        for _ in range(rng.randint(0, 4)):
+        # the slowest group has len(appended) - 1 - min(committed) uncommitted
+        room = retention - (len(appended) - 1 - min(committed.values()))
+        for _ in range(rng.randint(0, room)):
             assert broker.append("t", ("p", len(appended))) == len(appended)
             appended.append(("p", len(appended)))
-        earliest = max(0, len(appended) - retention)
-        assert broker.earliest_offset("t") == earliest
-        max_records = rng.randint(1, 5)
-        if position < earliest:
-            with pytest.raises(OffsetEvicted):
-                broker.poll(handle, max_records)
-            handle = broker.subscribe("t", "g", FromEarliest())
-            position = earliest
-            evictions += 1
-            continue
+        group = rng.choice(groups)
+        handle = handles[group]
+        position, max_records = handle.position, rng.randint(1, 5)
         end = min(position + max_records, len(appended))
         assert broker.poll(handle, max_records) == [(o, appended[o]) for o in range(position, end)]
-        position = end
-    assert evictions > 0
+        if handle.last_polled is not None and rng.random() < 0.7:
+            offset = rng.randint(committed[group], handle.last_polled)
+            if offset >= 0:
+                broker.commit(handle, offset)
+                committed[group] = offset
+        assert broker.earliest_offset("t") == min(committed.values()) + 1
+    assert broker.earliest_offset("t") > 0
 
 
 def test_waiting_consumers_see_every_record_then_the_end():
     """Four groups block on the log while a producer appends, then closes
     once all of them caught up: each sees every record once, in order, and
     then the end. A lost wake-up would leave a consumer hanging."""
-    broker = fresh()
+    groups = [f"g{n}" for n in range(4)]
+    broker = fresh(groups=groups)
     total = 2_000
     read = {}
     seen = {}
@@ -332,7 +364,6 @@ def test_waiting_consumers_see_every_record_then_the_end():
                 break
         seen[group] = offsets
 
-    groups = [f"g{n}" for n in range(4)]
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -417,7 +448,7 @@ def test_leave_releases_the_producer():
 def test_registered_groups_see_every_record_through_a_tiny_retention():
     """Retention 3, two registered groups reading in random batch sizes
     while a producer appends 2,000 records under fast thread switching:
-    each group sees every record once, in order, and none is evicted."""
+    each group sees every record once, in order, and none is lost."""
     broker = StreamLog(retention=3)
     broker.create_topic("t", groups=("g0", "g1"))
     total = 2_000
@@ -425,7 +456,7 @@ def test_registered_groups_see_every_record_through_a_tiny_retention():
 
     def consume(group, seed):
         rng = random.Random(seed)
-        handle = broker.subscribe("t", group, AtOffset(0))
+        handle = broker.subscribe("t", group)
         offsets = []
         while True:
             batch = broker.poll(handle, rng.randint(1, 4))
