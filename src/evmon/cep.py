@@ -4,8 +4,8 @@ A Pipeline is a source plus an ordered list of stages (Map, TumblingWindow,
 Sink) ending in exactly one Sink. Windowing is event-time, keyed by chain:
 the watermark per key is the maximum record timestamp seen, a window
 [start, start+width) flushes when a record with timestamp >= its end
-arrives for that key, and all open windows flush when the source is
-exhausted (marked partial). A TumblingWindow owns its aggregate: each
+arrives for that key, and all open windows flush when the stream ends
+(marked partial). A TumblingWindow owns its aggregate: each
 flushed window leaves the stage only as the value of the window's fn.
 Records whose timestamp falls behind the key's watermark are late; since
 upstream ingest guarantees per-chain order, lateness indicates an upstream
@@ -14,14 +14,16 @@ terminating the stream, as do records (or windows) a stage function fails
 on. An exception from the source or the sink aborts the run, and the
 PipelineFailure it raises carries the counts so far.
 
-A pipeline instance is single-threaded end to end; run one instance per
-chain topic for parallelism.
+The engine is push-driven: a PipelineRun carries each record through
+every stage in the caller's thread, and run_pipeline feeds one from a
+source. A sink that pushes into further PipelineRuns fans a stream out
+to several pipelines in one thread, with no queue between them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 
 class KeyedRecord(Protocol):
@@ -55,8 +57,8 @@ def assign_tumbling_window(record: KeyedRecord, width_s: int) -> WindowAssignmen
 class FlushedWindow:
     """A closed window handed to its TumblingWindow's aggregate.
 
-    partial is True when the flush came from source exhaustion (shutdown or
-    end of stream) rather than from the watermark passing the window end.
+    partial is True when the flush came from the end of the stream (finish,
+    at shutdown or source exhaustion) rather than from the watermark.
     """
 
     assignment: WindowAssignment
@@ -123,102 +125,108 @@ class PipelineFailure(Exception):
         self.report = report
 
 
-def apply_map(
-    stream: Iterable[Any],
-    fn: Callable[[Any], Any],
-    dead_letters: list[DeadLetter] | None = None,
-    stage_index: int = 0,
-) -> Iterator[Any]:
-    """Map fn over the stream; per-record errors become dead letters."""
-    for record in stream:
+Push = Callable[[Any], None]
+
+
+def _map(fn: Callable[[Any], Any], index: int, report: RunReport, downstream: Push) -> Push:
+    """Push fn(record) downstream; a record fn fails on becomes a dead letter."""
+
+    def push(record: Any) -> None:
         try:
-            yield fn(record)
+            value = fn(record)
         except Exception as exc:  # noqa: BLE001 - per-record isolation is the contract
-            if dead_letters is None:
-                raise
-            dead_letters.append(DeadLetter(stage_index, record, f"map: {exc}"))
+            report.dead_letters.append(DeadLetter(index, record, f"map: {exc}"))
+            return
+        report.stage_out[index] += 1
+        downstream(value)
+
+    return push
 
 
-def _apply_window(
-    stream: Iterable[KeyedRecord],
-    width_s: int,
-    dead_letters: list[DeadLetter],
-    stage_index: int,
-) -> Iterator[FlushedWindow]:
+def _window(width_s: int, index: int, report: RunReport,
+            emit: Push) -> tuple[Push, Callable[[], None]]:
+    """A window stage's push and end-of-stream flush, which emit closed windows."""
     open_windows: dict[Any, tuple[WindowAssignment, list]] = {}
     watermarks: dict[Any, int] = {}
-    for record in stream:
-        key = record.chain
-        ts = record.timestamp
+
+    def push(record: KeyedRecord) -> None:
+        key, ts = record.chain, record.timestamp
         watermark = watermarks.get(key)
         if watermark is not None and ts < watermark:
-            dead_letters.append(
-                DeadLetter(stage_index, record, f"late: ts {ts} behind watermark {watermark}")
+            report.dead_letters.append(
+                DeadLetter(index, record, f"late: ts {ts} behind watermark {watermark}")
             )
-            continue
+            return
         watermarks[key] = ts
         assignment = assign_tumbling_window(record, width_s)
         current = open_windows.get(key)
         if current is not None and assignment.start > current[0].start:
-            yield FlushedWindow(assignment=current[0], records=tuple(current[1]), partial=False)
+            emit(FlushedWindow(assignment=current[0], records=tuple(current[1]), partial=False))
             current = None
         if current is None:
-            open_windows[key] = (assignment, [record])
-        else:
-            current[1].append(record)
-    # source exhausted: flush the remainder in a deterministic key order
-    for key in sorted(open_windows, key=repr):
-        assignment, records = open_windows[key]
-        yield FlushedWindow(assignment=assignment, records=tuple(records), partial=True)
+            open_windows[key] = current = (assignment, [])
+        current[1].append(record)
+
+    def flush() -> None:
+        for key in sorted(open_windows, key=repr):  # a deterministic key order
+            assignment, records = open_windows.pop(key)
+            emit(FlushedWindow(assignment=assignment, records=tuple(records), partial=True))
+
+    return push, flush
 
 
-def _validate(pipeline: Pipeline) -> None:
-    stages = pipeline.stages
-    if not stages or not isinstance(stages[-1], Sink):
-        raise ValueError("pipeline must end in a Sink")
-    if sum(isinstance(s, Sink) for s in stages) != 1:
-        raise ValueError("pipeline must contain exactly one Sink, the terminal stage")
+class PipelineRun:
+    """A stage tuple driven by push: each record passes every stage before
+    push returns; finish() flushes open windows as partial and returns the
+    report. A sink exception raises PipelineFailure with the report so far;
+    map and window aggregate fail per record, into dead letters."""
+
+    def __init__(self, stages: tuple[Stage, ...]) -> None:
+        if not stages or not isinstance(stages[-1], Sink):
+            raise ValueError("pipeline must end in a Sink")
+        if sum(isinstance(s, Sink) for s in stages) != 1:
+            raise ValueError("pipeline must contain exactly one Sink, the terminal stage")
+        self.report = report = RunReport(stage_out=[0] * len(stages))
+        sink_index = len(stages) - 1
+        consume = stages[sink_index].consume
+
+        def push(record: Any) -> None:
+            consume(record)
+            report.stage_out[sink_index] += 1
+
+        self._flushes: list[Callable[[], None]] = []
+        for i in reversed(range(sink_index)):
+            push = _map(stages[i].fn, i, report, push)
+            if isinstance(stages[i], TumblingWindow):
+                push, flush = _window(stages[i].width_s, i, report, push)
+                self._flushes.insert(0, flush)  # upstream windows flush first
+        self._push = push
+
+    def push(self, record: Any) -> None:
+        self.report.records_in += 1
+        try:
+            self._push(record)
+        except Exception as exc:  # noqa: BLE001 - abort contract
+            raise PipelineFailure(exc, self.report) from exc
+
+    def finish(self) -> RunReport:
+        try:
+            for flush in self._flushes:
+                flush()
+        except Exception as exc:  # noqa: BLE001 - abort contract
+            raise PipelineFailure(exc, self.report) from exc
+        return self.report
 
 
 def run_pipeline(pipeline: Pipeline) -> RunReport:
-    """Drive the source through the stages until exhaustion.
-
-    Returns exact counts: records in, records out of every stage, dead
-    letters. An exception from the source or the sink aborts the run by
-    raising PipelineFailure with the report accumulated so far; stage
-    functions (map and window aggregate) fail per record, into dead letters.
-    """
-    _validate(pipeline)
-    report = RunReport(stage_out=[0] * len(pipeline.stages))
-
-    def counted_source() -> Iterator[Any]:
-        for record in pipeline.source:
-            report.records_in += 1
-            yield record
-
-    def counted(stream: Iterator[Any], index: int) -> Iterator[Any]:
-        for record in stream:
-            report.stage_out[index] += 1
-            yield record
-
-    stream: Iterator[Any] = counted_source()
-    sink = pipeline.stages[-1]
-    assert isinstance(sink, Sink)
-    for i, stage in enumerate(pipeline.stages[:-1]):
-        if isinstance(stage, Map):
-            stream = apply_map(stream, stage.fn, report.dead_letters, i)
-        elif isinstance(stage, TumblingWindow):
-            windows = _apply_window(stream, stage.width_s, report.dead_letters, i)
-            stream = apply_map(windows, stage.fn, report.dead_letters, i)
-        else:
-            raise TypeError(f"unexpected stage {stage!r}")
-        stream = counted(stream, i)
-
-    sink_index = len(pipeline.stages) - 1
+    """A PipelineRun fed from the source until exhaustion, then finished;
+    an exception from the source aborts the run like one from the sink."""
+    run = PipelineRun(pipeline.stages)
     try:
-        for record in stream:
-            sink.consume(record)
-            report.stage_out[sink_index] += 1
+        for record in pipeline.source:
+            run.push(record)
+    except PipelineFailure:
+        raise
     except Exception as exc:  # noqa: BLE001 - abort contract
-        raise PipelineFailure(exc, report) from exc
-    return report
+        raise PipelineFailure(exc, run.report) from exc
+    return run.finish()

@@ -1,18 +1,16 @@
 """Operator-facing command line: monitor, replay, stats, plot.
 
-monitor and replay share one engine. Per configured chain, a normalization
-consumer on the chain's raw topic publishes to its normalized topic, and
-one metric pipeline per metric kind consumes that in its own consumer
-group (the broker's fan-out), each on its own thread. Only the feed of the
-raw topics differs: an ingest poll loop per chain for monitor, one
-streaming pass over a recorded JSONL file for replay. The topics carry the
-frozen model records; each output file has one writer thread, which writes
-in offset order, so replay's outputs are byte-identical across runs. A
-topic keeps a record until each of its consumer groups has committed it,
-and topic_retention is how far a producer may run ahead of its slowest
-group. A pipeline that ends leaves its group, which releases what it
-held, and a normalize consumer that ends closes its chain's topics, which
-stops the chain's producer.
+monitor and replay share one engine. Per configured chain, one consumer
+thread drains the chain's raw topic through the normalize pipeline, whose
+sink pushes each normalized record into one metric pipeline per metric
+kind in the same thread, so one wake-up serves all three. Only the feed
+of the raw topics differs: an ingest poll loop per chain for monitor, one
+streaming pass over a recorded JSONL file for replay. Each chain's files
+have one writer thread, which writes in offset order, so replay's outputs
+are byte-identical across runs. topic_retention is how far a producer may
+run ahead of its chain's consumer. A metric pipeline whose sink fails is
+dropped; when normalize ends, the consumer closes its raw topic, which
+stops the chain's producer, and flushes the metric pipelines' windows.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -31,7 +29,7 @@ from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from evmon import cep, metrics, records
 from evmon.cep import RunReport
@@ -172,11 +170,7 @@ def _raw_topic(chain: str) -> str:
     return f"raw.{chain}"
 
 
-def _norm_topic(chain: str) -> str:
-    return f"normalized.{chain}"
-
-
-def _drain(broker: StreamLog, topic: str, group: str, files: tuple[TextIO, ...]) -> Iterator[Any]:
+def _drain(broker: StreamLog, topic: str, group: str, files: Iterable[TextIO]) -> Iterator[Any]:
     """Yield a topic's records from its first one, the very objects
     appended, until caught up on a closed topic.
 
@@ -197,14 +191,10 @@ def _drain(broker: StreamLog, topic: str, group: str, files: tuple[TextIO, ...])
                 return
 
 
-def _normalize_stages(
-    profile: ValidatedProfile,
-    broker: StreamLog,
-    raw_file: TextIO,
-    norm_file: TextIO,
-) -> tuple[cep.Stage, ...]:
+def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
+                      fan_out: Callable[[NormalizedBlockRecord], None]) -> tuple[cep.Stage, ...]:
     normalizer = Normalizer(profile)
-    norm_topic = _norm_topic(profile.chain.name)
+    raw_file, norm_file = files["raw.jsonl"], files["normalized.jsonl"]
 
     def tap_raw(header: RawBlockHeader) -> RawBlockHeader:
         raw_file.write(records.to_line(records.header_to_dict(header)))
@@ -213,18 +203,14 @@ def _normalize_stages(
     def publish(record: NormalizedBlockRecord) -> None:
         # write first: a record whose line failed must not reach the metrics
         norm_file.write(records.to_line(records.normalized_to_dict(record)))
-        broker.append(norm_topic, record)
+        fan_out(record)
 
     return (cep.Map(tap_raw), cep.Map(normalizer.normalize), cep.Sink(publish))
 
 
-def _metric_stages(
-    kind: MetricKind,
-    window_s: int,
-    sample_file: TextIO,
-    window_file: TextIO,
-    collector: array,
-) -> tuple[cep.Stage, ...]:
+def _metric_stages(kind: MetricKind, window_s: int, files: dict[str, TextIO],
+                   collector: array) -> tuple[cep.Stage, ...]:
+    sample_file, window_file = files[f"{kind.value}.jsonl"], files[f"{kind.value}_windows.jsonl"]
     make_sample = (
         metrics.gas_price_sample
         if kind is MetricKind.GAS_PRICE_GWEI
@@ -275,50 +261,58 @@ def _open_chain_files(stack: ExitStack, chain_dir: Path) -> dict[str, TextIO]:
     }
 
 
-def _start_consumers(
+def _start_consumer(
     profile: ValidatedProfile,
     config: RunConfig,
     broker: StreamLog,
     outcome: _ChainOutcome,
     stack: ExitStack,
-) -> list[threading.Thread]:
-    """Open one chain's files and start its three consumers. A pipeline
+) -> threading.Thread:
+    """Open one chain's files and start its consumer thread: normalize,
+    whose sink pushes into every metric pipeline still running. A pipeline
     that aborts still leaves its report, and an error naming it."""
     chain = profile.chain.name
-    raw_topic, norm_topic = _raw_topic(chain), _norm_topic(chain)
+    raw_topic = _raw_topic(chain)
     files = _open_chain_files(stack, config.output_dir / chain)
-    raw_file, norm_file = files["raw.jsonl"], files["normalized.jsonl"]
-    pipelines = {"normalize": cep.Pipeline(
-        source=_drain(broker, raw_topic, "normalize", (raw_file, norm_file)),
-        stages=_normalize_stages(profile, broker, raw_file, norm_file),
-    )}
+    metric_runs: dict[str, cep.PipelineRun] = {}
     for kind in METRIC_KINDS:
-        sample_file = files[f"{kind.value}.jsonl"]
-        window_file = files[f"{kind.value}_windows.jsonl"]
         outcome.full_run_values[kind.value] = collector = array("d")
-        pipelines[kind.value] = cep.Pipeline(
-            source=_drain(broker, norm_topic, kind.value, (sample_file, window_file)),
-            stages=_metric_stages(kind, config.window_s, sample_file, window_file, collector),
-        )
+        metric_runs[kind.value] = cep.PipelineRun(
+            _metric_stages(kind, config.window_s, files, collector))
 
-    def consume(name: str) -> None:
+    def failed(name: str, exc: cep.PipelineFailure) -> None:
+        metric_runs.pop(name, None)
+        outcome.reports[name] = exc.report
+        outcome.errors.append(f"{name}: {exc.cause}")
+        log.exception("%s: %s pipeline failed", chain, name)
+
+    def fan_out(record: NormalizedBlockRecord) -> None:
+        for name, run in list(metric_runs.items()):
+            try:
+                run.push(record)
+            except cep.PipelineFailure as exc:
+                failed(name, exc)
+
+    def consume() -> None:
         try:
-            outcome.reports[name] = cep.run_pipeline(pipelines[name])
+            outcome.reports["normalize"] = cep.run_pipeline(cep.Pipeline(
+                source=_drain(broker, raw_topic, "normalize", files.values()),
+                stages=_normalize_stages(profile, files, fan_out),
+            ))
         except cep.PipelineFailure as exc:
-            outcome.reports[name] = exc.report
-            outcome.errors.append(f"{name}: {exc.cause}")
-            log.exception("%s: %s pipeline failed", chain, name)
+            failed("normalize", exc)
         finally:
-            broker.leave(raw_topic if name == "normalize" else norm_topic, name)
-            if name == "normalize":
-                broker.close(raw_topic)
-                broker.close(norm_topic)
+            broker.leave(raw_topic, "normalize")
+            broker.close(raw_topic)
+            for name, run in list(metric_runs.items()):
+                try:
+                    outcome.reports[name] = run.finish()
+                except cep.PipelineFailure as exc:
+                    failed(name, exc)
 
-    threads = [threading.Thread(target=consume, args=(name,), name=f"{chain}-{name}")
-               for name in _PIPELINES]
-    for thread in threads:
-        thread.start()
-    return threads
+    thread = threading.Thread(target=consume, name=f"{chain}-consumer")
+    thread.start()
+    return thread
 
 
 def _run(config: RunConfig, feed: Callable[[StreamLog, dict[str, _ChainOutcome]], None],
@@ -329,15 +323,13 @@ def _run(config: RunConfig, feed: Callable[[StreamLog, dict[str, _ChainOutcome]]
     broker = StreamLog(retention=config.topic_retention)
     outcomes = {profile.chain.name: _ChainOutcome() for profile in config.networks}
     for chain in outcomes:
-        # each pipeline consumes in a group named after it
         broker.create_topic(_raw_topic(chain), groups=("normalize",))
-        broker.create_topic(_norm_topic(chain), groups=_PIPELINES[1:])
     consumers: list[threading.Thread] = []
     with ExitStack() as stack:
         try:
             for profile in config.networks:
-                consumers += _start_consumers(profile, config, broker,
-                                              outcomes[profile.chain.name], stack)
+                consumers.append(_start_consumer(profile, config, broker,
+                                                 outcomes[profile.chain.name], stack))
             feed(broker, outcomes)
         finally:
             for chain in outcomes:

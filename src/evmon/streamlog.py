@@ -87,7 +87,7 @@ class _Topic:
             self.space.notify_all()
 
 
-DEFAULT_RETENTION_RECORDS = 100_000
+DEFAULT_RETENTION_RECORDS = 1_000
 
 
 class StreamLog:

@@ -288,9 +288,9 @@ def test_acceptance_6_broker_resume():
     """100 randomized kill/commit/resume cycles over a 10_000-record topic
     deliver exactly offsets 0..9_999 per consumer group with no
     post-commit redelivery."""
-    broker = StreamLog()
-    broker.create_topic("blocks", groups=("group0", "group1"))
     total = 10_000
+    broker = StreamLog(retention=total)  # the whole topic is written before any poll
+    broker.create_topic("blocks", groups=("group0", "group1"))
     for i in range(total):
         broker.append("blocks", b"%d" % i)
 

@@ -1,13 +1,18 @@
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
 from evmon.cep import (
+    FlushedWindow,
     Map,
     Pipeline,
     PipelineFailure,
     Sink,
     TumblingWindow,
-    apply_map,
+    WindowAssignment,
     assign_tumbling_window,
     run_pipeline,
 )
@@ -42,36 +47,40 @@ def test_window_rejects_nonpositive_width():
         assign_tumbling_window(make_header(), 0)
 
 
+def collecting_sink(into):
+    return Sink(into.append)
+
+
+def run_map(records, fn):
+    out = []
+    report = run_pipeline(Pipeline(source=records, stages=(Map(fn), collecting_sink(out))))
+    return out, report
+
+
 def test_map_identity_preserves_stream():
     records = headers(100)
-    assert list(apply_map(iter(records), lambda r: r)) == records
+    assert run_map(records, lambda r: r)[0] == records
 
 
 def test_map_extracts_metric_per_record():
     profile = make_profile()
     normalizer = Normalizer(profile)
     normalized = [normalizer.normalize(h) for h in headers(50)]
-    samples = list(apply_map(iter(normalized), gas_price_sample))
+    samples, _ = run_map(normalized, gas_price_sample)
     assert len(samples) == 50
     assert [s.block_number for s in samples] == [h.number for h in normalized]
 
 
 def test_map_failure_goes_to_dead_letters():
-    dead = []
-
     def explode_on_three(record):
         if record.number == 3:
             raise RuntimeError("boom")
         return record
 
-    out = list(apply_map(iter(headers(10)), explode_on_three, dead))
+    out, report = run_map(headers(10), explode_on_three)
     assert len(out) == 9
-    assert len(dead) == 1
-    assert dead[0].record.number == 3
-
-
-def collecting_sink(into):
-    return Sink(into.append)
+    assert len(report.dead_letters) == 1
+    assert report.dead_letters[0].record.number == 3
 
 
 def test_run_pipeline_counts_identity():
@@ -216,3 +225,77 @@ def test_windows_tile_time_range_disjointly():
     for fw in flushed:
         for record in fw.records:
             assert fw.assignment.start <= record.timestamp < fw.assignment.end
+
+
+@dataclass(frozen=True)
+class Event:
+    chain: str
+    timestamp: int
+    seq: int
+
+
+def reference_run(events, width, map_fails, aggregate_fails):
+    """The engine's contract for (Map, TumblingWindow, Sink) as one plain
+    loop over lists: (sink outputs, stage_out, dead letters)."""
+    out, stage_out, dead = [], [0, 0, 0], []
+    open_windows, watermarks = {}, {}
+
+    def aggregate(key, start, members, partial):
+        if start // width in aggregate_fails:
+            window = FlushedWindow(WindowAssignment(key, start, start + width),
+                                   tuple(members), partial)
+            dead.append((1, f"map: window {start}", window))
+        else:
+            stage_out[1] += 1
+            out.append((key, start, [e.seq for e in members], partial))
+            stage_out[2] += 1
+
+    for event in events:
+        if event.seq in map_fails:
+            dead.append((0, f"map: event {event.seq}", event))
+            continue
+        stage_out[0] += 1
+        key, ts = event.chain, event.timestamp
+        if key in watermarks and ts < watermarks[key]:
+            dead.append((1, f"late: ts {ts} behind watermark {watermarks[key]}", event))
+            continue
+        watermarks[key] = ts
+        start = ts - ts % width
+        if key in open_windows and open_windows[key][0] < start:
+            aggregate(key, *open_windows.pop(key), False)
+        open_windows.setdefault(key, (start, []))[1].append(event)
+    for key in sorted(open_windows, key=repr):
+        aggregate(key, *open_windows[key], True)
+    return out, stage_out, dead
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    stamps=st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 300)), max_size=60),
+    width=st.integers(1, 90),
+    map_fails=st.sets(st.integers(0, 59), max_size=10),
+    aggregate_fails=st.sets(st.integers(0, 300), max_size=10),
+)
+def test_push_engine_matches_reference_model(stamps, width, map_fails, aggregate_fails):
+    events = [Event(chain, ts, seq) for seq, (chain, ts) in enumerate(stamps)]
+
+    def check(event):
+        if event.seq in map_fails:
+            raise RuntimeError(f"event {event.seq}")
+        return event
+
+    def aggregate(window):
+        start = window.assignment.start
+        if start // width in aggregate_fails:
+            raise RuntimeError(f"window {start}")
+        return (window.assignment.key, start, [e.seq for e in window.records], window.partial)
+
+    out = []
+    report = run_pipeline(Pipeline(source=events, stages=(
+        Map(check), TumblingWindow(width, aggregate), collecting_sink(out))))
+    expected_out, expected_stage_out, expected_dead = reference_run(
+        events, width, map_fails, aggregate_fails)
+    assert out == expected_out
+    assert report.records_in == len(events)
+    assert report.stage_out == expected_stage_out
+    assert [(d.stage_index, d.reason, d.record) for d in report.dead_letters] == expected_dead

@@ -22,6 +22,7 @@ from evmon.cli import (
 )
 from evmon.ingest import InvalidHeader
 from evmon.model import InvalidProfile, MetricKind, OverrideLimit, PriorityPolicy
+from evmon.normalize import Normalizer
 from evmon.records import header_to_dict, sample_to_dict, to_line
 from evmon.simnode import LedgerRpcClient, ManualClock, SimNodeServer, generate_scenario
 from evmon.metrics import EmptySeries
@@ -224,8 +225,29 @@ def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
     finally:
         sys.setswitchinterval(switch_interval)
     assert output_bytes(tmp_path / "small") == expected
-    assert len(retained) == 4
+    assert len(retained) == 2
     assert max(retained.values()) == 3
+
+
+def test_replay_at_default_retention_holds_the_reader_back(tmp_path, monkeypatch):
+    """With no topic_retention configured, the reader runs at most
+    DEFAULT_RETENTION_RECORDS (1,000) records ahead of each consumer, so a
+    3,000-block chain never has more than that held in its topic."""
+    input_path, config_path = two_chain_fixture(tmp_path, blocks=3000)
+    assert "topic_retention" not in json.loads(config_path.read_text(encoding="utf-8"))
+    append = StreamLog.append
+    retained = collections.Counter()
+
+    def counted_append(self, topic, payload):
+        offset = append(self, topic, payload)
+        retained[topic] = max(retained[topic], offset + 1 - self.earliest_offset(topic))
+        return offset
+
+    monkeypatch.setattr(StreamLog, "append", counted_append)
+    report = run_replay(input_path, load_config(config_path))
+    assert all(entry["normalized_records"] == 3000 for entry in report["chains"].values())
+    assert len(retained) == 2
+    assert max(retained.values()) <= 1000
 
 
 def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
@@ -368,9 +390,8 @@ def test_catchup_larger_than_retention_writes_every_block(tmp_path):
 @pytest.mark.parametrize("dead", [(MetricKind.BLOCK_USAGE_RATIO,), tuple(MetricKind)],
                          ids=["one", "both"])
 def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, dead):
-    """A metric pipeline whose window sink raises leaves its group, so at
-    retention 5 it no longer holds back normalize and ingest. Once both
-    have left, normalized.<chain> holds nothing and normalize runs on."""
+    """A metric pipeline whose window sink raises is dropped, so at
+    retention 5 normalize, ingest and the other metric pipeline run on."""
     window_summary_to_dict = records.window_summary_to_dict
 
     def disk_full_for_dead(summary):
@@ -379,15 +400,6 @@ def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, de
         return window_summary_to_dict(summary)
 
     monkeypatch.setattr(records, "window_summary_to_dict", disk_full_for_dead)
-    append = StreamLog.append
-    held_after_append = {}
-
-    def counted_append(self, topic, payload):
-        offset = append(self, topic, payload)
-        held_after_append[topic] = offset + 1 - self.earliest_offset(topic)
-        return offset
-
-    monkeypatch.setattr(StreamLog, "append", counted_append)
     scenario = constant_fee_scenario(block_count=1000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -405,8 +417,6 @@ def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, de
         samples = len(read_lines(chain_dir / f"{kind.value}.jsonl"))
         assert chain["samples"][kind.value] == samples
         assert (samples < 1000) if kind in dead else (samples == 1000)
-    if len(dead) == len(MetricKind):
-        assert held_after_append["normalized.arbitrum_like"] == 0
 
 
 def test_duration_timer_does_not_outlive_the_run(tmp_path):
@@ -577,8 +587,60 @@ def test_idle_monitor_does_not_spin(tmp_path, monkeypatch):
     for chain in ledgers:
         assert report["chains"][chain]["blocks_ingested"] == 1
         assert report["chains"][chain]["errors"] == []
-    assert len(empty_polls) == 6
+    assert len(empty_polls) == 2
     assert max(empty_polls.values()) <= 3
+
+
+@pytest.mark.parametrize("fault", [None, "metric_sink", "normalize"])
+def test_each_chain_runs_an_ingest_and_a_consumer_thread(tmp_path, monkeypatch, fault):
+    """While a two-chain monitor runs, each chain has exactly its ingest
+    thread and its consumer thread: with no fault, once arbitrum_like's
+    metric sinks have failed at their first window, and before its
+    normalize fails at block 20. After the run, no thread is left (threads
+    of earlier tests may have ended meanwhile)."""
+    arb = constant_fee_scenario(block_count=100)
+    eth = adaptive_fee_scenario(block_count=100)
+    ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
+    clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)],
+        topic_retention=5, window_s=5))
+    before = set(threading.enumerate())
+    during = []
+    # both consumers meet at block 10, while retention 5 holds each ingest back
+    meet = threading.Barrier(2, timeout=10, action=lambda: during.append(
+        {thread.name for thread in set(threading.enumerate()) - before}))
+    normalize = Normalizer.normalize
+
+    def normalize_meeting_at_block_10(self, header):
+        if header.number == 10:
+            meet.wait()
+        return normalize(self, header)
+
+    monkeypatch.setattr(Normalizer, "normalize", normalize_meeting_at_block_10)
+    failing = {"metric_sink": (records, "window_summary_to_dict"),
+               "normalize": (records, "normalized_to_dict")}.get(fault)
+    if failing is not None:
+        original = getattr(*failing)
+
+        def disk_full_on_arbitrum_block_20(record):
+            if record.chain.name == "arbitrum_like" and (
+                    fault == "metric_sink" or record.number == 20):
+                raise OSError("disk full")
+            return original(record)
+
+        monkeypatch.setattr(*failing, disk_full_on_arbitrum_block_20)
+    report = run_monitor(config, max_blocks=100, start_number=0,
+                         client_factory=lambda p: LedgerRpcClient(
+                             ledgers[p.chain.name], clock, p.chain))
+    assert during == [{f"{chain}-{role}" for chain in ledgers
+                       for role in ("ingest", "consumer")}]
+    assert set(threading.enumerate()) <= before
+    errors = {chain: entry["errors"] for chain, entry in report["chains"].items()}
+    expected = {None: [], "metric_sink": ["gas_price_gwei: disk full",
+                                          "block_usage_ratio: disk full"],
+                "normalize": ["normalize: disk full"]}[fault]
+    assert errors == {"arbitrum_like": expected, "ethereum_like": []}
 
 
 def test_monitor_partial_window_flagged(tmp_path):
