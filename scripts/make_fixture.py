@@ -16,7 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from evmon.model import ChainRef, GasQuantity
-from evmon.records import header_to_dict, to_line
+from evmon.records import header_line
 from evmon.simnode import (
     AdaptiveBaseFee,
     ConstantBaseFee,
@@ -93,7 +93,7 @@ def main() -> int:
     with open(fixture_path, "w", encoding="utf-8") as fh:
         for scenario in fixture_scenarios(args.blocks):
             for header in generate_scenario(scenario):
-                fh.write(to_line(header_to_dict(header)))
+                fh.write(header_line(header))
     config_path = args.out_dir / "replay_config.json"
     config_path.write_text(json.dumps(FIXTURE_CONFIG, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {fixture_path} ({args.blocks} blocks x 2 chains) and {config_path}")

@@ -197,12 +197,12 @@ def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
     raw_file, norm_file = files["raw.jsonl"], files["normalized.jsonl"]
 
     def tap_raw(header: RawBlockHeader) -> RawBlockHeader:
-        raw_file.write(records.to_line(records.header_to_dict(header)))
+        raw_file.write(records.header_line(header))
         return header
 
     def publish(record: NormalizedBlockRecord) -> None:
         # write first: a record whose line failed must not reach the metrics
-        norm_file.write(records.to_line(records.normalized_to_dict(record)))
+        norm_file.write(records.normalized_line(record))
         fan_out(record)
 
     return (cep.Map(tap_raw), cep.Map(normalizer.normalize), cep.Sink(publish))
@@ -218,7 +218,7 @@ def _metric_stages(kind: MetricKind, window_s: int, files: dict[str, TextIO],
     )
 
     def tap(sample: Any) -> Any:
-        sample_file.write(records.to_line(records.sample_to_dict(sample)))
+        sample_file.write(records.sample_line(sample))
         collector.append(sample.value)
         return sample
 

@@ -53,12 +53,18 @@ class InvalidHeader(ValueError):
 
 
 def parse_quantity(hex_string: str) -> int:
-    """Decode a 0x-prefixed hexadecimal quantity to a non-negative int."""
+    """Decode a 0x-prefixed hexadecimal quantity to a non-negative int.
+
+    The digits must be ASCII [0-9a-fA-F]+.
+    """
     if not isinstance(hex_string, str) or not hex_string.startswith("0x"):
         raise MalformedQuantity(f"missing 0x prefix: {hex_string!r}")
     digits = hex_string[2:]
     if not digits:
         raise MalformedQuantity(f"empty hex digits: {hex_string!r}")
+    # int() alone would also take a sign, underscores, whitespace and non-ASCII digits
+    if not (digits.isascii() and digits.isalnum()):
+        raise MalformedQuantity(f"non-hex characters: {hex_string!r}")
     try:
         return int(digits, 16)
     except ValueError:
@@ -143,6 +149,9 @@ class RpcClient:
             body = response.json()
         except ValueError as exc:
             raise RpcUnavailable(f"{self.endpoint}: non-JSON response") from exc
+        if not isinstance(body, dict):
+            raise RpcUnavailable(f"{self.endpoint}: response is {type(body).__name__}, "
+                                 "not an object")
         if "error" in body and body["error"] is not None:
             raise RpcUnavailable(f"{self.endpoint}: rpc error {body['error']}")
         return body.get("result")

@@ -5,12 +5,20 @@ base_fee_wei, priority_fee_wei, eff_limit, eff_price_wei, flags, kind,
 value. Encoding is compact JSON with insertion-ordered keys, so equal
 records always serialize to identical bytes; every line round-trips
 parse -> serialize -> parse to an equal value.
+
+The three line types written for every block, header_line,
+normalized_line and sample_line, format their fixed schema directly
+instead of building a dict for json. The *_to_dict functions are the
+reference encoding: each writer's line equals to_line of the matching
+dict, byte for byte. The rarer window summaries and dead letters are
+written with to_line.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 from typing import Any, Callable, Iterator, TypeVar
 
@@ -46,6 +54,55 @@ def to_line(obj: dict[str, Any]) -> str:
     return _encode(obj) + "\n"
 
 
+# One entry per chain written; a run writes lines only for its configured chains.
+_chain_prefixes: dict[ChainRef, str] = {}
+
+
+def _prefix(chain: ChainRef) -> str:
+    """'{"chain":<name>,"chain_id":<id>,' for chain, encoded by json once."""
+    prefix = _chain_prefixes.get(chain)
+    if prefix is None:
+        prefix = _encode({"chain": chain.name, "chain_id": chain.chain_id})[:-1] + ","
+        _chain_prefixes[chain] = prefix
+    return prefix
+
+
+_FLAG_LISTS = {
+    frozenset(subset): _encode(sorted(flag.value for flag in subset))
+    for size in range(len(Flag) + 1)
+    for subset in combinations(Flag, size)
+}
+_KINDS = {kind: _encode(kind.value) for kind in MetricKind}
+
+
+def _block_fields(block: RawBlockHeader | NormalizedBlockRecord) -> str:
+    """The header fields shared by raw and normalized lines, unclosed."""
+    priority = block.priority_fee_observed
+    return (f'{_prefix(block.chain)}"number":{block.number},"ts":{block.timestamp},'
+            f'"gas_used":{block.gas_used.value},"gas_limit":{block.gas_limit.value},'
+            f'"base_fee_wei":{block.base_fee_per_gas.value_wei},'
+            f'"priority_fee_wei":{"null" if priority is None else priority.value_wei}')
+
+
+def header_line(header: RawBlockHeader) -> str:
+    """to_line(header_to_dict(header)), without the dict."""
+    return f"{_block_fields(header)}}}\n"
+
+
+def normalized_line(record: NormalizedBlockRecord) -> str:
+    """to_line(normalized_to_dict(record)), without the dict."""
+    return (f'{_block_fields(record)},"eff_limit":{record.effective_gas_limit.value},'
+            f'"eff_price_wei":{record.effective_gas_price.value_wei},'
+            f'"flags":{_FLAG_LISTS[record.flags]}}}\n')
+
+
+def sample_line(sample: MetricSample) -> str:
+    """to_line(sample_to_dict(sample)), without the dict. A finite float's
+    repr is what json writes for it."""
+    return (f'{_prefix(sample.chain)}"number":{sample.block_number},"ts":{sample.timestamp},'
+            f'"kind":{_KINDS[sample.kind]},"value":{sample.value!r}}}\n')
+
+
 def header_to_dict(header: RawBlockHeader) -> dict[str, Any]:
     return {
         "chain": header.chain.name,
@@ -61,11 +118,21 @@ def header_to_dict(header: RawBlockHeader) -> dict[str, Any]:
     }
 
 
+# Interned by header_from_dict; replay stops at its first unconfigured chain,
+# so this holds at most the configured chains plus one.
+_chains: dict[tuple[str, int], ChainRef] = {}
+
+
 def header_from_dict(obj: dict[str, Any]) -> RawBlockHeader:
+    """Parse one header; headers of one chain share a single ChainRef."""
     try:
         priority = obj.get("priority_fee_wei")
+        key = (obj["chain"], int(obj["chain_id"]))
+        chain = _chains.get(key)
+        if chain is None:
+            chain = _chains[key] = ChainRef(name=key[0], chain_id=key[1])
         header = RawBlockHeader(
-            chain=ChainRef(name=obj["chain"], chain_id=int(obj["chain_id"])),
+            chain=chain,
             number=int(obj["number"]),
             timestamp=int(obj["ts"]),
             gas_used=GasQuantity(int(obj["gas_used"])),

@@ -183,14 +183,14 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
         raise AssertionError("a normalized record was decoded")
 
     encoded = []
-    header_to_dict = records.header_to_dict
+    header_line = records.header_line
 
     def counting(header):
         encoded.append(header)
-        return header_to_dict(header)
+        return header_line(header)
 
     monkeypatch.setattr(records, "normalized_from_dict", refuse)
-    monkeypatch.setattr(records, "header_to_dict", counting)
+    monkeypatch.setattr(records, "header_line", counting)
     assert run_into("patched") == expected
     assert len(encoded) == len(read_lines(fixture))
 
@@ -257,7 +257,7 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
     fixtures = Path(__file__).parent / "fixtures"
     config = dataclasses.replace(load_config(fixtures / "replay_config.json"),
                                  output_dir=tmp_path)
-    normalized_to_dict = records.normalized_to_dict
+    normalized_line = records.normalized_line
     calls = []
 
     def disk_full_on_50th_arbitrum_record(record):
@@ -266,9 +266,9 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
             calls.append(record)
             if len(calls) == 50:
                 raise OSError("disk full")
-        return normalized_to_dict(record)
+        return normalized_line(record)
 
-    monkeypatch.setattr(records, "normalized_to_dict", disk_full_on_50th_arbitrum_record)
+    monkeypatch.setattr(records, "normalized_line", disk_full_on_50th_arbitrum_record)
     run_replay(fixtures / "replay_fixture.jsonl", config)
     report = json.loads((tmp_path / "run_report.json").read_text(encoding="utf-8"))
     for chain, entry in report["chains"].items():
@@ -528,16 +528,16 @@ def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
     clock = ManualClock(scenario.start_time_s + 10**6)
     config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
                                       topic_retention=100_000))
-    normalized_to_dict = records.normalized_to_dict
+    normalized_line = records.normalized_line
     calls = []
 
     def disk_full_on_50th_call(record):
         calls.append(record)
         if len(calls) == 50:
             raise OSError("disk full")
-        return normalized_to_dict(record)
+        return normalized_line(record)
 
-    monkeypatch.setattr(records, "normalized_to_dict", disk_full_on_50th_call)
+    monkeypatch.setattr(records, "normalized_line", disk_full_on_50th_call)
 
     class NetworkPacedClient(LedgerRpcClient):
         """Releases the interpreter lock on each fetch, as a fetch over the
@@ -619,7 +619,7 @@ def test_each_chain_runs_an_ingest_and_a_consumer_thread(tmp_path, monkeypatch, 
 
     monkeypatch.setattr(Normalizer, "normalize", normalize_meeting_at_block_10)
     failing = {"metric_sink": (records, "window_summary_to_dict"),
-               "normalize": (records, "normalized_to_dict")}.get(fault)
+               "normalize": (records, "normalized_line")}.get(fault)
     if failing is not None:
         original = getattr(*failing)
 

@@ -34,7 +34,8 @@ def test_parse_quantity_known_value():
     assert parse_quantity("0x1c9c380") == 30_000_000
 
 
-@pytest.mark.parametrize("bad", ["12ab", "0x", "", "0xzz", "0x1g", "x1"])
+@pytest.mark.parametrize("bad", ["12ab", "0x", "", "0xzz", "0x1g", "x1", "0x-1", "0x+a",
+                                 "0x1_0", "0x 1", "0x1 ", "0x\u0661"])
 def test_parse_quantity_rejects_malformed(bad):
     with pytest.raises(MalformedQuantity):
         parse_quantity(bad)
@@ -57,6 +58,13 @@ def test_decode_block_fields_round_trip():
 def test_decode_rejects_missing_base_fee():
     obj = wire(make_header())
     del obj["baseFeePerGas"]
+    with pytest.raises(InvalidHeader):
+        decode_block_fields(TEST_CHAIN, obj)
+
+
+def test_decode_rejects_negative_base_fee():
+    obj = wire(make_header())
+    obj["baseFeePerGas"] = "0x-1"
     with pytest.raises(InvalidHeader):
         decode_block_fields(TEST_CHAIN, obj)
 
@@ -195,6 +203,57 @@ def test_rpc_client_reports_unreachable_endpoint():
     client = RpcClient("http://127.0.0.1:1", TEST_CHAIN, timeout_s=0.2)
     with pytest.raises(RpcUnavailable):
         client.head_number()
+
+
+class ScriptedResponse:
+    status_code = 200
+
+    def __init__(self, body):
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class ScriptedSession:
+    """Stands in for requests.Session: answers each post with the next body."""
+
+    def __init__(self, bodies):
+        self.bodies = list(bodies)
+
+    def post(self, url, json, timeout):
+        return ScriptedResponse(self.bodies.pop(0))
+
+    def close(self):
+        pass
+
+
+def scripted_client(bodies):
+    client = RpcClient("http://scripted.invalid", TEST_CHAIN)
+    client._session.close()
+    client._session = ScriptedSession(bodies)
+    return client
+
+
+@pytest.mark.parametrize("body", [None, [], "x", 5])
+def test_rpc_client_rejects_a_body_that_is_not_an_object(body):
+    client = scripted_client([body, body])
+    with pytest.raises(RpcUnavailable, match="not an object"):
+        client.head_number()
+    with pytest.raises(RpcUnavailable, match="not an object"):
+        client.fetch_block(0)
+
+
+def test_poll_chain_retries_past_a_body_that_is_not_an_object():
+    header = make_header(number=0)
+
+    def reply(result):
+        return {"jsonrpc": "2.0", "id": 1, "result": result}
+
+    client = scripted_client([[], reply("0x0"), None, reply(wire(header))])
+    count, numbers = run_poll(client, max_blocks=1, start_number=0)
+    assert (count, numbers) == (1, [0])
+    assert client._session.bodies == []
 
 
 def test_sequential_fetches_match_scenario_record():

@@ -1,7 +1,8 @@
 import json
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evmon.model import (
@@ -19,11 +20,14 @@ from evmon.records import (
     MalformedRecord,
     WindowSummary,
     header_from_dict,
+    header_line,
     header_to_dict,
     normalized_from_dict,
+    normalized_line,
     normalized_to_dict,
     read_jsonl,
     sample_from_dict,
+    sample_line,
     sample_to_dict,
     to_line,
     window_summary_from_dict,
@@ -40,8 +44,13 @@ gas = st.integers(min_value=0, max_value=10**10)
 wei = st.integers(min_value=0, max_value=10**15)
 
 
+# what the fixed-schema writers must escape or format: any text, any int
+any_chains = st.builds(ChainRef, name=st.text(), chain_id=st.integers())
+big_ints = st.integers(min_value=0, max_value=2**256)
+
+
 @st.composite
-def headers(draw):
+def headers(draw, chains=chains, wei=wei):
     used = draw(gas)
     limit = draw(st.integers(min_value=used, max_value=10**10 + used))
     return RawBlockHeader(
@@ -56,8 +65,8 @@ def headers(draw):
 
 
 @st.composite
-def normalized_records(draw):
-    header = draw(headers())
+def normalized_records(draw, chains=chains, wei=wei):
+    header = draw(headers(chains, wei))
     return NormalizedBlockRecord(
         chain=header.chain,
         number=header.number,
@@ -79,6 +88,16 @@ samples = st.builds(
     timestamp=st.integers(min_value=0, max_value=2**40),
     kind=st.sampled_from(list(MetricKind)),
     value=st.floats(min_value=0, max_value=1e12, allow_nan=False, allow_infinity=False),
+)
+
+
+any_samples = st.builds(
+    MetricSample,
+    chain=any_chains,
+    block_number=big_ints,
+    timestamp=big_ints,
+    kind=st.sampled_from(list(MetricKind)),
+    value=st.one_of(st.floats(min_value=0, allow_nan=False, allow_infinity=False), big_ints),
 )
 
 
@@ -106,6 +125,51 @@ def test_sample_line_round_trip(sample):
     line = to_line(sample_to_dict(sample))
     assert sample_from_dict(reparse(line)) == sample
     assert to_line(sample_to_dict(sample_from_dict(reparse(line)))) == line
+
+
+@given(headers(any_chains, big_ints))
+def test_header_line_matches_the_reference_encoding(header):
+    assert header_line(header) == to_line(header_to_dict(header))
+
+
+@given(normalized_records(any_chains, big_ints))
+def test_normalized_line_matches_the_reference_encoding(record):
+    assert normalized_line(record) == to_line(normalized_to_dict(record))
+
+
+def test_normalized_line_writes_every_flag_subset():
+    header = RawBlockHeader(ChainRef("c", 1), 0, 0, GasQuantity(1), GasQuantity(2),
+                            FeeQuantity(3))
+    for size in range(len(Flag) + 1):
+        for subset in combinations(Flag, size):
+            record = NormalizedBlockRecord(
+                chain=header.chain, number=0, timestamp=0, gas_used=header.gas_used,
+                gas_limit=header.gas_limit, base_fee_per_gas=header.base_fee_per_gas,
+                priority_fee_observed=None, effective_gas_limit=header.gas_limit,
+                effective_gas_price=header.base_fee_per_gas, flags=frozenset(subset))
+            assert normalized_line(record) == to_line(normalized_to_dict(record))
+
+
+@given(any_samples)
+@example(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 5e-324))
+@example(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 2.2250738585072014e-308))
+@example(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 1.7976931348623157e308))
+@example(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.BLOCK_USAGE_RATIO, -0.0))
+@example(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.BLOCK_USAGE_RATIO, 1e16))
+def test_sample_line_matches_the_reference_encoding(sample):
+    assert sample_line(sample) == to_line(sample_to_dict(sample))
+
+
+def test_header_from_dict_shares_one_chain_ref_per_chain():
+    line = header_to_dict(
+        RawBlockHeader(ChainRef("shared", 9), 0, 0, GasQuantity(1), GasQuantity(2), FeeQuantity(3))
+    )
+    first = header_from_dict(dict(line, number=1))
+    second = header_from_dict(dict(line, number=2, chain_id="9"))
+    assert first.chain is second.chain == ChainRef("shared", 9)
+    assert header_from_dict(dict(line, chain_id=10)).chain == ChainRef("shared", 10)
+    with pytest.raises(MalformedRecord):
+        header_from_dict(dict(line, chain=["not", "a", "name"]))
 
 
 def test_window_summary_round_trip():
