@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from evmon import cep, metrics, records
 from evmon.cep import RunReport
-from evmon.ingest import BlockSource, IngestCursor, RpcClient, poll_chain
+from evmon.ingest import BlockSource, RpcClient, poll_chain
 from evmon.model import (
     ChainRef,
     GasQuantity,
@@ -76,12 +76,23 @@ class RunConfig:
     topic_retention: int = DEFAULT_RETENTION_RECORDS
 
 
-def _profile_from_dict(obj: dict[str, Any]) -> NetworkProfile:
+def _profile_from_dict(obj: Any) -> NetworkProfile:
+    if not isinstance(obj, dict):
+        raise ConfigParse(f"a networks entry must be an object, got {obj!r}")
     name = obj.get("name", "<unnamed>")
     for key in ("name", "chain_id", "rpc_url"):
         if key not in obj:
             raise ConfigParse(f"network {name!r}: missing {key}")
+    for key in ("name", "rpc_url"):
+        if not isinstance(obj[key], str):
+            raise ConfigParse(f"network {name!r}: {key} must be a string, got {obj[key]!r}")
+    constant_base_fee = obj.get("constant_base_fee_expected", False)
+    if not isinstance(constant_base_fee, bool):
+        raise ConfigParse(f"network {name!r}: constant_base_fee_expected must be true or "
+                          f"false, got {constant_base_fee!r}")
     limit_obj = obj.get("limit_policy", {"type": "reported"})
+    if not isinstance(limit_obj, dict):
+        raise ConfigParse(f"network {name!r}: limit_policy must be an object, got {limit_obj!r}")
     if limit_obj.get("type") == "reported":
         limit_policy: ReportedLimit | OverrideLimit = ReportedLimit()
     elif limit_obj.get("type") == "override":
@@ -102,7 +113,7 @@ def _profile_from_dict(obj: dict[str, Any]) -> NetworkProfile:
             poll_interval_ms=int(obj.get("poll_interval_ms", 1000)),
             limit_policy=limit_policy,
             priority_policy=priority,
-            constant_base_fee_expected=bool(obj.get("constant_base_fee_expected", False)),
+            constant_base_fee_expected=constant_base_fee,
             base_fee_tolerance_wei=int(obj.get("base_fee_tolerance_wei", 0)),
         )
     except (TypeError, ValueError) as exc:
@@ -123,6 +134,8 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigParse(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ConfigParse(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(obj, dict):
+        raise ConfigParse(f"{path}: the config must be a JSON object")
     networks_obj = obj.get("networks")
     if not isinstance(networks_obj, list) or not networks_obj:
         raise ConfigParse("config needs a non-empty networks list")
@@ -302,7 +315,6 @@ def _start_consumer(
         except cep.PipelineFailure as exc:
             failed("normalize", exc)
         finally:
-            broker.leave(raw_topic, "normalize")
             broker.close(raw_topic)
             for name, run in list(metric_runs.items()):
                 try:
@@ -416,8 +428,8 @@ def run_monitor(
                 outcome.blocks_ingested += 1
 
             try:
-                poll_chain(profile, IngestCursor(chain=profile.chain, start_number=start_number),
-                           emit, client=client, stop=stop, max_blocks=max_blocks)
+                poll_chain(profile, emit, client=client, stop=stop, max_blocks=max_blocks,
+                           start_number=start_number)
             except TopicClosed:
                 pass  # the normalize consumer ended and closed the raw topic
             except Exception as exc:  # noqa: BLE001 - isolate this chain

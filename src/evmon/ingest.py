@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
 import requests
@@ -173,34 +172,22 @@ class RpcClient:
         self._session.close()
 
 
-@dataclass
-class IngestCursor:
-    """Per-chain ingest progress; emitted numbers increase by exactly 1.
-
-    start_number pins where a fresh cursor begins; None means the head
-    observed at startup (monitoring, not archival backfill).
-    """
-
-    chain: ChainRef
-    last_emitted: int | None = None
-    start_number: int | None = None
-
-
 def poll_chain(
     profile: ValidatedProfile,
-    cursor: IngestCursor,
     emit: Callable[[RawBlockHeader], None],
     *,
     client: BlockSource,
     stop: threading.Event | None = None,
     max_blocks: int | None = None,
+    start_number: int | None = None,
 ) -> int:
     """Poll the chain's head and emit each new block exactly once, in order.
 
     Runs until stop is set or max_blocks headers were emitted; returns the
     emission count. Raises InvalidHeader ("halted at block N: ...") when a
-    block stays invalid after retries. Start position defaults to the head
-    observed at startup (monitoring, not archival backfill). emit is called
+    block stays invalid after retries. Emission begins at start_number,
+    or with None at the head observed at startup (monitoring, not archival
+    backfill); emitted numbers then increase by exactly 1. emit is called
     in this thread, so a blocking sink provides backpressure.
     """
     if stop is None:
@@ -208,6 +195,7 @@ def poll_chain(
     poll_interval_s = profile.poll_interval_ms / 1000.0
     backoff_s = poll_interval_s
     emitted = 0
+    last_emitted: int | None = None
 
     def done() -> bool:
         return stop.is_set() or (max_blocks is not None and emitted >= max_blocks)
@@ -223,18 +211,18 @@ def poll_chain(
             continue
         backoff_s = poll_interval_s
 
-        if cursor.last_emitted is None:
-            next_number = cursor.start_number if cursor.start_number is not None else head
+        if last_emitted is None:
+            next_number = start_number if start_number is not None else head
             if next_number > head:
                 stop.wait(poll_interval_s)
                 continue
-        elif head < cursor.last_emitted:
+        elif head < last_emitted:
             log.warning("%s: head regressed %d -> %d; ignoring",
-                        profile.chain.name, cursor.last_emitted, head)
+                        profile.chain.name, last_emitted, head)
             stop.wait(poll_interval_s)
             continue
         else:
-            next_number = cursor.last_emitted + 1
+            next_number = last_emitted + 1
 
         for number in range(next_number, head + 1):
             header = _fetch_with_retry(client, profile, number, stop, poll_interval_s)
@@ -242,7 +230,7 @@ def poll_chain(
                 stop.wait(poll_interval_s)
                 break  # announced block not yet servable; re-poll the head
             emit(header)
-            cursor.last_emitted = number
+            last_emitted = number
             emitted += 1
             if done():
                 break

@@ -31,10 +31,11 @@ class ZeroLimit(ValueError):
 
 def gas_price_sample(record: NormalizedBlockRecord) -> MetricSample:
     """Effective gas price of the block, in gwei."""
+    header = record.header
     return MetricSample(
-        chain=record.chain,
-        block_number=record.number,
-        timestamp=record.timestamp,
+        chain=header.chain,
+        block_number=header.number,
+        timestamp=header.timestamp,
         kind=MetricKind.GAS_PRICE_GWEI,
         value=record.effective_gas_price.gwei,
     )
@@ -46,14 +47,15 @@ def block_usage_sample(record: NormalizedBlockRecord) -> MetricSample:
     Exceeds 1 when gas_used is above an overridden effective limit; the
     value is never clamped (the record carries the flag instead).
     """
+    header = record.header
     if record.effective_gas_limit.value == 0:
-        raise ZeroLimit(f"block {record.number} of {record.chain.name} has effective limit 0")
+        raise ZeroLimit(f"block {header.number} of {header.chain.name} has effective limit 0")
     return MetricSample(
-        chain=record.chain,
-        block_number=record.number,
-        timestamp=record.timestamp,
+        chain=header.chain,
+        block_number=header.number,
+        timestamp=header.timestamp,
         kind=MetricKind.BLOCK_USAGE_RATIO,
-        value=record.gas_used.value / record.effective_gas_limit.value,
+        value=header.gas_used.value / record.effective_gas_limit.value,
     )
 
 

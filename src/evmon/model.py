@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 WEI_PER_GWEI = 10**9
@@ -148,15 +148,7 @@ def validate_profile(profile: NetworkProfile) -> ValidatedProfile:
             f"{chain.name}: base_fee_tolerance_wei must be non-negative, "
             f"got {profile.base_fee_tolerance_wei}"
         )
-    return ValidatedProfile(
-        chain=profile.chain,
-        rpc_url=profile.rpc_url,
-        poll_interval_ms=profile.poll_interval_ms,
-        limit_policy=profile.limit_policy,
-        priority_policy=profile.priority_policy,
-        constant_base_fee_expected=profile.constant_base_fee_expected,
-        base_fee_tolerance_wei=profile.base_fee_tolerance_wei,
-    )
+    return ValidatedProfile(**{f.name: getattr(profile, f.name) for f in fields(profile)})
 
 
 @dataclass(frozen=True)
@@ -180,15 +172,13 @@ class RawBlockHeader:
 
 @dataclass(frozen=True)
 class NormalizedBlockRecord:
-    """A header after normalization: comparable effective limit and price."""
+    """A header after normalization: comparable effective limit and price.
 
-    chain: ChainRef
-    number: int
-    timestamp: int
-    gas_used: GasQuantity
-    gas_limit: GasQuantity
-    base_fee_per_gas: FeeQuantity
-    priority_fee_observed: FeeQuantity | None
+    header is kept exactly as reported, so every anomaly stays visible
+    beside the effective values and the flags that explain them.
+    """
+
+    header: RawBlockHeader
     effective_gas_limit: GasQuantity
     effective_gas_price: FeeQuantity
     flags: frozenset[Flag]

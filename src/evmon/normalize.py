@@ -100,13 +100,7 @@ def normalize_header(
     limit, limit_flags = effective_gas_limit(header, profile)
     price, price_flags = effective_gas_price(header, profile, first_seen_base_fee)
     return NormalizedBlockRecord(
-        chain=header.chain,
-        number=header.number,
-        timestamp=header.timestamp,
-        gas_used=header.gas_used,
-        gas_limit=header.gas_limit,
-        base_fee_per_gas=header.base_fee_per_gas,
-        priority_fee_observed=header.priority_fee_observed,
+        header=header,
         effective_gas_limit=limit,
         effective_gas_price=price,
         flags=limit_flags | price_flags,

@@ -12,6 +12,11 @@ instead of building a dict for json. The *_to_dict functions are the
 reference encoding: each writer's line equals to_line of the matching
 dict, byte for byte. The rarer window summaries and dead letters are
 written with to_line.
+
+A normalized record carries its header as reported, so its line is the
+header's fields followed by eff_limit, eff_price_wei and flags. Only
+_block_fields, header_to_dict and header_from_dict encode or decode the
+header fields, for raw and normalized lines alike.
 """
 
 from __future__ import annotations
@@ -75,12 +80,12 @@ _FLAG_LISTS = {
 _KINDS = {kind: _encode(kind.value) for kind in MetricKind}
 
 
-def _block_fields(block: RawBlockHeader | NormalizedBlockRecord) -> str:
-    """The header fields shared by raw and normalized lines, unclosed."""
-    priority = block.priority_fee_observed
-    return (f'{_prefix(block.chain)}"number":{block.number},"ts":{block.timestamp},'
-            f'"gas_used":{block.gas_used.value},"gas_limit":{block.gas_limit.value},'
-            f'"base_fee_wei":{block.base_fee_per_gas.value_wei},'
+def _block_fields(header: RawBlockHeader) -> str:
+    """The header fields that open raw and normalized lines, unclosed."""
+    priority = header.priority_fee_observed
+    return (f'{_prefix(header.chain)}"number":{header.number},"ts":{header.timestamp},'
+            f'"gas_used":{header.gas_used.value},"gas_limit":{header.gas_limit.value},'
+            f'"base_fee_wei":{header.base_fee_per_gas.value_wei},'
             f'"priority_fee_wei":{"null" if priority is None else priority.value_wei}')
 
 
@@ -91,7 +96,7 @@ def header_line(header: RawBlockHeader) -> str:
 
 def normalized_line(record: NormalizedBlockRecord) -> str:
     """to_line(normalized_to_dict(record)), without the dict."""
-    return (f'{_block_fields(record)},"eff_limit":{record.effective_gas_limit.value},'
+    return (f'{_block_fields(record.header)},"eff_limit":{record.effective_gas_limit.value},'
             f'"eff_price_wei":{record.effective_gas_price.value_wei},'
             f'"flags":{_FLAG_LISTS[record.flags]}}}\n')
 
@@ -118,8 +123,9 @@ def header_to_dict(header: RawBlockHeader) -> dict[str, Any]:
     }
 
 
-# Interned by header_from_dict; replay stops at its first unconfigured chain,
-# so this holds at most the configured chains plus one.
+# Interned by header_from_dict, which normalized_from_dict also decodes with.
+# Replay stops at its first unconfigured chain, so there this holds at most
+# the configured chains plus one.
 _chains: dict[tuple[str, int], ChainRef] = {}
 
 
@@ -151,16 +157,7 @@ def header_from_dict(obj: dict[str, Any]) -> RawBlockHeader:
 
 def normalized_to_dict(record: NormalizedBlockRecord) -> dict[str, Any]:
     return {
-        "chain": record.chain.name,
-        "chain_id": record.chain.chain_id,
-        "number": record.number,
-        "ts": record.timestamp,
-        "gas_used": record.gas_used.value,
-        "gas_limit": record.gas_limit.value,
-        "base_fee_wei": record.base_fee_per_gas.value_wei,
-        "priority_fee_wei": None
-        if record.priority_fee_observed is None
-        else record.priority_fee_observed.value_wei,
+        **header_to_dict(record.header),
         "eff_limit": record.effective_gas_limit.value,
         "eff_price_wei": record.effective_gas_price.value_wei,
         "flags": sorted(flag.value for flag in record.flags),
@@ -168,16 +165,10 @@ def normalized_to_dict(record: NormalizedBlockRecord) -> dict[str, Any]:
 
 
 def normalized_from_dict(obj: dict[str, Any]) -> NormalizedBlockRecord:
+    header = header_from_dict(obj)
     try:
-        priority = obj.get("priority_fee_wei")
         return NormalizedBlockRecord(
-            chain=ChainRef(name=obj["chain"], chain_id=int(obj["chain_id"])),
-            number=int(obj["number"]),
-            timestamp=int(obj["ts"]),
-            gas_used=GasQuantity(int(obj["gas_used"])),
-            gas_limit=GasQuantity(int(obj["gas_limit"])),
-            base_fee_per_gas=FeeQuantity(int(obj["base_fee_wei"])),
-            priority_fee_observed=None if priority is None else FeeQuantity(int(priority)),
+            header=header,
             effective_gas_limit=GasQuantity(int(obj["eff_limit"])),
             effective_gas_price=FeeQuantity(int(obj["eff_price_wei"])),
             flags=frozenset(Flag(name) for name in obj["flags"]),
@@ -286,6 +277,8 @@ def read_jsonl(path: Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
                 obj = json.loads(line)
             except ValueError as exc:
                 raise MalformedRecord(f"invalid JSON ({exc})", line_number) from exc
+            if not isinstance(obj, dict):
+                raise MalformedRecord("not a JSON object", line_number)
             try:
                 yield parse(obj)
             except MalformedRecord as exc:

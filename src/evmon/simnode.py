@@ -212,11 +212,6 @@ class Clock(Protocol):
     def now(self) -> float: ...
 
 
-class RealClock:
-    def now(self) -> float:
-        return time.time()
-
-
 class ManualClock:
     """A clock tests advance explicitly."""
 

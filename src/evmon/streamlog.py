@@ -8,16 +8,17 @@ observes every record (broadcast across groups), while a group's committed
 offset survives its handles and drives resume-after-kill delivery.
 
 One retention rule: a topic keeps a record until every group it was
-created with has committed it, or left. retention is how far a producer
-may run ahead of its slowest group: append blocks while that group has
-retention records uncommitted. A topic with no group left stores nothing,
-and its appends never block.
+created with has committed it. A topic's groups are fixed at creation,
+and it needs at least one. retention is how far a producer may run ahead
+of its slowest group: append blocks while that group has retention
+records uncommitted.
 
 Payloads are any Python objects, handed to every consumer as they were
 appended, never copied or serialized. A poll slices only the batch it
 returns. After an empty poll, wait blocks until the next append or until
-the producer closes the topic, which ends its stream; close also wakes a
-held-back append, which raises TopicClosed.
+the producer closes the topic, which ends its stream. close is also how a
+consumer that ends early lets go: it wakes a held-back append, which
+raises TopicClosed, and no later append is stored.
 
 Each topic has its own lock, shared by two Conditions: consumers sleep on
 one and a held-back producer on the other, so an append wakes only
@@ -61,13 +62,13 @@ class ConsumerHandle:
 class _Topic:
     """payloads[i] holds offset base + i, for every offset from the slowest
     group's commit + 1 to the end, so len(payloads) is that group's
-    uncommitted count. commit and leave cut the committed prefix off, so an
+    uncommitted count. commit cuts the committed prefix off, so an
     append costs O(1) and a poll O(batch). Every field is guarded by the
     lock that cond (consumers) and space (the producer) share."""
 
     def __init__(self, retention: int, groups: tuple[str, ...]) -> None:
         self.retention = retention
-        self.groups = set(groups)
+        self.groups = frozenset(groups)
         self.payloads: list[Any] = []
         self.base = 0
         self.next_offset = 0
@@ -79,8 +80,7 @@ class _Topic:
 
     def trim(self) -> None:
         """Drop every record all groups have committed, and wake the producer."""
-        low = min((self.committed.get(g, -1) + 1 for g in self.groups),
-                  default=self.next_offset)
+        low = min(self.committed.get(g, -1) + 1 for g in self.groups)
         if low > self.base:
             del self.payloads[: low - self.base]
             self.base = low
@@ -100,8 +100,10 @@ class StreamLog:
         self._topics: dict[str, _Topic] = {}
         self._lock = threading.Lock()  # topic creation only; each topic has its own
 
-    def create_topic(self, name: str, groups: tuple[str, ...] = ()) -> None:
+    def create_topic(self, name: str, groups: tuple[str, ...]) -> None:
         """Create a topic read by the given consumer groups, and only by them."""
+        if not groups:
+            raise ValueError(f"topic {name!r} needs at least one consumer group")
         with self._lock:
             if name in self._topics:
                 raise ValueError(f"topic {name!r} already exists")
@@ -123,10 +125,7 @@ class StreamLog:
                 t.space.wait()
             if t.closed:
                 raise TopicClosed(topic)
-            if t.groups:
-                t.payloads.append(payload)
-            else:
-                t.base += 1  # nobody is left to read it
+            t.payloads.append(payload)
             t.next_offset += 1
             t.cond.notify_all()
             return t.next_offset - 1
@@ -139,13 +138,6 @@ class StreamLog:
             t.closed = True
             t.cond.notify_all()
             t.space.notify_all()
-
-    def leave(self, topic: str, group: str) -> None:
-        """Remove the group, whose consumer ended, and release what it held."""
-        t = self._topic(topic)
-        with t.cond:
-            t.groups.discard(group)
-            t.trim()
 
     def wait(self, handle: ConsumerHandle) -> bool:
         """Block until a record exists at the handle's position (True), or
@@ -173,7 +165,7 @@ class StreamLog:
         position, in offset order; advances the read position, not the
         commit. Empty when caught up. Raises ValueError when the records
         at the position were released: its group committed past it through
-        another handle, or left.
+        another handle.
         """
         if max_records <= 0:
             raise ValueError("max_records must be positive")

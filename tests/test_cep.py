@@ -68,7 +68,7 @@ def test_map_extracts_metric_per_record():
     normalized = [normalizer.normalize(h) for h in headers(50)]
     samples, _ = run_map(normalized, gas_price_sample)
     assert len(samples) == 50
-    assert [s.block_number for s in samples] == [h.number for h in normalized]
+    assert [s.block_number for s in samples] == [r.header.number for r in normalized]
 
 
 def test_map_failure_goes_to_dead_letters():

@@ -84,6 +84,23 @@ def test_load_config_propagates_invalid_profile(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("config", [
+    [network_entry("a", 1)],
+    {"networks": [5]},
+    {"networks": [network_entry("a", 1, limit_policy="override")]},
+    {"networks": [network_entry(5, 1)]},
+    {"networks": [network_entry("a", 1, rpc_url=5)]},
+    {"networks": [network_entry("a", 1, constant_base_fee_expected="false")]},
+], ids=["top_level_list", "network_int", "limit_policy_string", "name_int", "rpc_url_int",
+        "constant_base_fee_string"])
+def test_malformed_config_shape_is_a_config_error(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(ConfigParse):
+        load_config(path)
+    assert main(["replay", "--input", "x", "--config", str(path)]) == 1
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("EVMON_OUTPUT_DIR", str(tmp_path / "elsewhere"))
     path = write_config(tmp_path, [network_entry("a", 1)])
@@ -262,7 +279,7 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
 
     def disk_full_on_50th_arbitrum_record(record):
         # chains run concurrently, so only a per-chain count is deterministic
-        if record.chain.name == "arbitrum_like":
+        if record.header.chain.name == "arbitrum_like":
             calls.append(record)
             if len(calls) == 50:
                 raise OSError("disk full")
@@ -624,8 +641,10 @@ def test_each_chain_runs_an_ingest_and_a_consumer_thread(tmp_path, monkeypatch, 
         original = getattr(*failing)
 
         def disk_full_on_arbitrum_block_20(record):
-            if record.chain.name == "arbitrum_like" and (
-                    fault == "metric_sink" or record.number == 20):
+            # a window summary names its chain; a normalized record, its header
+            chain = record.chain if fault == "metric_sink" else record.header.chain
+            if chain.name == "arbitrum_like" and (
+                    fault == "metric_sink" or record.header.number == 20):
                 raise OSError("disk full")
             return original(record)
 
@@ -820,6 +839,15 @@ def test_replay_malformed_line_after_valid_records_exits_2(tmp_path):
     threads_before = set(threading.enumerate())
     assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 2
     assert set(threading.enumerate()) <= threads_before
+    assert not (tmp_path / "out" / "run_report.json").exists()
+
+
+@pytest.mark.parametrize("line", ["[1,2]", "5", "null", '"x"'])
+def test_replay_line_that_is_not_an_object_exits_2(tmp_path, line):
+    input_path, config_path = two_chain_fixture(tmp_path, blocks=5)
+    with open(input_path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 2
     assert not (tmp_path / "out" / "run_report.json").exists()
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
 from evmon.ingest import (
     BlockNotFound,
-    IngestCursor,
     InvalidHeader,
     MalformedQuantity,
     RpcClient,
@@ -110,10 +109,10 @@ def run_poll(source, max_blocks, start_number=None):
     emitted = []
     count = poll_chain(
         profile,
-        IngestCursor(chain=profile.chain, start_number=start_number),
         emitted.append,
         client=source,
         max_blocks=max_blocks,
+        start_number=start_number,
     )
     return count, [h.number for h in emitted]
 
@@ -151,8 +150,8 @@ def test_invalid_header_halts_chain_after_retries():
     profile = make_profile()
     emitted = []
     with pytest.raises(InvalidHeader, match="halted at block 3: poisoned block"):
-        poll_chain(profile, IngestCursor(chain=profile.chain, start_number=0), emitted.append,
-                   client=PoisonSource([9], ledger(10)), max_blocks=10)
+        poll_chain(profile, emitted.append, client=PoisonSource([9], ledger(10)),
+                   max_blocks=10, start_number=0)
     # halted at the poisoned block, earlier emits kept
     assert [h.number for h in emitted] == [0, 1, 2]
 
@@ -173,9 +172,8 @@ def test_last_block_at_head_returns_without_waiting():
     profile = make_profile(poll_interval_ms=60_000)
     stop = WaitRecorder()
     emitted = []
-    count = poll_chain(profile, IngestCursor(chain=profile.chain, start_number=0),
-                       emitted.append, client=ScriptedSource([4], ledger(10)), stop=stop,
-                       max_blocks=5)
+    count = poll_chain(profile, emitted.append, client=ScriptedSource([4], ledger(10)),
+                       stop=stop, max_blocks=5, start_number=0)
     assert count == 5
     assert [h.number for h in emitted] == [0, 1, 2, 3, 4]
     assert stop.waits == []
@@ -281,10 +279,10 @@ def test_full_scenario_ingest_is_complete_and_ordered():
         client = RpcClient(server.url, scenario.chain)
         count = poll_chain(
             profile,
-            IngestCursor(chain=scenario.chain, start_number=0),
             emitted.append,
             client=client,
             max_blocks=1000,
+            start_number=0,
         )
     assert count == 1000
     assert [h.number for h in emitted] == list(range(1000))
@@ -296,6 +294,5 @@ def test_poll_chain_stops_on_event():
     stop = threading.Event()
     stop.set()
     profile = make_profile()
-    count = poll_chain(profile, IngestCursor(chain=profile.chain), lambda h: None,
-                       client=source, stop=stop)
+    count = poll_chain(profile, lambda h: None, client=source, stop=stop)
     assert count == 0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -45,6 +47,23 @@ def test_validate_accepts_plain_profile():
     validated = validate_profile(profile)
     assert isinstance(validated, ValidatedProfile)
     assert validated.chain == TEST_CHAIN
+
+
+def test_validate_profile_keeps_every_field():
+    profile = NetworkProfile(
+        chain=ChainRef("rollup", 42161),
+        rpc_url="http://node:8545",
+        poll_interval_ms=250,
+        limit_policy=OverrideLimit(GasQuantity(32_000_000)),
+        priority_policy=PriorityPolicy.EXCLUDE,
+        constant_base_fee_expected=True,
+        base_fee_tolerance_wei=7,
+    )
+    validated = validate_profile(profile)
+    for field in dataclasses.fields(NetworkProfile):
+        # a default left in place would not show a field that was dropped
+        assert getattr(profile, field.name) != field.default
+        assert getattr(validated, field.name) == getattr(profile, field.name)
 
 
 def test_validate_accepts_override_exclude_combination():

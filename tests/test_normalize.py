@@ -153,7 +153,7 @@ def test_effective_limit_never_exceeds_reported(reported, override):
 def test_reported_policy_keeps_ratio_in_unit_interval(used):
     header = make_header(gas_used=used, gas_limit=30_000_000)
     record = normalize_header(header, make_profile())
-    assert 0 <= record.gas_used.value / record.effective_gas_limit.value <= 1
+    assert 0 <= record.header.gas_used.value / record.effective_gas_limit.value <= 1
 
 
 def test_flags_present_iff_policies_active():

@@ -66,15 +66,8 @@ def headers(draw, chains=chains, wei=wei):
 
 @st.composite
 def normalized_records(draw, chains=chains, wei=wei):
-    header = draw(headers(chains, wei))
     return NormalizedBlockRecord(
-        chain=header.chain,
-        number=header.number,
-        timestamp=header.timestamp,
-        gas_used=header.gas_used,
-        gas_limit=header.gas_limit,
-        base_fee_per_gas=header.base_fee_per_gas,
-        priority_fee_observed=header.priority_fee_observed,
+        header=draw(headers(chains, wei)),
         effective_gas_limit=GasQuantity(draw(gas)),
         effective_gas_price=FeeQuantity(draw(wei)),
         flags=frozenset(draw(st.sets(st.sampled_from(list(Flag))))),
@@ -143,9 +136,7 @@ def test_normalized_line_writes_every_flag_subset():
     for size in range(len(Flag) + 1):
         for subset in combinations(Flag, size):
             record = NormalizedBlockRecord(
-                chain=header.chain, number=0, timestamp=0, gas_used=header.gas_used,
-                gas_limit=header.gas_limit, base_fee_per_gas=header.base_fee_per_gas,
-                priority_fee_observed=None, effective_gas_limit=header.gas_limit,
+                header=header, effective_gas_limit=header.gas_limit,
                 effective_gas_price=header.base_fee_per_gas, flags=frozenset(subset))
             assert normalized_line(record) == to_line(normalized_to_dict(record))
 
@@ -201,6 +192,17 @@ def test_header_parse_rejects_gas_used_above_limit():
         header_from_dict(obj)
 
 
+def test_normalized_from_dict_decodes_its_header_with_header_from_dict():
+    header = RawBlockHeader(ChainRef("shared", 9), 0, 0, GasQuantity(5), GasQuantity(10),
+                            FeeQuantity(1))
+    obj = normalized_to_dict(NormalizedBlockRecord(header, GasQuantity(10), FeeQuantity(1),
+                                                   frozenset()))
+    assert normalized_from_dict(obj).header.chain is header_from_dict(obj).chain
+    obj["gas_used"] = 20
+    with pytest.raises(MalformedRecord, match="exceeds gas_limit"):
+        normalized_from_dict(obj)
+
+
 def test_read_jsonl_reports_line_numbers(tmp_path):
     path = tmp_path / "input.jsonl"
     good = to_line(header_to_dict(
@@ -213,6 +215,17 @@ def test_read_jsonl_reports_line_numbers(tmp_path):
 
     path.write_text(good + '{"chain":"c"}\n', encoding="utf-8")
     with pytest.raises(MalformedRecord) as excinfo:
+        list(read_jsonl(path, header_from_dict))
+    assert excinfo.value.line_number == 2
+
+
+@pytest.mark.parametrize("line", ["[1,2]", "5", "null", '"x"'])
+def test_read_jsonl_names_a_line_that_is_not_an_object(tmp_path, line):
+    path = tmp_path / "input.jsonl"
+    good = header_line(
+        RawBlockHeader(ChainRef("c", 1), 0, 0, GasQuantity(1), GasQuantity(2), FeeQuantity(3)))
+    path.write_text(good + line + "\n", encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="not a JSON object") as excinfo:
         list(read_jsonl(path, header_from_dict))
     assert excinfo.value.line_number == 2
 

@@ -56,44 +56,19 @@ def test_earliest_offset_follows_the_slowest_commit():
     assert [o for o, _ in broker.poll(handle, 2_000)] == list(range(600, 1_000))
 
 
-def test_leave_releases_the_records_its_group_held():
-    broker = fresh(groups=("slow", "fast"))
-    for i in range(10):
-        broker.append("t", i)
-    consume_and_commit(broker, "fast", 7)
-    assert broker.earliest_offset("t") == 0
-    broker.leave("t", "slow")
-    assert broker.earliest_offset("t") == 7
-    handle = broker.subscribe("t", "fast")
-    assert [p for _, p in broker.poll(handle, 10)] == [7, 8, 9]
-
-
-def test_a_topic_whose_groups_all_left_holds_nothing_and_never_blocks():
-    broker = fresh(retention=2, groups=("g0", "g1"))
-    broker.append("t", 0)
-    broker.append("t", 1)
-    broker.leave("t", "g0")
-    broker.leave("t", "g1")
-    assert broker.earliest_offset("t") == 2
-    appended = []
-    producer = threading.Thread(
-        target=lambda: appended.extend(broker.append("t", i) for i in range(2, 1_000)),
-        daemon=True)
-    producer.start()
-    producer.join(timeout=5)
-    assert not producer.is_alive()
-    assert appended == list(range(2, 1_000))
-    assert broker.earliest_offset("t") == 1_000
-
-
 def test_subscribe_an_undeclared_group_raises():
     broker = fresh(groups=("g",))
     broker.append("t", 0)
     with pytest.raises(ValueError, match="'other'"):
         broker.subscribe("t", "other")
-    broker.leave("t", "g")
-    with pytest.raises(ValueError, match="'g'"):
-        broker.subscribe("t", "g")
+
+
+def test_a_topic_needs_a_consumer_group():
+    broker = StreamLog()
+    with pytest.raises(ValueError, match="at least one consumer group"):
+        broker.create_topic("t", groups=())
+    with pytest.raises(TopicMissing):
+        broker.append("t", 0)
 
 
 def test_two_groups_both_see_everything():
@@ -425,24 +400,6 @@ def test_close_wakes_a_blocked_appender():
     assert not producer.is_alive()
     assert raised == [True]
     assert [p for _, p in broker.poll(broker.subscribe("t", "g"), 10)] == [0]
-
-
-def test_leave_releases_the_producer():
-    broker = StreamLog(retention=1)
-    broker.create_topic("t", groups=("slow", "fast"))
-    broker.append("t", 0)
-    appended = threading.Event()
-    producer = threading.Thread(target=lambda: (broker.append("t", 1), appended.set()),
-                                daemon=True)
-    producer.start()
-    fast = broker.subscribe("t", "fast")
-    broker.poll(fast, 10)
-    broker.commit(fast, 0)
-    assert not appended.wait(0.05)  # "slow" still holds it back
-    broker.leave("t", "slow")
-    assert appended.wait(5)
-    producer.join(timeout=5)
-    assert not producer.is_alive()
 
 
 def test_registered_groups_see_every_record_through_a_tiny_retention():
