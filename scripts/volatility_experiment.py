@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Compare gas-price and block-usage volatility across network styles.
 
-Generates 12 hours of virtual blocks for one mainnet-style chain and three
-rollup-style chains, runs them through normalization and the two metrics,
-and prints the whole-run median and IQR per chain: the mainnet-style chain
-should show clearly wider IQRs on both metrics than any rollup-style one.
+Replays 12 virtual hours of one mainnet-style chain and three rollup-style
+chains through the monitor's engine and prints the whole-run median and
+IQR per chain: the mainnet-style chain should show clearly wider IQRs on
+both metrics than any rollup-style one.
+
+The inputs live in scripts/volatility/: config.json holds the four network
+profiles, and <chain>.json the seeded 12-hour scenario of each chain. The
+generated ledgers go into one JSONL in a temporary directory, which
+cli.run_replay replays there; each row is that chain's blocks_ingested and
+full_run_stats from the run report.
 
 Usage:
     python3 scripts/volatility_experiment.py [--hours 12] [--csv out.csv]
@@ -14,127 +20,57 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from evmon.metrics import block_usage_sample, gas_price_sample, summarize
-from evmon.model import (
-    ChainRef,
-    GasQuantity,
-    NetworkProfile,
-    OverrideLimit,
-    PriorityPolicy,
-    ReportedLimit,
-    validate_profile,
-)
-from evmon.normalize import Normalizer
-from evmon.simnode import (
-    AdaptiveBaseFee,
-    ConstantBaseFee,
-    PriorityFeeModel,
-    Scenario,
-    UsageModel,
-    generate_scenario,
-)
+from evmon.cli import load_config, run_replay
+from evmon.records import header_line
+from evmon.simnode import generate_scenario, scenario_from_dict
 
-GWEI = 10**9
-
-
-def experiment_setups(hours: int):
-    """(scenario, profile) pairs: one volatile mainnet-style chain, three
-    calm rollup-style chains with distinct fee semantics."""
-    seconds = hours * 3600
-
-    def profile(chain, **kwargs):
-        return validate_profile(
-            NetworkProfile(chain=chain, rpc_url="http://experiment.invalid", **kwargs)
-        )
-
-    eth = ChainRef("ethereum_like", 1)
-    arb = ChainRef("arbitrum_like", 42161)
-    op = ChainRef("op_like", 10)
-    linea = ChainRef("linea_like", 59144)
-    return [
-        (
-            Scenario(
-                chain=eth, seed=7, block_count=seconds // 12, block_interval_s=12,
-                regime=AdaptiveBaseFee(initial_wei=10 * GWEI, min_wei=10**6),
-                usage_model=UsageModel(mean_ratio=0.5, jitter_ratio=0.35),
-                reported_limit=GasQuantity(30_000_000),
-                priority_model=PriorityFeeModel(mean_wei=2 * GWEI, jitter_wei=15 * 10**8),
-            ),
-            profile(eth),
-        ),
-        (
-            # constant low base fee, priority refunded, inflated reported limit;
-            # usage sized against the 32M effective limit, not the reported one
-            Scenario(
-                chain=arb, seed=42, block_count=seconds // 1, block_interval_s=1,
-                regime=ConstantBaseFee(base_fee_wei=10**7),
-                usage_model=UsageModel(mean_ratio=640_000 / 1_125_000_000,
-                                       jitter_ratio=450_000 / 1_125_000_000),
-                reported_limit=GasQuantity(1_125_000_000),
-                priority_model=PriorityFeeModel(mean_wei=2 * GWEI, jitter_wei=GWEI),
-            ),
-            profile(arb, limit_policy=OverrideLimit(GasQuantity(32_000_000)),
-                    priority_policy=PriorityPolicy.EXCLUDE,
-                    constant_base_fee_expected=True),
-        ),
-        (
-            Scenario(
-                chain=op, seed=10, block_count=seconds // 2, block_interval_s=2,
-                regime=AdaptiveBaseFee(initial_wei=9 * 10**6, min_wei=10**5,
-                                       target_ratio=0.16),
-                usage_model=UsageModel(mean_ratio=0.16, jitter_ratio=0.02),
-                reported_limit=GasQuantity(30_000_000),
-                priority_model=PriorityFeeModel(mean_wei=10**6, jitter_wei=5 * 10**5),
-            ),
-            profile(op, limit_policy=ReportedLimit()),
-        ),
-        (
-            # constant base fee with priority included: tips carry the variance
-            Scenario(
-                chain=linea, seed=59, block_count=seconds // 3, block_interval_s=3,
-                regime=ConstantBaseFee(base_fee_wei=7 * 10**6),
-                usage_model=UsageModel(mean_ratio=550_000 / 2_000_000_000,
-                                       jitter_ratio=250_000 / 2_000_000_000),
-                reported_limit=GasQuantity(2_000_000_000),
-                priority_model=PriorityFeeModel(mean_wei=85 * 10**6, jitter_wei=30 * 10**6),
-            ),
-            profile(linea, limit_policy=OverrideLimit(GasQuantity(61_000_000)),
-                    constant_base_fee_expected=True),
-        ),
-    ]
+INPUTS = Path(__file__).resolve().parent / "volatility"
+SCENARIO_HOURS = 12  # the block_count each scenario file holds
 
 
 def run(hours: int):
+    config = load_config(INPUTS / "config.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        ledger_path = Path(tmp) / "headers.jsonl"
+        with open(ledger_path, "w", encoding="utf-8") as fh:
+            for profile in config.networks:
+                path = INPUTS / f"{profile.chain.name}.json"
+                scenario = scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
+                if hours != SCENARIO_HOURS:
+                    scenario = dataclasses.replace(
+                        scenario, block_count=hours * 3600 // scenario.block_interval_s)
+                for header in generate_scenario(scenario):
+                    fh.write(header_line(header))
+        report = run_replay(ledger_path,
+                            dataclasses.replace(config, output_dir=Path(tmp) / "out"))
     rows = []
-    for scenario, profile in experiment_setups(hours):
-        normalizer = Normalizer(profile)
-        prices = []
-        usages = []
-        for header in generate_scenario(scenario):
-            record = normalizer.normalize(header)
-            prices.append(gas_price_sample(record).value)
-            usages.append(block_usage_sample(record).value)
-        price_stats = summarize(prices)
-        usage_stats = summarize(usages)
+    for profile in config.networks:
+        chain = report["chains"][profile.chain.name]
+        price = chain["full_run_stats"]["gas_price_gwei"]
+        ratio = chain["full_run_stats"]["block_usage_ratio"]
         rows.append({
-            "network": scenario.chain.name,
-            "blocks": scenario.block_count,
-            "gas_price_iqr": price_stats.iqr,
-            "gas_price_median": price_stats.median,
-            "block_ratio_iqr": usage_stats.iqr,
-            "block_ratio_median": usage_stats.median,
+            "network": profile.chain.name,
+            "blocks": chain["blocks_ingested"],
+            "gas_price_iqr": price["iqr"],
+            "gas_price_median": price["median"],
+            "block_ratio_iqr": ratio["iqr"],
+            "block_ratio_median": ratio["median"],
         })
     return rows
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--hours", type=int, default=12, help="virtual hours per chain")
+    parser.add_argument("--hours", type=int, default=SCENARIO_HOURS,
+                        help="virtual hours per chain")
     parser.add_argument("--csv", default=None, help="optional CSV output path")
     args = parser.parse_args()
 

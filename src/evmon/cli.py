@@ -76,6 +76,15 @@ class RunConfig:
     topic_retention: int = DEFAULT_RETENTION_RECORDS
 
 
+def _config_int(obj: dict[str, Any], key: str, default: int | None, where: str = "") -> int:
+    """obj[key] (or default when absent), which must be a JSON integer; a
+    bool, a fraction or a string is a ConfigParse, never coerced."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigParse(f"{where}{key} must be an integer, got {value!r}")
+    return value
+
+
 def _profile_from_dict(obj: Any) -> NetworkProfile:
     if not isinstance(obj, dict):
         raise ConfigParse(f"a networks entry must be an object, got {obj!r}")
@@ -96,9 +105,11 @@ def _profile_from_dict(obj: Any) -> NetworkProfile:
     if limit_obj.get("type") == "reported":
         limit_policy: ReportedLimit | OverrideLimit = ReportedLimit()
     elif limit_obj.get("type") == "override":
+        effective_limit = _config_int(limit_obj, "effective_limit", None,
+                                      f"network {name!r}: limit_policy.")
         try:
-            limit_policy = OverrideLimit(GasQuantity(int(limit_obj["effective_limit"])))
-        except (KeyError, TypeError, ValueError) as exc:
+            limit_policy = OverrideLimit(GasQuantity(effective_limit))
+        except ValueError as exc:
             raise ConfigParse(f"network {name!r}: bad override limit ({exc})") from exc
     else:
         raise ConfigParse(f"network {name!r}: unknown limit_policy {limit_obj!r}")
@@ -106,18 +117,16 @@ def _profile_from_dict(obj: Any) -> NetworkProfile:
         priority = PriorityPolicy(obj.get("priority_policy", "include"))
     except ValueError as exc:
         raise ConfigParse(f"network {name!r}: {exc}") from None
-    try:
-        return NetworkProfile(
-            chain=ChainRef(name=obj["name"], chain_id=int(obj["chain_id"])),
-            rpc_url=obj["rpc_url"],
-            poll_interval_ms=int(obj.get("poll_interval_ms", 1000)),
-            limit_policy=limit_policy,
-            priority_policy=priority,
-            constant_base_fee_expected=constant_base_fee,
-            base_fee_tolerance_wei=int(obj.get("base_fee_tolerance_wei", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(f"network {name!r}: {exc}") from exc
+    where = f"network {name!r}: "
+    return NetworkProfile(
+        chain=ChainRef(name=obj["name"], chain_id=_config_int(obj, "chain_id", None, where)),
+        rpc_url=obj["rpc_url"],
+        poll_interval_ms=_config_int(obj, "poll_interval_ms", 1000, where),
+        limit_policy=limit_policy,
+        priority_policy=priority,
+        constant_base_fee_expected=constant_base_fee,
+        base_fee_tolerance_wei=_config_int(obj, "base_fee_tolerance_wei", 0, where),
+    )
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -148,17 +157,14 @@ def load_config(path: Path | str) -> RunConfig:
         seen_names.add(profile.chain.name)
         profiles.append(validate_profile(profile))
     output_dir = os.environ.get(OUTPUT_DIR_ENV) or obj.get("output_dir", "out")
-    try:
-        config = RunConfig(
-            networks=tuple(profiles),
-            output_dir=Path(output_dir),
-            window_s=int(obj.get("window_s", RunConfig.window_s)),
-            downsample_bucket_s=int(obj.get("downsample_bucket_s",
-                                            RunConfig.downsample_bucket_s)),
-            topic_retention=int(obj.get("topic_retention", RunConfig.topic_retention)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigParse(str(exc)) from exc
+    config = RunConfig(
+        networks=tuple(profiles),
+        output_dir=Path(output_dir),
+        window_s=_config_int(obj, "window_s", RunConfig.window_s),
+        downsample_bucket_s=_config_int(obj, "downsample_bucket_s",
+                                        RunConfig.downsample_bucket_s),
+        topic_retention=_config_int(obj, "topic_retention", RunConfig.topic_retention),
+    )
     if config.window_s <= 0 or config.downsample_bucket_s <= 0 or config.topic_retention <= 0:
         raise ConfigParse("window_s, downsample_bucket_s and topic_retention must be positive")
     return config

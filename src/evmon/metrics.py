@@ -80,18 +80,6 @@ def _quantile_sorted(data: Sequence[float], p: float) -> float:
     return min(max(lo + frac * (hi - lo), lo), hi)
 
 
-def quartiles(values: Sequence[float]) -> tuple[float, float, float]:
-    """(q1, median, q3) of the values; raises EmptySeries on empty input."""
-    if not values:
-        raise EmptySeries("quartiles of an empty sequence")
-    data = sorted(values)
-    return (
-        _quantile_sorted(data, 0.25),
-        _quantile_sorted(data, 0.5),
-        _quantile_sorted(data, 0.75),
-    )
-
-
 def summarize(values: Sequence[float]) -> SummaryStats:
     """Median, quartiles, IQR and extremes over the values."""
     if not values:

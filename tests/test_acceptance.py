@@ -4,8 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Every tolerance and bound is pinned here, not configurable.
 """
 
+import csv
 import json
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -13,9 +16,8 @@ import numpy as np
 
 from conftest import adaptive_fee_scenario, constant_fee_scenario, make_profile
 from evmon.cli import RunConfig, load_config, run_monitor, run_plot, run_replay, run_stats
-from evmon.metrics import block_usage_sample, gas_price_sample, quartiles, summarize
+from evmon.metrics import block_usage_sample, summarize
 from evmon.model import (
-    ChainRef,
     FeeQuantity,
     Flag,
     GasQuantity,
@@ -32,18 +34,10 @@ from evmon.records import (
     to_line,
     window_summary_from_dict,
 )
-from evmon.simnode import (
-    AdaptiveBaseFee,
-    ConstantBaseFee,
-    LedgerRpcClient,
-    ManualClock,
-    PriorityFeeModel,
-    Scenario,
-    UsageModel,
-    generate_scenario,
-)
+from evmon.simnode import LedgerRpcClient, ManualClock, generate_scenario
 from evmon.streamlog import StreamLog
 
+ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -59,7 +53,8 @@ def test_acceptance_1_statistics_oracle():
     for _ in range(1_000):
         n = rng.randint(1, 1_000)
         values = [rng.uniform(0.0, 1_000.0) for _ in range(n)]
-        q1, median, q3 = quartiles(values)
+        stats = summarize(values)
+        q1, median, q3 = stats.q1, stats.median, stats.q3
         arr = np.asarray(values, dtype=float)
         expected_q1 = float(np.quantile(arr, 0.25, method="linear"))
         expected_median = float(np.quantile(arr, 0.5, method="linear"))
@@ -104,95 +99,39 @@ def test_acceptance_2_constant_fee_reproduction(tmp_path):
     passed(2, f"full-pipeline gas price median 0.01 gwei, IQR 0 exactly ({elapsed:.1f}s)")
 
 
-def _volatility_setups():
-    """One volatile mainnet-style chain vs three calm rollup-style chains,
-    12 hours of virtual time each (scenario parameters mirror
-    scripts/volatility_experiment.py)."""
-    seconds = 12 * 3600
-    gwei = 10**9
-    eth = (
-        Scenario(
-            chain=ChainRef("ethereum_like", 1), seed=7,
-            block_count=seconds // 12, block_interval_s=12,
-            regime=AdaptiveBaseFee(initial_wei=10 * gwei, min_wei=10**6),
-            usage_model=UsageModel(mean_ratio=0.5, jitter_ratio=0.35),
-            reported_limit=GasQuantity(30_000_000),
-            priority_model=PriorityFeeModel(mean_wei=2 * gwei, jitter_wei=15 * 10**8),
-        ),
-        make_profile(chain=ChainRef("ethereum_like", 1)),
-    )
-    rollups = [
-        (
-            Scenario(
-                chain=ChainRef("arbitrum_like", 42161), seed=42,
-                block_count=seconds // 1, block_interval_s=1,
-                regime=ConstantBaseFee(base_fee_wei=10**7),
-                usage_model=UsageModel(mean_ratio=640_000 / 1_125_000_000,
-                                       jitter_ratio=450_000 / 1_125_000_000),
-                reported_limit=GasQuantity(1_125_000_000),
-                priority_model=PriorityFeeModel(mean_wei=2 * gwei, jitter_wei=gwei),
-            ),
-            make_profile(chain=ChainRef("arbitrum_like", 42161),
-                         limit_policy=OverrideLimit(GasQuantity(32_000_000)),
-                         priority_policy=PriorityPolicy.EXCLUDE,
-                         constant_base_fee_expected=True),
-        ),
-        (
-            Scenario(
-                chain=ChainRef("op_like", 10), seed=10,
-                block_count=seconds // 2, block_interval_s=2,
-                regime=AdaptiveBaseFee(initial_wei=9 * 10**6, min_wei=10**5,
-                                       target_ratio=0.16),
-                usage_model=UsageModel(mean_ratio=0.16, jitter_ratio=0.02),
-                reported_limit=GasQuantity(30_000_000),
-                priority_model=PriorityFeeModel(mean_wei=10**6, jitter_wei=5 * 10**5),
-            ),
-            make_profile(chain=ChainRef("op_like", 10)),
-        ),
-        (
-            Scenario(
-                chain=ChainRef("linea_like", 59144), seed=59,
-                block_count=seconds // 3, block_interval_s=3,
-                regime=ConstantBaseFee(base_fee_wei=7 * 10**6),
-                usage_model=UsageModel(mean_ratio=550_000 / 2_000_000_000,
-                                       jitter_ratio=250_000 / 2_000_000_000),
-                reported_limit=GasQuantity(2_000_000_000),
-                priority_model=PriorityFeeModel(mean_wei=85 * 10**6, jitter_wei=30 * 10**6),
-            ),
-            make_profile(chain=ChainRef("linea_like", 59144),
-                         limit_policy=OverrideLimit(GasQuantity(61_000_000)),
-                         constant_base_fee_expected=True),
-        ),
-    ]
-    return eth, rollups
+VOLATILITY_TABLE = """\
+network           blocks    price IQR    price med  ratio IQR  ratio med
+------------------------------------------------------------------------
+ethereum_like       3600       4.5368       4.1422     0.3389     0.4827
+arbitrum_like      43200       0.0000       0.0100     0.0141     0.0200
+op_like            21600       0.0032       0.0067     0.0198     0.1599
+linea_like         14400       0.0305       0.0916     0.0041     0.0090
+
+mainnet-style IQR strictly widest: gas price True, block ratio True
+"""
 
 
-def _whole_run_iqrs(scenario, profile):
-    normalizer = Normalizer(profile)
-    prices = []
-    ratios = []
-    for header in generate_scenario(scenario):
-        record = normalizer.normalize(header)
-        prices.append(gas_price_sample(record).value)
-        ratios.append(block_usage_sample(record).value)
-    return summarize(prices).iqr, summarize(ratios).iqr
-
-
-def test_acceptance_3_volatility_ordering():
+def test_acceptance_3_volatility_ordering(tmp_path):
     """The mainnet-style chain shows strictly larger gas-price and
     block-ratio IQRs than every rollup-style chain over 12 virtual hours,
-    in under 30 s."""
+    replayed through the engine by scripts/volatility_experiment.py from
+    its committed scenarios, whose table it prints unchanged, in under 30 s."""
     started = time.monotonic()
-    (eth_scenario, eth_profile), rollups = _volatility_setups()
-    eth_price_iqr, eth_ratio_iqr = _whole_run_iqrs(eth_scenario, eth_profile)
-    for scenario, profile in rollups:
-        price_iqr, ratio_iqr = _whole_run_iqrs(scenario, profile)
-        assert eth_price_iqr > price_iqr, (
-            f"{scenario.chain.name}: price IQR {price_iqr} not below {eth_price_iqr}"
-        )
-        assert eth_ratio_iqr > ratio_iqr, (
-            f"{scenario.chain.name}: ratio IQR {ratio_iqr} not below {eth_ratio_iqr}"
-        )
+    csv_path = tmp_path / "rows.csv"
+    result = subprocess.run(
+        [sys.executable, "scripts/volatility_experiment.py", "--csv", str(csv_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == VOLATILITY_TABLE.splitlines() + [f"wrote {csv_path}"]
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        eth, *rollups = csv.DictReader(fh)
+    assert eth["network"] == "ethereum_like" and len(rollups) == 3
+    for row in rollups:
+        for column in ("gas_price_iqr", "block_ratio_iqr"):
+            assert float(eth[column]) > float(row[column]), (
+                f"{row['network']}: {column} {row[column]} not below {eth[column]}"
+            )
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"volatility ordering took {elapsed:.1f}s"
     passed(3, f"mainnet-style IQRs strictly dominate all three rollup-style chains "

@@ -101,6 +101,27 @@ def test_malformed_config_shape_is_a_config_error(tmp_path, config):
     assert main(["replay", "--input", "x", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("network, top", [
+    ({"chain_id": True}, {}),
+    ({"chain_id": 1.5}, {}),
+    ({"poll_interval_ms": 2.9}, {}),
+    ({"base_fee_tolerance_wei": "7"}, {}),
+    ({"limit_policy": {"type": "override", "effective_limit": 3.2e7}}, {}),
+    ({}, {"window_s": 300.7}),
+    ({}, {"downsample_bucket_s": "300"}),
+    ({}, {"topic_retention": True}),
+], ids=["chain_id_bool", "chain_id_fraction", "poll_interval_fraction",
+        "tolerance_string", "effective_limit_float", "window_fraction",
+        "bucket_string", "retention_bool"])
+def test_config_integer_fields_take_only_json_integers(tmp_path, network, top):
+    entry = network_entry("a", 1)
+    entry.update(network)
+    path = write_config(tmp_path, [entry], **top)
+    with pytest.raises(ConfigParse, match="must be an integer"):
+        load_config(path)
+    assert main(["replay", "--input", "x", "--config", str(path)]) == 1
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("EVMON_OUTPUT_DIR", str(tmp_path / "elsewhere"))
     path = write_config(tmp_path, [network_entry("a", 1)])

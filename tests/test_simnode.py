@@ -1,10 +1,14 @@
 
+import json
+from pathlib import Path
+
 import pytest
 import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import adaptive_fee_scenario, constant_fee_scenario
+from evmon.cli import load_config
 from evmon.ingest import decode_block_fields
 from evmon.records import header_to_dict, to_line
 from evmon.simnode import (
@@ -144,6 +148,29 @@ def test_scenario_dict_round_trip():
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
     with pytest.raises(InvalidScenario):
         scenario_from_dict({"seed": 1})
+
+
+VOLATILITY = Path(__file__).resolve().parent.parent / "scripts" / "volatility"
+VOLATILITY_SCENARIOS = sorted(p for p in VOLATILITY.glob("*.json") if p.name != "config.json")
+
+
+@pytest.mark.parametrize("path", VOLATILITY_SCENARIOS, ids=lambda p: p.stem)
+def test_committed_scenario_is_in_full_form(path):
+    """A misspelled optional key would load as its default without a word;
+    the full form scenario_to_dict writes leaves no key to default."""
+    obj = json.loads(path.read_text(encoding="utf-8"))
+    scenario = scenario_from_dict(obj)
+    assert scenario_to_dict(scenario) == obj
+    assert scenario.chain.name == path.stem
+    assert scenario.block_count * scenario.block_interval_s == 12 * 3600
+
+
+def test_volatility_config_names_exactly_the_scenario_chains():
+    config = load_config(VOLATILITY / "config.json")
+    scenarios = [scenario_from_dict(json.loads(p.read_text(encoding="utf-8")))
+                 for p in VOLATILITY_SCENARIOS]
+    assert len(config.networks) == len(scenarios) == 4
+    assert {p.chain for p in config.networks} == {s.chain for s in scenarios}
 
 
 def rpc(url, method, params):
