@@ -29,7 +29,7 @@ from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO, cast
 
 from evmon import cep, metrics, records
 from evmon.cep import RunReport
@@ -414,7 +414,9 @@ def run_monitor(
     Each chain runs in isolation: an endpoint failure degrades only that
     chain. Stops when stop_event fires, duration_s elapses, or every chain
     has emitted max_blocks blocks. Returns (and writes) the run report;
-    shutdown flushes open windows as partial summaries.
+    shutdown flushes open windows as partial summaries. Without a
+    client_factory each chain gets an RpcClient, closed when its ingest
+    ends; clients from a client_factory stay the caller's to close.
     """
     stop = stop_event if stop_event is not None else threading.Event()
     timer = None
@@ -422,8 +424,7 @@ def run_monitor(
         timer = threading.Timer(duration_s, stop.set)
         timer.daemon = True
         timer.start()
-    if client_factory is None:
-        client_factory = lambda profile: RpcClient(profile.rpc_url, profile.chain)  # noqa: E731
+    build_client = client_factory or (lambda profile: RpcClient(profile.rpc_url, profile.chain))
 
     def feed(broker: StreamLog, outcomes: dict[str, _ChainOutcome]) -> None:
         def ingest(profile: ValidatedProfile, client: BlockSource) -> None:
@@ -443,8 +444,10 @@ def run_monitor(
                 log.exception("%s: ingest failed", profile.chain.name)
             finally:
                 broker.close(raw_topic)
+                if client_factory is None:
+                    cast(RpcClient, client).close()
 
-        threads = [threading.Thread(target=ingest, args=(profile, client_factory(profile)),
+        threads = [threading.Thread(target=ingest, args=(profile, build_client(profile)),
                                     name=f"{profile.chain.name}-ingest")
                    for profile in config.networks]
         for thread in threads:

@@ -15,11 +15,13 @@ availability: poll_chain raises InvalidHeader naming the block.
 
 from __future__ import annotations
 
+import base64
+import http.client
+import json
 import logging
 import threading
 from typing import Any, Callable, Protocol
-
-import requests
+from urllib.parse import unquote, urlsplit
 
 from evmon.model import (
     ChainRef,
@@ -126,26 +128,65 @@ class BlockSource(Protocol):
 
 
 class RpcClient:
-    """JSON-RPC 2.0 over HTTP POST against one endpoint."""
+    """JSON-RPC 2.0 over HTTP POST on one kept-alive connection to one endpoint.
+
+    The connection goes straight to the endpoint's host: proxy environment
+    variables are ignored and redirects are not followed (a 3xx is an
+    RpcUnavailable like any status other than 200). An https endpoint is
+    verified against the system trust store, and user:pass@ in the URL is
+    sent as Basic authorization.
+    """
 
     def __init__(self, endpoint: str, chain: ChainRef, timeout_s: float = 10.0) -> None:
         self.endpoint = endpoint
         self.chain = chain
         self.timeout_s = timeout_s
-        self._session = requests.Session()
+        url = urlsplit(endpoint)
+        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        if url.username is not None:
+            credentials = f"{unquote(url.username)}:{unquote(url.password or '')}"
+            self._headers["Authorization"] = \
+                "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
+        connection_class: type[http.client.HTTPConnection] = (
+            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection)
+        # an explicit port, or http.client would read an IPv6 host's last group as one
+        self._connection = connection_class(
+            url.hostname or "", url.port or connection_class.default_port, timeout=timeout_s)
         self._next_id = 0
+
+    def _post(self, payload: bytes) -> tuple[int, bytes]:
+        """One request and its whole response on the kept-alive connection.
+
+        A server may close a connection while it is idle; the next request
+        on it then fails before any response arrives. Such a request is sent
+        once more on a fresh connection (both methods are reads, so this is
+        safe); a failure on a fresh connection is not retried.
+        """
+        reused = self._connection.sock is not None
+        try:
+            self._connection.request("POST", self._path, payload, self._headers)
+            response = self._connection.getresponse()
+        except (BrokenPipeError, ConnectionResetError):  # includes RemoteDisconnected
+            if not reused:
+                raise
+            self._connection.close()
+            self._connection.request("POST", self._path, payload, self._headers)
+            response = self._connection.getresponse()
+        return response.status, response.read()
 
     def _call(self, method: str, params: list[Any]) -> Any:
         self._next_id += 1
         payload = {"jsonrpc": "2.0", "id": self._next_id, "method": method, "params": params}
         try:
-            response = self._session.post(self.endpoint, json=payload, timeout=self.timeout_s)
-        except requests.RequestException as exc:
+            status, data = self._post(json.dumps(payload).encode())
+        except (OSError, http.client.HTTPException) as exc:
+            self._connection.close()  # the next call reconnects
             raise RpcUnavailable(f"{self.endpoint}: {exc}") from exc
-        if response.status_code != 200:
-            raise RpcUnavailable(f"{self.endpoint}: HTTP {response.status_code}")
+        if status != 200:
+            raise RpcUnavailable(f"{self.endpoint}: HTTP {status}")
         try:
-            body = response.json()
+            body = json.loads(data)
         except ValueError as exc:
             raise RpcUnavailable(f"{self.endpoint}: non-JSON response") from exc
         if not isinstance(body, dict):
@@ -169,7 +210,7 @@ class RpcClient:
         return decode_block_fields(self.chain, result)
 
     def close(self) -> None:
-        self._session.close()
+        self._connection.close()
 
 
 def poll_chain(

@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from enum import Enum
+from urllib.parse import urlsplit
 
 WEI_PER_GWEI = 10**9
 
@@ -120,12 +121,22 @@ class ValidatedProfile(NetworkProfile):
     """
 
 
+def _is_http_endpoint(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        parts.port  # noqa: B018 - raises ValueError for a port that is not a number
+    except ValueError:
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 def validate_profile(profile: NetworkProfile) -> ValidatedProfile:
     """Check every profile invariant and return the profile marked valid.
 
     Raises InvalidProfile for an empty or non-ASCII chain name, a
     non-positive chain id or poll interval, a zero override limit, a
-    negative base-fee tolerance, or a malformed endpoint string.
+    negative base-fee tolerance, or an endpoint that is not an http or
+    https URL naming a host (with a numeric port, if any).
     """
     chain = profile.chain
     if not chain.name or not re.fullmatch(r"[A-Za-z0-9_\-]+", chain.name):
@@ -134,8 +145,9 @@ def validate_profile(profile: NetworkProfile) -> ValidatedProfile:
         )
     if chain.chain_id <= 0:
         raise InvalidProfile(f"{chain.name}: chain_id must be positive, got {chain.chain_id}")
-    if "://" not in profile.rpc_url:
-        raise InvalidProfile(f"{chain.name}: malformed endpoint {profile.rpc_url!r}")
+    if not _is_http_endpoint(profile.rpc_url):
+        raise InvalidProfile(f"{chain.name}: malformed endpoint {profile.rpc_url!r}; "
+                             "expected http:// or https:// and a host")
     if profile.poll_interval_ms <= 0:
         raise InvalidProfile(
             f"{chain.name}: poll_interval_ms must be positive, got {profile.poll_interval_ms}"

@@ -20,13 +20,14 @@ priority-fee estimate when a priority model is configured.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Protocol
 
-from evmon.ingest import decode_block_fields, encode_quantity, parse_quantity
+from evmon.ingest import BlockNotFound, decode_block_fields, encode_quantity, parse_quantity
 from evmon.model import ChainRef, FeeQuantity, GasQuantity, RawBlockHeader
 
 _MASK64 = 2**64 - 1
@@ -291,8 +292,6 @@ class LedgerRpcClient:
     def fetch_block(self, number: int) -> RawBlockHeader:
         header = self._ledger.block_at(number)
         if header is None:
-            from evmon.ingest import BlockNotFound
-
             raise BlockNotFound(f"{self._chain.name}: block {number} not found")
         return decode_block_fields(self._chain, encode_header_wire(header))
 
@@ -336,7 +335,16 @@ def handle_rpc_request(ledger: _Ledger, request: Any) -> dict[str, Any]:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    """HTTP/1.1 with persistent connections, as a real node serves JSON-RPC.
+
+    wfile is buffered, so each response leaves in one write when
+    handle_one_request flushes it: headers and body written separately
+    would make every call wait on the client's delayed ACK.
+    """
+
     server: "SimNodeServer"
+    protocol_version = "HTTP/1.1"
+    wbufsize = -1
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         length = int(self.headers.get("Content-Length") or 0)
@@ -362,13 +370,25 @@ class SimNodeServer(ThreadingHTTPServer):
     """Serves a generated ledger on 127.0.0.1 until stopped.
 
     Usable as a context manager; .url is the endpoint to point a profile
-    at. The ledger is immutable; only the clock readout changes.
+    at. The ledger is immutable; only the clock readout changes. stop()
+    also ends every kept-alive connection, as a node that goes down does.
     """
 
     def __init__(self, headers: list[RawBlockHeader], clock: Clock, port: int = 0) -> None:
         self.ledger = _Ledger(headers, clock)
         self._thread: threading.Thread | None = None
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
         super().__init__(("127.0.0.1", port), _Handler)
+
+    def finish_request(self, request: Any, client_address: Any) -> None:
+        with self._open_lock:
+            self._open.add(request)
+        try:
+            super().finish_request(request, client_address)
+        finally:
+            with self._open_lock:
+                self._open.discard(request)
 
     @property
     def url(self) -> str:
@@ -382,6 +402,12 @@ class SimNodeServer(ThreadingHTTPServer):
     def stop(self) -> None:
         self.shutdown()
         self.server_close()
+        with self._open_lock:
+            for connection in self._open:
+                try:
+                    connection.shutdown(socket.SHUT_RDWR)  # its handler reads EOF and ends
+                except OSError:
+                    pass  # the client closed it first
         if self._thread is not None:
             self._thread.join(timeout=5)
 

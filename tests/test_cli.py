@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import adaptive_fee_scenario, constant_fee_scenario
-from evmon import metrics, records
+from evmon import cli, metrics, records
 from evmon.cli import (
     ConfigParse,
     InputDataError,
@@ -20,7 +20,7 @@ from evmon.cli import (
     run_replay,
     run_stats,
 )
-from evmon.ingest import InvalidHeader
+from evmon.ingest import InvalidHeader, RpcClient
 from evmon.model import InvalidProfile, MetricKind, OverrideLimit, PriorityPolicy
 from evmon.normalize import Normalizer
 from evmon.records import header_to_dict, sample_to_dict, to_line
@@ -82,6 +82,13 @@ def test_load_config_propagates_invalid_profile(tmp_path):
     path = write_config(tmp_path, [network_entry("bad", 7, poll_interval_ms=0)])
     with pytest.raises(InvalidProfile, match="bad"):
         load_config(path)
+
+
+def test_load_config_rejects_an_endpoint_that_is_not_http(tmp_path):
+    path = write_config(tmp_path, [network_entry("ws_chain", 7, rpc_url="ws://127.0.0.1:8546")])
+    with pytest.raises(InvalidProfile, match="ws_chain: malformed endpoint"):
+        load_config(path)
+    assert main(["replay", "--input", "x", "--config", str(path)]) == 1
 
 
 @pytest.mark.parametrize("config", [
@@ -716,6 +723,38 @@ def test_monitor_isolates_dead_endpoint(tmp_path):
     assert report["chains"]["arbitrum_like"]["blocks_ingested"] == 40
     assert len(read_lines(config.output_dir / "arbitrum_like" / "raw.jsonl")) == 40
     assert report["chains"]["dead_chain"]["blocks_ingested"] == 0
+
+
+def test_monitor_closes_only_the_clients_it_built(tmp_path, monkeypatch):
+    built = []
+
+    class RecordingClient(RpcClient):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.closed = False
+            built.append(self)
+
+        def close(self):
+            self.closed = True
+            super().close()
+
+    monkeypatch.setattr(cli, "RpcClient", RecordingClient)
+    scenario = constant_fee_scenario(block_count=20)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    with SimNodeServer(ledger, clock) as server:
+        config = load_config(write_config(tmp_path, [
+            network_entry("chain_a", 1, rpc_url=server.url),
+            network_entry("chain_b", 2, rpc_url=server.url),
+        ]))
+        report = run_monitor(config, max_blocks=20, duration_s=60, start_number=0)
+        assert [c.closed for c in built] == [True, True]
+        run_monitor(config, max_blocks=20, duration_s=60, start_number=0,
+                    client_factory=lambda p: RecordingClient(p.rpc_url, p.chain))
+        assert [c.closed for c in built] == [True, True, False, False]  # the caller's to close
+        for client in built[2:]:
+            client.close()
+    assert report["chains"]["chain_a"]["blocks_ingested"] == 20
 
 
 def test_replay_of_recorded_monitor_run_matches(tmp_path):

@@ -1,4 +1,13 @@
+import base64
+import contextlib
+import json
+import os
+import subprocess
+import sys
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -195,6 +204,7 @@ def test_fetch_block_from_simnode():
         assert genesis.base_fee_per_gas.value_wei == 10**7
         with pytest.raises(BlockNotFound):
             client.fetch_block(50)
+        client.close()
 
 
 def test_rpc_client_reports_unreachable_endpoint():
@@ -204,22 +214,28 @@ def test_rpc_client_reports_unreachable_endpoint():
 
 
 class ScriptedResponse:
-    status_code = 200
+    status = 200
 
     def __init__(self, body):
         self._body = body
 
-    def json(self):
-        return self._body
+    def read(self):
+        return json.dumps(self._body).encode()
 
 
-class ScriptedSession:
-    """Stands in for requests.Session: answers each post with the next body."""
+class ScriptedConnection:
+    """Stands in for the client's http.client connection: answers each
+    request with the next body."""
+
+    sock = None
 
     def __init__(self, bodies):
         self.bodies = list(bodies)
 
-    def post(self, url, json, timeout):
+    def request(self, method, url, body, headers):
+        pass
+
+    def getresponse(self):
         return ScriptedResponse(self.bodies.pop(0))
 
     def close(self):
@@ -228,8 +244,7 @@ class ScriptedSession:
 
 def scripted_client(bodies):
     client = RpcClient("http://scripted.invalid", TEST_CHAIN)
-    client._session.close()
-    client._session = ScriptedSession(bodies)
+    client._connection = ScriptedConnection(bodies)
     return client
 
 
@@ -251,7 +266,7 @@ def test_poll_chain_retries_past_a_body_that_is_not_an_object():
     client = scripted_client([[], reply("0x0"), None, reply(wire(header))])
     count, numbers = run_poll(client, max_blocks=1, start_number=0)
     assert (count, numbers) == (1, [0])
-    assert client._session.bodies == []
+    assert client._connection.bodies == []
 
 
 def test_sequential_fetches_match_scenario_record():
@@ -261,6 +276,7 @@ def test_sequential_fetches_match_scenario_record():
     with SimNodeServer(ledger_blocks, clock) as server:
         client = RpcClient(server.url, scenario.chain)
         fetched = [client.fetch_block(n) for n in range(10)]
+        client.close()
     assert fetched == ledger_blocks
     stamps = [h.timestamp for h in fetched]
     assert stamps == sorted(stamps)
@@ -284,6 +300,7 @@ def test_full_scenario_ingest_is_complete_and_ordered():
             max_blocks=1000,
             start_number=0,
         )
+        client.close()
     assert count == 1000
     assert [h.number for h in emitted] == list(range(1000))
     assert emitted == ledger_blocks
@@ -296,3 +313,149 @@ def test_poll_chain_stops_on_event():
     profile = make_profile()
     count = poll_chain(profile, lambda h: None, client=source, stop=stop)
     assert count == 0
+
+
+def test_sequential_fetches_share_one_connection_without_stalling():
+    """200 calls on one kept-alive connection: a server that wrote headers
+    and body separately would stall each call on delayed ACK (~8.8 s)."""
+    scenario = constant_fee_scenario(block_count=200)
+    ledger_blocks = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10_000)
+    with SimNodeServer(ledger_blocks, clock) as server:
+        client = RpcClient(server.url, scenario.chain)
+        started = time.monotonic()
+        first = client.fetch_block(0)
+        sock = client._connection.sock
+        fetched = [first] + [client.fetch_block(n) for n in range(1, 200)]
+        elapsed = time.monotonic() - started
+        assert client._connection.sock is sock
+        client.close()
+    assert fetched == ledger_blocks
+    assert elapsed < 2.0
+
+
+def test_connection_closed_while_idle_is_reopened_without_error():
+    scenario = constant_fee_scenario(block_count=5)
+    ledger_blocks = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10_000)
+    with SimNodeServer(ledger_blocks, clock) as server:
+        # the server drops a connection that stays idle for 0.2 s
+        server.RequestHandlerClass = type("IdleTimeoutHandler",
+                                          (server.RequestHandlerClass,), {"timeout": 0.2})
+        client = RpcClient(server.url, scenario.chain)
+        assert client.head_number() == 4
+        dropped = client._connection.sock
+        time.sleep(0.6)
+        assert client.head_number() == 4  # no RpcUnavailable
+        assert client._connection.sock is not dropped
+        client.close()
+
+
+def test_a_failure_on_a_fresh_connection_is_not_retried():
+    class ClosingHandler(BaseHTTPRequestHandler):
+        posts_seen = 0
+
+        def do_POST(self):  # noqa: N802 - http.server API
+            type(self).posts_seen += 1
+            self.close_connection = True  # hang up without a response
+
+        def log_message(self, format, *args):  # noqa: A002
+            pass
+
+    with recording_server(ClosingHandler) as url:
+        client = RpcClient(url, TEST_CHAIN, timeout_s=5)
+        with pytest.raises(RpcUnavailable):
+            client.head_number()
+    assert ClosingHandler.posts_seen == 1
+
+
+class RecordingHandler(BaseHTTPRequestHandler):
+    """Records each request and answers eth_blockNumber with 0x5, or with
+    the status its class sets."""
+
+    protocol_version = "HTTP/1.1"
+    status = 200
+    seen: list = []
+
+    def do_POST(self):  # noqa: N802 - http.server API
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.seen.append((self.command, self.path, dict(self.headers), json.loads(body)))
+        payload = json.dumps({"jsonrpc": "2.0", "id": 1, "result": "0x5"}).encode()
+        self.send_response(self.status)
+        if self.status != 200:
+            self.send_header("Location", "/elsewhere")
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, format, *args):  # noqa: A002
+        pass
+
+
+@contextlib.contextmanager
+def recording_server(handler):
+    """A stdlib HTTP server on 127.0.0.1 for one handler class; yields its URL."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        host, port = server.server_address[:2]
+        yield f"http://{host}:{port}"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("suffix, path", [("/rpc/v1?key=abc", "/rpc/v1?key=abc"), ("", "/")])
+def test_rpc_client_posts_to_the_endpoint_path_with_basic_auth(suffix, path):
+    handler = type("Handler", (RecordingHandler,), {"seen": []})
+    with recording_server(handler) as url:
+        endpoint = url.replace("http://", "http://user:p%40ss@") + suffix
+        client = RpcClient(endpoint, TEST_CHAIN)
+        assert client.head_number() == 5
+        client.close()
+    [(method, seen_path, headers, body)] = handler.seen
+    assert (method, seen_path) == ("POST", path)
+    assert headers["Authorization"] == "Basic " + base64.b64encode(b"user:p@ss").decode()
+    assert headers["Content-Type"] == "application/json"
+    assert body["method"] == "eth_blockNumber"
+
+
+@pytest.mark.parametrize("status", [301, 500])
+def test_rpc_client_follows_no_redirect_and_takes_only_200(status):
+    handler = type("Handler", (RecordingHandler,), {"seen": [], "status": status})
+    with recording_server(handler) as url:
+        client = RpcClient(url, TEST_CHAIN)
+        with pytest.raises(RpcUnavailable, match=f"HTTP {status}"):
+            client.head_number()
+        client.close()
+    assert len(handler.seen) == 1
+
+
+GUARD_PROGRAM = """
+import importlib, pkgutil, sys
+sys.modules["requests"] = None  # any import of requests now raises ImportError
+import evmon
+for module in pkgutil.iter_modules(evmon.__path__):
+    importlib.import_module(f"evmon.{module.name}")
+from conftest import constant_fee_scenario
+from evmon.ingest import RpcClient
+from evmon.simnode import ManualClock, SimNodeServer, generate_scenario
+scenario = constant_fee_scenario(block_count=3)
+ledger = generate_scenario(scenario)
+with SimNodeServer(ledger, ManualClock(scenario.start_time_s + 10_000)) as server:
+    client = RpcClient(server.url, scenario.chain)
+    assert client.fetch_block(2) == ledger[2]
+    client.close()
+print("ok")
+"""
+
+
+def test_evmon_runs_without_requests():
+    tests_dir = Path(__file__).resolve().parent
+    src_dir = tests_dir.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
+    result = subprocess.run([sys.executable, "-c", GUARD_PROGRAM], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

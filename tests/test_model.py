@@ -85,12 +85,23 @@ def test_validate_accepts_override_exclude_combination():
         (ChainRef("ok", 0), "http://x", 1000),
         (ChainRef("ok", 1), "not-a-url", 1000),
         (ChainRef("ok", 1), "http://x", 0),
+        (ChainRef("ok", 1), "ws://127.0.0.1:8546", 1000),
+        (ChainRef("ok", 1), "ftp://x", 1000),
+        (ChainRef("ok", 1), "http://", 1000),
+        (ChainRef("ok", 1), "wss://node", 1000),
+        (ChainRef("ok", 1), "http://node:port", 1000),
     ],
 )
 def test_validate_rejects_bad_fields(chain, rpc_url, poll_ms):
     profile = NetworkProfile(chain=chain, rpc_url=rpc_url, poll_interval_ms=poll_ms)
     with pytest.raises(InvalidProfile):
         validate_profile(profile)
+
+
+@pytest.mark.parametrize("rpc_url", ["http://node:8545", "HTTPS://user:pw@node.example/rpc?key=1",
+                                     "http://[::1]:8545"])
+def test_validate_accepts_http_endpoints(rpc_url):
+    validate_profile(NetworkProfile(chain=ChainRef("ok", 1), rpc_url=rpc_url))
 
 
 def test_gas_quantity_rejects_negative():

@@ -1,9 +1,11 @@
 
+import http.client
 import json
+import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
-import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -173,12 +175,24 @@ def test_volatility_config_names_exactly_the_scenario_chains():
     assert {p.chain for p in config.networks} == {s.chain for s in scenarios}
 
 
+def post(url, payload):
+    """POST raw bytes on a fresh connection; returns (status, decoded JSON body)."""
+    parts = urlsplit(url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    try:
+        connection.request("POST", "/", payload, {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 def rpc(url, method, params):
-    response = requests.post(
-        url, json={"jsonrpc": "2.0", "id": 1, "method": method, "params": params}, timeout=5
+    status, body = post(
+        url, json.dumps({"jsonrpc": "2.0", "id": 1, "method": method, "params": params}).encode()
     )
-    assert response.status_code == 200
-    return response.json()
+    assert status == 200
+    return body
 
 
 def test_server_clock_gates_head():
@@ -219,16 +233,44 @@ def test_server_error_objects_for_malformed_requests():
     scenario = constant_fee_scenario(block_count=2)
     ledger = generate_scenario(scenario)
     with SimNodeServer(ledger, ManualClock(scenario.start_time_s)) as server:
-        bad_json = requests.post(server.url, data=b"{nope", timeout=5).json()
+        bad_json = post(server.url, b"{nope")[1]
         assert bad_json["error"]["code"] == -32700
         no_version = rpc(server.url, "eth_blockNumber", [])  # fine
         assert "result" in no_version
-        missing = requests.post(server.url, json={"id": 1, "method": "x"}, timeout=5).json()
+        missing = post(server.url, json.dumps({"id": 1, "method": "x"}).encode())[1]
         assert missing["error"]["code"] == -32600
         unknown = rpc(server.url, "eth_getLogs", [])
         assert unknown["error"]["code"] == -32601
         bad_params = rpc(server.url, "eth_getBlockByNumber", [123, False])
         assert bad_params["error"]["code"] == -32602
+
+
+def test_server_keeps_a_connection_alive_until_it_stops():
+    scenario = constant_fee_scenario(block_count=3)
+    ledger = generate_scenario(scenario)
+    server = SimNodeServer(ledger, ManualClock(scenario.start_time_s + 10_000))
+    server.start()
+    parts = urlsplit(server.url)
+    connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=5)
+    payload = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "eth_blockNumber",
+                          "params": []}).encode()
+    try:
+        socks = []
+        for _ in range(3):
+            connection.request("POST", "/", payload, {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.version == 11
+            assert json.loads(response.read())["result"] == "0x2"
+            socks.append(connection.sock)
+        assert socks[0] is not None and socks == [socks[0]] * 3  # one connection throughout
+        started = time.monotonic()
+        server.stop()
+        assert time.monotonic() - started < 2.0
+        with pytest.raises((ConnectionError, http.client.HTTPException)):
+            connection.request("POST", "/", payload, {"Content-Type": "application/json"})
+            connection.getresponse()  # a stopped node answers no kept-alive connection
+    finally:
+        connection.close()
 
 
 def test_ledger_client_round_trips_full_scenario():
