@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import signal
 import sys
@@ -542,6 +543,21 @@ def run_plot(
     return buckets
 
 
+def _number_flag(parse: Callable[[str], Any], rule: str,
+                 ok: Callable[[Any], bool]) -> Callable[[str], Any]:
+    """An argparse type: a value that does not parse or breaks the rule is a
+    usage error (exit 2)."""
+    def check(text: str) -> Any:
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+    return check
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evmon",
@@ -551,11 +567,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     monitor = sub.add_parser("monitor", help="monitor configured chains live")
     monitor.add_argument("--config", required=True, help="run config JSON")
-    monitor.add_argument("--max-blocks", type=int, default=None,
+    monitor.add_argument("--max-blocks", default=None,
+                         type=_number_flag(int, "a positive integer", lambda n: n > 0),
                          help="stop each chain after this many blocks")
-    monitor.add_argument("--duration-s", type=float, default=None,
+    monitor.add_argument("--duration-s", default=None,
+                         type=_number_flag(float, "a positive finite number",
+                                           lambda s: 0 < s < math.inf),
                          help="stop the whole run after this many seconds")
-    monitor.add_argument("--start-block", type=int, default=None,
+    monitor.add_argument("--start-block", default=None,
+                         type=_number_flag(int, "a non-negative integer", lambda n: n >= 0),
                          help="first block to ingest (default: head at startup)")
 
     replay = sub.add_parser("replay", help="replay a recorded header stream")

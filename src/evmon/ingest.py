@@ -7,10 +7,18 @@ deduplicated. Chain reorganizations are out of scope at this level: an
 emitted number is never re-emitted, and a head regression is logged and
 ignored.
 
-Transport failures back off exponentially (base = poll interval, capped at
-30 s) and never exit the process; a block that repeatedly decodes invalid
-halts this chain's ingest instead, preferring data integrity over
-availability: poll_chain raises InvalidHeader naming the block.
+One retry policy covers both calls, and nothing in it exits the process:
+- a transport failure (RpcUnavailable) of a head poll or a fetch waits one
+  shared backoff, which starts at the poll interval, doubles up to
+  BACKOFF_CAP_S (30 s) and resets when a call answers or a block is not
+  found;
+- a block not found (announced before it is servable) waits one poll
+  interval, then the head is polled again;
+- a block that decodes invalid waits one poll interval and is fetched
+  again. The third invalid decode of one block, counted across transport
+  failures and reset by an answer or a not-found, halts this chain's
+  ingest, preferring data integrity over availability: poll_chain raises
+  InvalidHeader("halted at block N: ...").
 """
 
 from __future__ import annotations
@@ -134,7 +142,8 @@ class RpcClient:
     variables are ignored and redirects are not followed (a 3xx is an
     RpcUnavailable like any status other than 200). An https endpoint is
     verified against the system trust store, and user:pass@ in the URL is
-    sent as Basic authorization.
+    sent as Basic authorization. A reply is taken only when its id is the
+    request's (JSON-RPC 2.0, section 5).
     """
 
     def __init__(self, endpoint: str, chain: ChainRef, timeout_s: float = 10.0) -> None:
@@ -192,6 +201,11 @@ class RpcClient:
         if not isinstance(body, dict):
             raise RpcUnavailable(f"{self.endpoint}: response is {type(body).__name__}, "
                                  "not an object")
+        reply_id = body.get("id")
+        if type(reply_id) is not int or reply_id != self._next_id:
+            self._connection.close()  # the replies on it no longer pair with the requests
+            raise RpcUnavailable(f"{self.endpoint}: reply id {reply_id!r} does not match "
+                                 f"request id {self._next_id}")
         if "error" in body and body["error"] is not None:
             raise RpcUnavailable(f"{self.endpoint}: rpc error {body['error']}")
         return body.get("result")
@@ -230,87 +244,61 @@ def poll_chain(
     or with None at the head observed at startup (monitoring, not archival
     backfill); emitted numbers then increase by exactly 1. emit is called
     in this thread, so a blocking sink provides backpressure.
+
+    Each pass makes one call: a head poll when no polled head is left to
+    fetch up to, otherwise a fetch of the next block.
     """
+    if start_number is not None and start_number < 0:
+        raise ValueError(f"start_number must be non-negative, got {start_number}")
     if stop is None:
         stop = threading.Event()
     poll_interval_s = profile.poll_interval_ms / 1000.0
     backoff_s = poll_interval_s
-    emitted = 0
-    last_emitted: int | None = None
-
-    def done() -> bool:
-        return stop.is_set() or (max_blocks is not None and emitted >= max_blocks)
-
-    while not done():
-        try:
-            head = client.head_number()
-        except RpcUnavailable as exc:
-            log.warning("%s: head poll failed (%s); backing off %.1fs",
-                        profile.chain.name, exc, backoff_s)
-            stop.wait(backoff_s)
-            backoff_s = min(backoff_s * 2, BACKOFF_CAP_S)
-            continue
-        backoff_s = poll_interval_s
-
-        if last_emitted is None:
-            next_number = start_number if start_number is not None else head
-            if next_number > head:
-                stop.wait(poll_interval_s)
-                continue
-        elif head < last_emitted:
-            log.warning("%s: head regressed %d -> %d; ignoring",
-                        profile.chain.name, last_emitted, head)
-            stop.wait(poll_interval_s)
-            continue
-        else:
-            next_number = last_emitted + 1
-
-        for number in range(next_number, head + 1):
-            header = _fetch_with_retry(client, profile, number, stop, poll_interval_s)
-            if header is None:
-                stop.wait(poll_interval_s)
-                break  # announced block not yet servable; re-poll the head
-            emit(header)
-            last_emitted = number
-            emitted += 1
-            if done():
-                break
-        else:
-            stop.wait(poll_interval_s)
-    return emitted
-
-
-def _fetch_with_retry(
-    client: BlockSource,
-    profile: ValidatedProfile,
-    number: int,
-    stop: threading.Event,
-    poll_interval_s: float,
-) -> RawBlockHeader | None:
-    """Fetch one block, retrying transport errors with capped backoff.
-
-    A persistently invalid header logs a diagnostic and raises
-    InvalidHeader naming the block, which halts this chain's poll_chain; a
-    missing block (head/visibility race) returns None so the outer loop
-    re-polls.
-    """
-    backoff_s = poll_interval_s
     invalid_seen = 0
-    while not stop.is_set():
+    emitted = 0
+    next_number = start_number or 0  # with None, re-anchored at each head poll
+    head: int | None = None  # the polled head still to fetch up to
+
+    while not stop.is_set() and (max_blocks is None or emitted < max_blocks):
+        polling = head is None
         try:
-            return client.fetch_block(number)
+            if polling:
+                head = client.head_number()
+            else:
+                header = client.fetch_block(next_number)
         except RpcUnavailable as exc:
-            log.warning("%s: fetch %d failed (%s); backing off %.1fs",
-                        profile.chain.name, number, exc, backoff_s)
+            log.warning("%s: %s failed (%s); backing off %.1fs", profile.chain.name,
+                        "head poll" if polling else f"fetch {next_number}", exc, backoff_s)
             stop.wait(backoff_s)
             backoff_s = min(backoff_s * 2, BACKOFF_CAP_S)
-        except BlockNotFound:
-            return None
+            continue
         except InvalidHeader as exc:
             invalid_seen += 1
             if invalid_seen >= INVALID_HEADER_RETRIES:
                 log.error("%s: block %d invalid after %d attempts (%s); halting this chain",
-                          profile.chain.name, number, invalid_seen, exc)
-                raise InvalidHeader(f"halted at block {number}: {exc}") from exc
+                          profile.chain.name, next_number, invalid_seen, exc)
+                raise InvalidHeader(f"halted at block {next_number}: {exc}") from exc
             stop.wait(poll_interval_s)
-    return None
+            continue
+        except BlockNotFound:
+            header = None  # announced but not yet servable: re-poll the head
+        backoff_s = poll_interval_s
+        invalid_seen = 0
+
+        if polling:
+            if not emitted and start_number is None:
+                next_number = head  # until the first emission, start at the latest head
+            if head >= next_number:
+                continue
+            if emitted and head < next_number - 1:
+                log.warning("%s: head regressed %d -> %d; ignoring",
+                            profile.chain.name, next_number - 1, head)
+        elif header is not None:
+            emit(header)
+            emitted += 1
+            next_number += 1
+            if next_number <= head or emitted == max_blocks:
+                continue
+        head = None
+        stop.wait(poll_interval_s)
+    return emitted

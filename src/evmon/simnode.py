@@ -337,6 +337,10 @@ def handle_rpc_request(ledger: _Ledger, request: Any) -> dict[str, Any]:
 class _Handler(BaseHTTPRequestHandler):
     """HTTP/1.1 with persistent connections, as a real node serves JSON-RPC.
 
+    A request body must come with a Content-Length of decimal digits: a
+    request without one (a chunked body included) is answered 411, one with
+    any other value 400, and either closes the connection.
+
     wfile is buffered, so each response leaves in one write when
     handle_one_request flushes it: headers and body written separately
     would make every call wait on the client's delayed ACK.
@@ -347,8 +351,15 @@ class _Handler(BaseHTTPRequestHandler):
     wbufsize = -1
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length)
+        # send_error also answers "Connection: close": no unread body is taken for a request
+        length = self.headers.get("Content-Length")
+        if length is None or "Transfer-Encoding" in self.headers:
+            self.send_error(411)
+            return
+        if not (length.isascii() and length.isdigit()):
+            self.send_error(400, "Bad Content-Length")
+            return
+        body = self.rfile.read(int(length))
         try:
             request = json.loads(body)
         except ValueError:
@@ -452,41 +463,59 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
+def _int_field(obj: dict[str, Any], key: str, default: int | None = None) -> int:
+    """obj[key] (or default when absent), which must be a JSON integer; a
+    bool, a fraction or a string is an InvalidScenario, as in load_config."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidScenario(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _ratio_field(obj: dict[str, Any], key: str, default: float | None = None) -> float:
+    """obj[key] (or default when absent), which must be a JSON number; a
+    bool or a string is an InvalidScenario."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidScenario(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def scenario_from_dict(obj: dict[str, Any]) -> Scenario:
     try:
         regime_obj = obj["regime"]
         if regime_obj["type"] == "constant":
-            regime: Regime = ConstantBaseFee(base_fee_wei=int(regime_obj["base_fee_wei"]))
+            regime: Regime = ConstantBaseFee(base_fee_wei=_int_field(regime_obj, "base_fee_wei"))
         elif regime_obj["type"] == "adaptive":
             regime = AdaptiveBaseFee(
-                initial_wei=int(regime_obj["initial_wei"]),
-                min_wei=int(regime_obj.get("min_wei", 0)),
-                adjust_denominator=int(regime_obj.get("adjust_denominator", 8)),
-                target_ratio=float(regime_obj.get("target_ratio", 0.5)),
+                initial_wei=_int_field(regime_obj, "initial_wei"),
+                min_wei=_int_field(regime_obj, "min_wei", 0),
+                adjust_denominator=_int_field(regime_obj, "adjust_denominator", 8),
+                target_ratio=_ratio_field(regime_obj, "target_ratio", 0.5),
             )
         else:
             raise InvalidScenario(f"unknown regime type {regime_obj['type']!r}")
-        priority_obj = obj.get("priority")
+        chain_obj, priority_obj = obj["chain"], obj.get("priority")
         return Scenario(
-            chain=ChainRef(name=obj["chain"]["name"], chain_id=int(obj["chain"]["chain_id"])),
-            seed=int(obj["seed"]),
-            block_count=int(obj["block_count"]),
-            block_interval_s=int(obj["block_interval_s"]),
+            chain=ChainRef(name=chain_obj["name"], chain_id=_int_field(chain_obj, "chain_id")),
+            seed=_int_field(obj, "seed"),
+            block_count=_int_field(obj, "block_count"),
+            block_interval_s=_int_field(obj, "block_interval_s"),
             regime=regime,
             usage_model=UsageModel(
-                mean_ratio=float(obj["usage"]["mean_ratio"]),
-                jitter_ratio=float(obj["usage"].get("jitter_ratio", 0.0)),
+                mean_ratio=_ratio_field(obj["usage"], "mean_ratio"),
+                jitter_ratio=_ratio_field(obj["usage"], "jitter_ratio", 0.0),
             ),
-            reported_limit=GasQuantity(int(obj["reported_limit"])),
+            reported_limit=GasQuantity(_int_field(obj, "reported_limit")),
             priority_model=None
             if priority_obj is None
             else PriorityFeeModel(
-                mean_wei=int(priority_obj["mean_wei"]),
-                jitter_wei=int(priority_obj.get("jitter_wei", 0)),
+                mean_wei=_int_field(priority_obj, "mean_wei"),
+                jitter_wei=_int_field(priority_obj, "jitter_wei", 0),
             ),
-            start_time_s=int(obj.get("start_time_s", 1_700_000_000)),
+            start_time_s=_int_field(obj, "start_time_s", 1_700_000_000),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidScenario):
             raise
         raise InvalidScenario(f"bad scenario object: {exc}") from exc

@@ -888,6 +888,15 @@ def test_main_exit_codes(tmp_path):
     unconfigured, _ = two_chain_fixture(tmp_path / "two", blocks=5)
     assert main(["replay", "--input", str(unconfigured), "--config", str(config)]) == 2
 
+    # out-of-range monitor flags are usage errors; --duration-s bounds a run that starts anyway
+    for flag, value in [("--start-block", "-1"), ("--start-block", "1.5"),
+                        ("--max-blocks", "0"), ("--max-blocks", "-3"),
+                        ("--duration-s", "0"), ("--duration-s", "-1"),
+                        ("--duration-s", "nan"), ("--duration-s", "inf")]:
+        with pytest.raises(SystemExit) as exited:
+            main(["monitor", "--config", str(config), "--duration-s", "0.2", flag, value])
+        assert exited.value.code == 2, (flag, value)
+
 
 def test_replay_malformed_line_after_valid_records_exits_2(tmp_path):
     """The bad line ends the run after the consumers drained the records

@@ -1,6 +1,7 @@
 import base64
 import contextlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -10,11 +11,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
 from evmon.ingest import (
+    BACKOFF_CAP_S,
+    INVALID_HEADER_RETRIES,
     BlockNotFound,
     InvalidHeader,
     MalformedQuantity,
@@ -25,6 +28,7 @@ from evmon.ingest import (
     parse_quantity,
     poll_chain,
 )
+from evmon.ingest import log as ingest_log
 from evmon.simnode import (
     ManualClock,
     ScaledClock,
@@ -166,14 +170,16 @@ def test_invalid_header_halts_chain_after_retries():
 
 
 class WaitRecorder(threading.Event):
-    """A stop event that records every wait and returns at once."""
+    """A stop event that records each wait into a list and returns at once.
+    A wait on a stop that is already set changes nothing and is left out."""
 
-    def __init__(self):
+    def __init__(self, waits=None):
         super().__init__()
-        self.waits = []
+        self.waits = [] if waits is None else waits
 
     def wait(self, timeout=None):
-        self.waits.append(timeout)
+        if not self.is_set():
+            self.waits.append(("wait", timeout))
         return self.is_set()
 
 
@@ -191,6 +197,173 @@ def test_last_block_at_head_returns_without_waiting():
 def test_start_defaults_to_current_head():
     count, numbers = run_poll(ScriptedSource([7, 9], ledger(10)), max_blocks=3)
     assert numbers == [7, 8, 9]
+
+
+def test_negative_start_number_is_rejected():
+    stop = threading.Event()
+    stop.set()  # the check comes before the loop
+    with pytest.raises(ValueError, match="non-negative"):
+        poll_chain(make_profile(), lambda h: None, client=ScriptedSource([5], ledger(10)),
+                   stop=stop, start_number=-1)
+
+
+def reference_poll_chain(profile, emit, *, client, stop=None, max_blocks=None,
+                         start_number=None):
+    """poll_chain as a head-poll loop around a fetch loop with a backoff of
+    its own: the model the single-loop poll_chain must match call for call."""
+    if stop is None:
+        stop = threading.Event()
+    poll_interval_s = profile.poll_interval_ms / 1000.0
+    backoff_s = poll_interval_s
+    emitted = 0
+    last_emitted = None
+
+    def done():
+        return stop.is_set() or (max_blocks is not None and emitted >= max_blocks)
+
+    while not done():
+        try:
+            head = client.head_number()
+        except RpcUnavailable as exc:
+            ingest_log.warning("%s: head poll failed (%s); backing off %.1fs",
+                               profile.chain.name, exc, backoff_s)
+            stop.wait(backoff_s)
+            backoff_s = min(backoff_s * 2, BACKOFF_CAP_S)
+            continue
+        backoff_s = poll_interval_s
+
+        if last_emitted is None:
+            next_number = start_number if start_number is not None else head
+            if next_number > head:
+                stop.wait(poll_interval_s)
+                continue
+        elif head < last_emitted:
+            ingest_log.warning("%s: head regressed %d -> %d; ignoring",
+                               profile.chain.name, last_emitted, head)
+            stop.wait(poll_interval_s)
+            continue
+        else:
+            next_number = last_emitted + 1
+
+        for number in range(next_number, head + 1):
+            header = reference_fetch_with_retry(client, profile, number, stop, poll_interval_s)
+            if header is None:
+                stop.wait(poll_interval_s)
+                break
+            emit(header)
+            last_emitted = number
+            emitted += 1
+            if done():
+                break
+        else:
+            stop.wait(poll_interval_s)
+    return emitted
+
+
+def reference_fetch_with_retry(client, profile, number, stop, poll_interval_s):
+    backoff_s = poll_interval_s
+    invalid_seen = 0
+    while not stop.is_set():
+        try:
+            return client.fetch_block(number)
+        except RpcUnavailable as exc:
+            ingest_log.warning("%s: fetch %d failed (%s); backing off %.1fs",
+                               profile.chain.name, number, exc, backoff_s)
+            stop.wait(backoff_s)
+            backoff_s = min(backoff_s * 2, BACKOFF_CAP_S)
+        except BlockNotFound:
+            return None
+        except InvalidHeader as exc:
+            invalid_seen += 1
+            if invalid_seen >= INVALID_HEADER_RETRIES:
+                ingest_log.error("%s: block %d invalid after %d attempts (%s); halting this chain",
+                                 profile.chain.name, number, invalid_seen, exc)
+                raise InvalidHeader(f"halted at block {number}: {exc}") from exc
+            stop.wait(poll_interval_s)
+    return None
+
+
+class FaultScript(logging.Handler):
+    """A BlockSource that answers each call with the next scripted outcome.
+
+    It traces every call, emit, wait and ingest log line in order. The
+    stop is set at call number stop_at, and when the call's script runs
+    out (that call then fails with RpcUnavailable).
+    """
+
+    def __init__(self, heads, fetches, stop_at):
+        super().__init__()
+        self.heads = list(heads)
+        self.fetches = list(fetches)
+        self.stop_at = stop_at
+        self.calls = 0
+        self.trace = []
+        self.stop = WaitRecorder(self.trace)
+
+    def emit(self, record):  # logging.Handler API
+        self.trace.append(("log", record.levelname, record.getMessage()))
+
+    def _answer(self, outcomes, call):
+        self.calls += 1
+        assert self.calls < 1000, "the loop makes calls without end"
+        self.trace.append(call)
+        if self.calls == self.stop_at or not outcomes:
+            self.stop.set()
+        outcome = outcomes.pop(0) if outcomes else RpcUnavailable
+        if isinstance(outcome, type):
+            raise outcome(f"scripted {outcome.__name__}")
+        return outcome
+
+    def head_number(self):
+        return self._answer(self.heads, ("head",))
+
+    def fetch_block(self, number):
+        self._answer(self.fetches, ("fetch", number))
+        return make_header(number=number)
+
+
+def traced_run(poll, heads, fetches, stop_at, start_number, max_blocks, interval_ms):
+    script = FaultScript(heads, fetches, stop_at)
+    ingest_log.addHandler(script)
+    ingest_log.propagate = False  # the trace holds the lines; the run's log need not
+    try:
+        count = poll(make_profile(poll_interval_ms=interval_ms),
+                     lambda header: script.trace.append(("emit", header.number)),
+                     client=script, stop=script.stop, max_blocks=max_blocks,
+                     start_number=start_number)
+        script.trace.append(("return", count))
+    except InvalidHeader as exc:
+        script.trace.append(("halt", str(exc)))
+    finally:
+        ingest_log.removeHandler(script)
+        ingest_log.propagate = True
+    return script.trace
+
+
+@settings(max_examples=200, deadline=None)
+@given(heads=st.lists(st.one_of(st.integers(0, 12), st.just(RpcUnavailable)), max_size=12),
+       fetches=st.lists(st.sampled_from(["ok", RpcUnavailable, BlockNotFound, InvalidHeader]),
+                        min_size=4, max_size=40),
+       stop_at=st.none() | st.integers(1, 40),
+       start_number=st.none() | st.integers(0, 14),
+       max_blocks=st.none() | st.integers(0, 15),
+       interval_ms=st.sampled_from([1, 250, 7000]))
+# the rules a single loop most easily loses, pinned whatever the random draw
+@example(heads=[0, 1], fetches=[BlockNotFound], stop_at=None, start_number=None,
+         max_blocks=None, interval_ms=1)  # re-anchor at each head before the first emit
+@example(heads=[2], fetches=[], stop_at=None, start_number=5,
+         max_blocks=None, interval_ms=1)  # no regression warning before the first emit
+@example(heads=[0], fetches=[RpcUnavailable, InvalidHeader, RpcUnavailable], stop_at=None,
+         start_number=None, max_blocks=None, interval_ms=1)  # an invalid header keeps the backoff
+@example(heads=[0], fetches=[InvalidHeader, RpcUnavailable, InvalidHeader, InvalidHeader],
+         stop_at=None, start_number=None, max_blocks=None,
+         interval_ms=1)  # a transport failure keeps the invalid count
+def test_poll_chain_matches_the_reference_under_faults(heads, fetches, stop_at, start_number,
+                                                       max_blocks, interval_ms):
+    """Every head poll, fetch, wait with its timeout, emit, log line and the
+    final return or halt equal the reference's, under mixed faults."""
+    args = (heads, fetches, stop_at, start_number, max_blocks, interval_ms)
+    assert traced_run(poll_chain, *args) == traced_run(reference_poll_chain, *args)
 
 
 def test_fetch_block_from_simnode():
@@ -225,21 +398,27 @@ class ScriptedResponse:
 
 class ScriptedConnection:
     """Stands in for the client's http.client connection: answers each
-    request with the next body."""
+    request with the next body, into which an object without an "id"
+    gets the request's id."""
 
     sock = None
 
     def __init__(self, bodies):
         self.bodies = list(bodies)
+        self.request_id = None
+        self.closes = 0
 
     def request(self, method, url, body, headers):
-        pass
+        self.request_id = json.loads(body)["id"]
 
     def getresponse(self):
-        return ScriptedResponse(self.bodies.pop(0))
+        body = self.bodies.pop(0)
+        if isinstance(body, dict) and "id" not in body:
+            body = {**body, "id": self.request_id}
+        return ScriptedResponse(body)
 
     def close(self):
-        pass
+        self.closes += 1
 
 
 def scripted_client(bodies):
@@ -257,11 +436,21 @@ def test_rpc_client_rejects_a_body_that_is_not_an_object(body):
         client.fetch_block(0)
 
 
+@pytest.mark.parametrize("reply_id", [0, 2, None, "1", 1.0, True])
+def test_rpc_client_takes_only_a_reply_to_its_request(reply_id):
+    client = scripted_client([{"jsonrpc": "2.0", "id": reply_id, "result": "0x5"},
+                              {"jsonrpc": "2.0", "result": "0x6"}])
+    with pytest.raises(RpcUnavailable, match="does not match request id 1"):
+        client.head_number()
+    assert client._connection.closes == 1
+    assert client.head_number() == 6  # the next call's reply carries its id, 2
+
+
 def test_poll_chain_retries_past_a_body_that_is_not_an_object():
     header = make_header(number=0)
 
     def reply(result):
-        return {"jsonrpc": "2.0", "id": 1, "result": result}
+        return {"jsonrpc": "2.0", "result": result}
 
     client = scripted_client([[], reply("0x0"), None, reply(wire(header))])
     count, numbers = run_poll(client, max_blocks=1, start_number=0)
@@ -370,17 +559,17 @@ def test_a_failure_on_a_fresh_connection_is_not_retried():
 
 
 class RecordingHandler(BaseHTTPRequestHandler):
-    """Records each request and answers eth_blockNumber with 0x5, or with
-    the status its class sets."""
+    """Records each request and answers it with result 0x5 and the request's
+    id, or with the status its class sets."""
 
     protocol_version = "HTTP/1.1"
     status = 200
     seen: list = []
 
     def do_POST(self):  # noqa: N802 - http.server API
-        body = self.rfile.read(int(self.headers["Content-Length"]))
-        self.seen.append((self.command, self.path, dict(self.headers), json.loads(body)))
-        payload = json.dumps({"jsonrpc": "2.0", "id": 1, "result": "0x5"}).encode()
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.seen.append((self.command, self.path, dict(self.headers), request))
+        payload = json.dumps({"jsonrpc": "2.0", "id": request["id"], "result": "0x5"}).encode()
         self.send_response(self.status)
         if self.status != 200:
             self.send_header("Location", "/elsewhere")

@@ -1,6 +1,7 @@
 
 import http.client
 import json
+import socket
 import time
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -152,6 +153,31 @@ def test_scenario_dict_round_trip():
         scenario_from_dict({"seed": 1})
 
 
+@pytest.mark.parametrize("path, value", [
+    (("block_count",), 2.9), (("block_count",), "7"), (("seed",), True),
+    (("chain", "chain_id"), 1.0), (("reported_limit",), None), (("start_time_s",), "0"),
+    (("regime", "initial_wei"), 1e10), (("regime", "adjust_denominator"), False),
+    (("priority", "mean_wei"), "1"),
+    (("usage", "mean_ratio"), "0.5"), (("usage", "jitter_ratio"), True),
+    (("regime", "target_ratio"), None),
+])
+def test_scenario_numbers_are_never_coerced(path, value):
+    obj = scenario_to_dict(adaptive_fee_scenario())
+    *parents, key = path
+    target = obj
+    for parent in parents:
+        target = target[parent]
+    target[key] = value
+    with pytest.raises(InvalidScenario, match=f"{key} must be"):
+        scenario_from_dict(obj)
+
+
+def test_scenario_ratio_fields_take_json_integers():
+    obj = scenario_to_dict(adaptive_fee_scenario())
+    obj["usage"]["jitter_ratio"] = 0
+    assert scenario_from_dict(obj).usage_model.jitter_ratio == 0.0
+
+
 VOLATILITY = Path(__file__).resolve().parent.parent / "scripts" / "volatility"
 VOLATILITY_SCENARIOS = sorted(p for p in VOLATILITY.glob("*.json") if p.name != "config.json")
 
@@ -243,6 +269,36 @@ def test_server_error_objects_for_malformed_requests():
         assert unknown["error"]["code"] == -32601
         bad_params = rpc(server.url, "eth_getBlockByNumber", [123, False])
         assert bad_params["error"]["code"] == -32602
+
+
+def raw_exchange(url, request):
+    """Send raw bytes on a fresh socket; return all the server sends before
+    it closes the connection. A server that keeps it open fails the read
+    after 2 s."""
+    parts = urlsplit(url)
+    received = b""
+    with socket.create_connection((parts.hostname, parts.port), timeout=2) as sock:
+        sock.sendall(request)
+        while chunk := sock.recv(4096):
+            received += chunk
+    return received
+
+
+@pytest.mark.parametrize("header, status", [
+    (b"Content-Length: -1\r\n", b"400"),
+    (b"Content-Length: abc\r\n", b"400"),
+    (b"Content-Length: +2\r\n", b"400"),
+    (b"", b"411"),
+    (b"Transfer-Encoding: chunked\r\n", b"411"),
+])
+def test_server_refuses_a_body_without_a_valid_content_length(header, status, capfd):
+    """The reply comes at once and closes the connection, with no traceback."""
+    scenario = constant_fee_scenario(block_count=2)
+    with SimNodeServer(generate_scenario(scenario), ManualClock(scenario.start_time_s)) as server:
+        reply = raw_exchange(server.url, b"POST / HTTP/1.1\r\nHost: node\r\n" + header + b"\r\n")
+    assert reply.startswith(b"HTTP/1.1 " + status + b" ")
+    assert b"\r\nConnection: close\r\n" in reply
+    assert "Traceback" not in capfd.readouterr().err
 
 
 def test_server_keeps_a_connection_alive_until_it_stops():
