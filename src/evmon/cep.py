@@ -143,34 +143,54 @@ def _map(fn: Callable[[Any], Any], index: int, report: RunReport, downstream: Pu
     return push
 
 
+class _KeyState:
+    """One key's watermark and open window, if any, in a window stage."""
+
+    __slots__ = ("watermark", "window", "records")
+
+    def __init__(self, watermark: int) -> None:
+        self.watermark = watermark
+        self.window: WindowAssignment | None = None
+        self.records: list = []
+
+
 def _window(width_s: int, index: int, report: RunReport,
             emit: Push) -> tuple[Push, Callable[[], None]]:
-    """A window stage's push and end-of-stream flush, which emit closed windows."""
-    open_windows: dict[Any, tuple[WindowAssignment, list]] = {}
-    watermarks: dict[Any, int] = {}
+    """A window stage's push and end-of-stream flush, which emit closed windows.
+
+    Only a record that opens a window builds its WindowAssignment; every
+    other record falls in its key's open window while its timestamp is
+    below that window's end.
+    """
+    keys: dict[Any, _KeyState] = {}
 
     def push(record: KeyedRecord) -> None:
-        key, ts = record.chain, record.timestamp
-        watermark = watermarks.get(key)
-        if watermark is not None and ts < watermark:
+        ts = record.timestamp
+        state = keys.get(record.chain)
+        if state is None:
+            state = keys[record.chain] = _KeyState(ts)
+        elif ts < state.watermark:
             report.dead_letters.append(
-                DeadLetter(index, record, f"late: ts {ts} behind watermark {watermark}")
+                DeadLetter(index, record, f"late: ts {ts} behind watermark {state.watermark}")
             )
             return
-        watermarks[key] = ts
-        assignment = assign_tumbling_window(record, width_s)
-        current = open_windows.get(key)
-        if current is not None and assignment.start > current[0].start:
-            emit(FlushedWindow(assignment=current[0], records=tuple(current[1]), partial=False))
-            current = None
-        if current is None:
-            open_windows[key] = current = (assignment, [])
-        current[1].append(record)
+        state.watermark = ts
+        window = state.window
+        if window is None or ts >= window.end:
+            if window is not None:
+                emit(FlushedWindow(assignment=window, records=tuple(state.records),
+                                   partial=False))
+            state.window = assign_tumbling_window(record, width_s)
+            state.records = []
+        state.records.append(record)
 
     def flush() -> None:
-        for key in sorted(open_windows, key=repr):  # a deterministic key order
-            assignment, records = open_windows.pop(key)
-            emit(FlushedWindow(assignment=assignment, records=tuple(records), partial=True))
+        for key in sorted(keys, key=repr):  # a deterministic key order
+            state = keys[key]
+            if state.window is not None:
+                window, state.window = state.window, None
+                emit(FlushedWindow(assignment=window, records=tuple(state.records),
+                                   partial=True))
 
     return push, flush
 

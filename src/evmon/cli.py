@@ -600,10 +600,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "monitor":
             config = load_config(args.config)
             stop = threading.Event()
-            signal.signal(signal.SIGINT, lambda *_: stop.set())
-            signal.signal(signal.SIGTERM, lambda *_: stop.set())
-            run_monitor(config, max_blocks=args.max_blocks, duration_s=args.duration_s,
-                        stop_event=stop, start_number=args.start_block)
+            previous = {sig: signal.signal(sig, lambda *_: stop.set())
+                        for sig in (signal.SIGINT, signal.SIGTERM)}
+            try:
+                run_monitor(config, max_blocks=args.max_blocks, duration_s=args.duration_s,
+                            stop_event=stop, start_number=args.start_block)
+            finally:
+                for sig, handler in previous.items():
+                    # None: the handler was not set from Python and cannot be put back
+                    signal.signal(sig, signal.SIG_DFL if handler is None else handler)
         elif args.command == "replay":
             config = load_config(args.config)
             run_replay(args.input, config)

@@ -22,10 +22,25 @@ class InvalidProfile(ValueError):
 
 @dataclass(frozen=True)
 class ChainRef:
-    """One monitored network: a short name plus its EVM chain id."""
+    """One monitored network: a short name plus its EVM chain id.
+
+    Every record carries its chain, and the line writers and window
+    stages key dicts by it, so the hash is computed once, at
+    construction. A str hashes differently in each process, so a pickle
+    carries only the two fields and the loading process hashes them anew.
+    """
 
     name: str
     chain_id: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.chain_id)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined, no-any-return]
+
+    def __reduce__(self) -> tuple[type[ChainRef], tuple[str, int]]:
+        return type(self), (self.name, self.chain_id)
 
 
 @dataclass(frozen=True)
@@ -197,8 +212,14 @@ class NormalizedBlockRecord:
 
 
 class MetricKind(Enum):
+    """The two per-block metrics. Members hash by identity, in C: the
+    sample writer looks one up per sample, and Enum's own __hash__ is a
+    Python call."""
+
     GAS_PRICE_GWEI = "gas_price_gwei"
     BLOCK_USAGE_RATIO = "block_usage_ratio"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,11 @@ different networks actually compare.
 
 Out-of-range values are flagged, never clamped: a monitoring pipeline must
 expose misconfiguration, not mask it.
+
+Normalization allocates only what a record needs new: the record itself
+and, when a tip is added, its price. Flag sets are module constants, and
+an effective value equal to the reported limit, the override cap or the
+base fee is that very object.
 """
 
 from __future__ import annotations
@@ -30,6 +35,22 @@ class ProfileMismatch(ValueError):
     """A header was normalized against a profile for a different chain."""
 
 
+# Every flag set a record can carry, built once: each record gets one of
+# these objects, so normalization builds no set and hashes no flag.
+_NO_FLAGS: frozenset[Flag] = frozenset()
+_OVERRIDDEN = frozenset({Flag.LIMIT_OVERRIDDEN})
+_EXCEEDS = frozenset({Flag.USAGE_EXCEEDS_EFFECTIVE_LIMIT})
+_OVERRIDDEN_EXCEEDS = _OVERRIDDEN | _EXCEEDS
+_EXCLUDED = frozenset({Flag.PRIORITY_EXCLUDED})
+_DEVIATION = frozenset({Flag.BASE_FEE_DEVIATION})
+_EXCLUDED_DEVIATION = _EXCLUDED | _DEVIATION
+_UNIONS = {
+    (limit_flags, price_flags): limit_flags | price_flags
+    for limit_flags in (_NO_FLAGS, _OVERRIDDEN, _EXCEEDS, _OVERRIDDEN_EXCEEDS)
+    for price_flags in (_NO_FLAGS, _EXCLUDED, _DEVIATION, _EXCLUDED_DEVIATION)
+}
+
+
 def effective_gas_limit(
     header: RawBlockHeader, profile: ValidatedProfile
 ) -> tuple[GasQuantity, frozenset[Flag]]:
@@ -38,20 +59,19 @@ def effective_gas_limit(
     Reported policy keeps the reported limit. Override policy takes
     min(reported, override) and marks the record LimitOverridden. When
     gas_used exceeds the effective limit the record is additionally marked
-    UsageExceedsEffectiveLimit; the value itself is never clamped.
+    UsageExceedsEffectiveLimit; the value itself is never clamped. The
+    limit returned is the header's own or the policy's, never a copy.
     """
-    flags = set()
     policy = profile.limit_policy
     if isinstance(policy, ReportedLimit):
-        effective = header.gas_limit
+        effective, flags, exceeded = header.gas_limit, _NO_FLAGS, _EXCEEDS
     elif isinstance(policy, OverrideLimit):
-        effective = GasQuantity(min(header.gas_limit.value, policy.effective_limit.value))
-        flags.add(Flag.LIMIT_OVERRIDDEN)
+        cap = policy.effective_limit
+        effective = header.gas_limit if header.gas_limit.value <= cap.value else cap
+        flags, exceeded = _OVERRIDDEN, _OVERRIDDEN_EXCEEDS
     else:
         raise TypeError(f"unknown limit policy {policy!r}")
-    if header.gas_used.value > effective.value:
-        flags.add(Flag.USAGE_EXCEEDS_EFFECTIVE_LIMIT)
-    return effective, frozenset(flags)
+    return effective, exceeded if header.gas_used.value > effective.value else flags
 
 
 def effective_gas_price(
@@ -66,21 +86,24 @@ def effective_gas_price(
     profile expects a constant base fee, a deviation from
     first_seen_base_fee beyond the tolerance marks BaseFeeDeviation;
     passing None uses the header's own base fee as the reference, so the
-    first block of a run never deviates.
+    first block of a run never deviates. A price equal to the base fee is
+    the header's own base fee object.
     """
-    flags = set()
     base = header.base_fee_per_gas
     if profile.priority_policy is PriorityPolicy.EXCLUDE:
-        price = base
-        flags.add(Flag.PRIORITY_EXCLUDED)
+        price, flags, deviated = base, _EXCLUDED, _EXCLUDED_DEVIATION
     else:
-        tip = header.priority_fee_observed.value_wei if header.priority_fee_observed else 0
-        price = FeeQuantity(base.value_wei + tip)
+        tip = header.priority_fee_observed
+        if tip is None or tip.value_wei == 0:
+            price = base
+        else:
+            price = FeeQuantity(base.value_wei + tip.value_wei)
+        flags, deviated = _NO_FLAGS, _DEVIATION
     if profile.constant_base_fee_expected:
         reference = first_seen_base_fee if first_seen_base_fee is not None else base
         if abs(base.value_wei - reference.value_wei) > profile.base_fee_tolerance_wei:
-            flags.add(Flag.BASE_FEE_DEVIATION)
-    return price, frozenset(flags)
+            flags = deviated
+    return price, flags
 
 
 def normalize_header(
@@ -103,7 +126,7 @@ def normalize_header(
         header=header,
         effective_gas_limit=limit,
         effective_gas_price=price,
-        flags=limit_flags | price_flags,
+        flags=_UNIONS[limit_flags, price_flags],
     )
 
 

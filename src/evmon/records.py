@@ -17,6 +17,10 @@ A normalized record carries its header as reported, so its line is the
 header's fields followed by eff_limit, eff_price_wei and flags. Only
 _block_fields, header_to_dict and header_from_dict encode or decode the
 header fields, for raw and normalized lines alike.
+
+Decoding is strict: an integer field must be a JSON integer >= 0 and a
+float field a JSON number; a bool, a fraction or a string there is a
+MalformedRecord, never coerced.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable, Iterator, TypeVar
 
@@ -123,35 +128,78 @@ def header_to_dict(header: RawBlockHeader) -> dict[str, Any]:
     }
 
 
-# Interned by header_from_dict, which normalized_from_dict also decodes with.
-# Replay stops at its first unconfigured chain, so there this holds at most
-# the configured chains plus one.
+def _uint_reader(*keys: str) -> Callable[[dict[str, Any]], tuple[int, ...]]:
+    """A reader of obj's values at keys, each a JSON integer >= 0. A
+    bool, a float (even 5.0), a string or a negative number is a
+    ValueError, never coerced; the decoders turn it into MalformedRecord."""
+    get = itemgetter(*keys)  # two keys or more, so get returns a tuple
+
+    def read(obj: dict[str, Any]) -> tuple[int, ...]:
+        values = get(obj)
+        for value in values:
+            if type(value) is not int or value < 0:
+                key = next(k for k, v in zip(keys, values) if v is value)
+                raise ValueError(f"{key} must be an integer >= 0, got {value!r}")
+        return values
+
+    return read
+
+
+_HEADER_INTS = ("chain_id", "number", "ts", "gas_used", "gas_limit", "base_fee_wei")
+_header_ints = _uint_reader(*_HEADER_INTS)
+_header_ints_with_priority = _uint_reader(*_HEADER_INTS, "priority_fee_wei")
+_normalized_ints = _uint_reader("eff_limit", "eff_price_wei")
+_sample_ints = _uint_reader("chain_id", "number", "ts")
+_window_ints = _uint_reader("chain_id", "window_start", "window_end", "count")
+
+
+def _number(obj: dict[str, Any], key: str) -> float:
+    """obj[key] as a float; anything but a JSON number (a bool, a string)
+    is a ValueError."""
+    value = obj[key]
+    if type(value) is not float and type(value) is not int:
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+# Interned by _chain, which every record decoder uses: one entry per chain
+# decoded. Replay stops at its first unconfigured chain, so there this
+# holds at most the configured chains plus one.
 _chains: dict[tuple[str, int], ChainRef] = {}
+
+
+def _chain(obj: dict[str, Any], chain_id: int) -> ChainRef:
+    """The ChainRef of obj["chain"] and chain_id, one object per chain."""
+    key = (obj["chain"], chain_id)
+    chain = _chains.get(key)
+    if chain is None:
+        if type(key[0]) is not str:
+            raise ValueError(f"chain must be a string, got {key[0]!r}")
+        chain = _chains[key] = ChainRef(name=key[0], chain_id=chain_id)
+    return chain
 
 
 def header_from_dict(obj: dict[str, Any]) -> RawBlockHeader:
     """Parse one header; headers of one chain share a single ChainRef."""
     try:
         priority = obj.get("priority_fee_wei")
-        key = (obj["chain"], int(obj["chain_id"]))
-        chain = _chains.get(key)
-        if chain is None:
-            chain = _chains[key] = ChainRef(name=key[0], chain_id=key[1])
+        if priority is None:
+            chain_id, number, ts, used, limit, base = _header_ints(obj)
+        else:
+            chain_id, number, ts, used, limit, base, priority = _header_ints_with_priority(obj)
         header = RawBlockHeader(
-            chain=chain,
-            number=int(obj["number"]),
-            timestamp=int(obj["ts"]),
-            gas_used=GasQuantity(int(obj["gas_used"])),
-            gas_limit=GasQuantity(int(obj["gas_limit"])),
-            base_fee_per_gas=FeeQuantity(int(obj["base_fee_wei"])),
-            priority_fee_observed=None if priority is None else FeeQuantity(int(priority)),
+            chain=_chain(obj, chain_id),
+            number=number,
+            timestamp=ts,
+            gas_used=GasQuantity(used),
+            gas_limit=GasQuantity(limit),
+            base_fee_per_gas=FeeQuantity(base),
+            priority_fee_observed=None if priority is None else FeeQuantity(priority),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(str(exc)) from exc
-    if header.gas_used.value > header.gas_limit.value:
-        raise MalformedRecord(
-            f"gas_used {header.gas_used.value} exceeds gas_limit {header.gas_limit.value}"
-        )
+    if used > limit:
+        raise MalformedRecord(f"gas_used {used} exceeds gas_limit {limit}")
     return header
 
 
@@ -167,11 +215,15 @@ def normalized_to_dict(record: NormalizedBlockRecord) -> dict[str, Any]:
 def normalized_from_dict(obj: dict[str, Any]) -> NormalizedBlockRecord:
     header = header_from_dict(obj)
     try:
+        eff_limit, eff_price = _normalized_ints(obj)
+        flags = obj["flags"]
+        if type(flags) is not list:
+            raise ValueError(f"flags must be a list, got {flags!r}")
         return NormalizedBlockRecord(
             header=header,
-            effective_gas_limit=GasQuantity(int(obj["eff_limit"])),
-            effective_gas_price=FeeQuantity(int(obj["eff_price_wei"])),
-            flags=frozenset(Flag(name) for name in obj["flags"]),
+            effective_gas_limit=GasQuantity(eff_limit),
+            effective_gas_price=FeeQuantity(eff_price),
+            flags=frozenset(Flag(name) for name in flags),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(str(exc)) from exc
@@ -190,12 +242,13 @@ def sample_to_dict(sample: MetricSample) -> dict[str, Any]:
 
 def sample_from_dict(obj: dict[str, Any]) -> MetricSample:
     try:
+        chain_id, number, ts = _sample_ints(obj)
         return MetricSample(
-            chain=ChainRef(name=obj["chain"], chain_id=int(obj["chain_id"])),
-            block_number=int(obj["number"]),
-            timestamp=int(obj["ts"]),
+            chain=_chain(obj, chain_id),
+            block_number=number,
+            timestamp=ts,
             kind=MetricKind(obj["kind"]),
-            value=float(obj["value"]),
+            value=_number(obj, "value"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(str(exc)) from exc
@@ -234,21 +287,18 @@ def window_summary_to_dict(summary: WindowSummary) -> dict[str, Any]:
 
 def window_summary_from_dict(obj: dict[str, Any]) -> WindowSummary:
     try:
+        chain_id, start, end, count = _window_ints(obj)
+        partial = obj["partial"]
+        if type(partial) is not bool:
+            raise ValueError(f"partial must be true or false, got {partial!r}")
         return WindowSummary(
-            chain=ChainRef(name=obj["chain"], chain_id=int(obj["chain_id"])),
+            chain=_chain(obj, chain_id),
             kind=MetricKind(obj["kind"]),
-            window_start=int(obj["window_start"]),
-            window_end=int(obj["window_end"]),
-            stats=SummaryStats(
-                count=int(obj["count"]),
-                median=float(obj["median"]),
-                q1=float(obj["q1"]),
-                q3=float(obj["q3"]),
-                iqr=float(obj["iqr"]),
-                min=float(obj["min"]),
-                max=float(obj["max"]),
-            ),
-            partial=bool(obj["partial"]),
+            window_start=start,
+            window_end=end,
+            stats=SummaryStats(count=count, **{
+                key: _number(obj, key) for key in ("median", "q1", "q3", "iqr", "min", "max")}),
+            partial=partial,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(str(exc)) from exc

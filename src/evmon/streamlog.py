@@ -22,8 +22,10 @@ raises TopicClosed, and no later append is stored.
 
 Each topic has its own lock, shared by two Conditions: consumers sleep on
 one and a held-back producer on the other, so an append wakes only
-consumers and a commit only the producer. A ConsumerHandle belongs to a
-single owner thread.
+consumers and a commit only the producer. Consumers count themselves in
+and out of their wait under the lock, so an append notifies only when one
+sleeps; while none does, an append costs only the lock. A
+ConsumerHandle belongs to a single owner thread.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ class _Topic:
     """payloads[i] holds offset base + i, for every offset from the slowest
     group's commit + 1 to the end, so len(payloads) is that group's
     uncommitted count. commit cuts the committed prefix off, so an
-    append costs O(1) and a poll O(batch). Every field is guarded by the
-    lock that cond (consumers) and space (the producer) share."""
+    append costs O(1) and a poll O(batch). Every field is guarded by lock,
+    which cond (consumers) and space (the producer) share; waiting counts
+    the consumers asleep on cond."""
 
     def __init__(self, retention: int, groups: tuple[str, ...]) -> None:
         self.retention = retention
@@ -74,9 +77,10 @@ class _Topic:
         self.next_offset = 0
         self.committed: dict[str, int] = {}
         self.closed = False
-        lock = threading.Lock()
-        self.cond = threading.Condition(lock)
-        self.space = threading.Condition(lock)
+        self.waiting = 0
+        self.lock = threading.Lock()
+        self.cond = threading.Condition(self.lock)
+        self.space = threading.Condition(self.lock)
 
     def trim(self) -> None:
         """Drop every record all groups have committed, and wake the producer."""
@@ -116,25 +120,27 @@ class StreamLog:
             raise TopicMissing(name) from None
 
     def append(self, topic: str, payload: Any) -> int:
-        """Append one record and wake the topic's waiters; returns its
-        assigned offset. Blocks while the slowest group has retention
-        records uncommitted; raises TopicClosed once the topic is closed."""
+        """Append one record and wake the topic's waiting consumers, if
+        any; returns its assigned offset. Blocks while the slowest group
+        has retention records uncommitted; raises TopicClosed once the
+        topic is closed."""
         t = self._topic(topic)
-        with t.cond:
+        with t.lock:
             while not t.closed and len(t.payloads) >= t.retention:
                 t.space.wait()
             if t.closed:
                 raise TopicClosed(topic)
             t.payloads.append(payload)
             t.next_offset += 1
-            t.cond.notify_all()
+            if t.waiting:
+                t.cond.notify_all()
             return t.next_offset - 1
 
     def close(self, topic: str) -> None:
         """Mark the end of the topic's stream and wake every waiter, held-back
         appends too. Idempotent; the records held stay readable."""
         t = self._topic(topic)
-        with t.cond:
+        with t.lock:
             t.closed = True
             t.cond.notify_all()
             t.space.notify_all()
@@ -143,18 +149,22 @@ class StreamLog:
         """Block until a record exists at the handle's position (True), or
         until the topic is closed with nothing left to read (False)."""
         t = self._topic(handle.topic)
-        with t.cond:
+        with t.lock:
             while handle.position >= t.next_offset:
                 if t.closed:
                     return False
-                t.cond.wait()
+                t.waiting += 1
+                try:
+                    t.cond.wait()
+                finally:
+                    t.waiting -= 1
             return True
 
     def subscribe(self, topic: str, group: str) -> ConsumerHandle:
         """A new handle for one of the topic's groups, right after the
         group's last commit: offset 0 for a group that never committed."""
         t = self._topic(topic)
-        with t.cond:
+        with t.lock:
             if group not in t.groups:
                 raise ValueError(f"{topic}: {group!r} is not a group of this topic")
             return ConsumerHandle(topic=topic, group=group,
@@ -170,7 +180,7 @@ class StreamLog:
         if max_records <= 0:
             raise ValueError("max_records must be positive")
         t = self._topic(handle.topic)
-        with t.cond:
+        with t.lock:
             start = handle.position - t.base
             if start < 0:
                 raise ValueError(f"{handle.topic}/{handle.group}: position "
@@ -189,7 +199,7 @@ class StreamLog:
                 f"cannot commit {offset}: beyond last polled offset {handle.last_polled}"
             )
         t = self._topic(handle.topic)
-        with t.cond:
+        with t.lock:
             current = t.committed.get(handle.group)
             if current is not None and offset < current:
                 raise CommitRegression(
@@ -202,5 +212,5 @@ class StreamLog:
         """The offset of the oldest record the topic holds (the next offset
         when it holds none)."""
         t = self._topic(topic)
-        with t.cond:
+        with t.lock:
             return t.base

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import json
+import signal
 import sys
 import threading
 import time
@@ -238,6 +239,26 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
     monkeypatch.setattr(records, "header_line", counting)
     assert run_into("patched") == expected
     assert len(encoded) == len(read_lines(fixture))
+
+
+def test_replay_builds_one_window_assignment_per_window(tmp_path, monkeypatch):
+    """A window stage builds a WindowAssignment only for the record that
+    opens a window; every other record compares with the open window's end."""
+    fixtures = Path(__file__).parent / "fixtures"
+    config = load_config(fixtures / "replay_config.json")
+    built = []
+    assign = cli.cep.assign_tumbling_window
+
+    def counting(record, width_s):
+        built.append(record)
+        return assign(record, width_s)
+
+    monkeypatch.setattr(cli.cep, "assign_tumbling_window", counting)
+    report = run_replay(fixtures / "replay_fixture.jsonl",
+                        dataclasses.replace(config, output_dir=tmp_path / "out"))
+    windows = sum(n for chain in report["chains"].values() for n in chain["windows"].values())
+    samples = sum(n for chain in report["chains"].values() for n in chain["samples"].values())
+    assert len(built) == windows < samples
 
 
 @pytest.mark.parametrize("switch_interval_s", [None, 1e-6])
@@ -896,6 +917,29 @@ def test_main_exit_codes(tmp_path):
         with pytest.raises(SystemExit) as exited:
             main(["monitor", "--config", str(config), "--duration-s", "0.2", flag, value])
         assert exited.value.code == 2, (flag, value)
+
+
+def test_monitor_restores_the_signal_handlers_it_replaced(tmp_path):
+    config = write_config(tmp_path, [network_entry("a", 1)])
+    int_before, term_before = signal.getsignal(signal.SIGINT), signal.getsignal(signal.SIGTERM)
+    assert int_before is signal.default_int_handler
+    assert main(["monitor", "--config", str(config), "--duration-s", "0.2"]) == 0
+    assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+    assert signal.getsignal(signal.SIGTERM) == term_before
+
+
+@pytest.mark.parametrize("key,value", [("number", 5.7), ("base_fee_wei", 3.9), ("ts", "100"),
+                                       ("gas_used", True), ("number", -1)])
+def test_replay_of_a_value_that_is_not_a_json_integer_exits_2(tmp_path, capsys, key, value):
+    input_path, config_path = two_chain_fixture(tmp_path, blocks=5)
+    lines = input_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    bad = json.loads(lines[3])
+    bad[key] = value
+    lines[3] = json.dumps(bad) + "\n"
+    input_path.write_text("".join(lines), encoding="utf-8")
+    assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 2
+    assert f"line 4: {key} must be an integer >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "run_report.json").exists()
 
 
 def test_replay_malformed_line_after_valid_records_exits_2(tmp_path):

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -143,3 +147,32 @@ def test_summary_stats_enforces_ordering():
         SummaryStats(count=3, median=2.0, q1=1.0, q3=3.0, iqr=1.0, min=0.0, max=4.0)
     stats = SummaryStats(count=3, median=2.0, q1=1.0, q3=3.0, iqr=2.0, min=0.0, max=4.0)
     assert stats.iqr == stats.q3 - stats.q1
+
+
+_PICKLE_CHAIN = """
+import pickle, sys
+from evmon.model import ChainRef
+sys.stdout.buffer.write(pickle.dumps(ChainRef("arbitrum_like", 42161)))
+"""
+
+_LOOK_UP_CHAIN = """
+import pickle, sys
+from evmon.model import ChainRef
+chain = pickle.loads(sys.stdin.buffer.read())
+print({ChainRef("arbitrum_like", 42161): "found"}.get(chain, "missing"), hash(chain))
+"""
+
+
+def test_a_pickled_chain_ref_hashes_anew_where_it_is_loaded():
+    """A str hashes differently under another PYTHONHASHSEED, so a hash
+    cached in one process must not travel in a pickle to another."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def run(code, seed, data=None):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                              capture_output=True, check=True, timeout=60).stdout
+
+    found, loaded_hash = run(_LOOK_UP_CHAIN, 2, run(_PICKLE_CHAIN, 1)).decode().split()
+    assert found == "found"
+    assert loaded_hash != run("print(hash(('arbitrum_like', 42161)))", 1).decode().strip()

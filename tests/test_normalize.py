@@ -8,9 +8,12 @@ from evmon.model import (
     FeeQuantity,
     Flag,
     GasQuantity,
+    NormalizedBlockRecord,
     OverrideLimit,
     PriorityPolicy,
+    ReportedLimit,
 )
+from evmon.records import normalized_line
 from evmon.normalize import (
     Normalizer,
     ProfileMismatch,
@@ -170,3 +173,94 @@ def test_flags_present_iff_policies_active():
     # flag marks the active policy even when min(reported, override) = reported
     assert Flag.LIMIT_OVERRIDDEN in rollup.flags
     assert Flag.PRIORITY_EXCLUDED in rollup.flags
+
+
+# --- the set-building implementation, kept as the reference ------------------
+
+
+def reference_effective_gas_limit(header, profile):
+    flags = set()
+    policy = profile.limit_policy
+    if isinstance(policy, ReportedLimit):
+        effective = header.gas_limit
+    else:
+        effective = GasQuantity(min(header.gas_limit.value, policy.effective_limit.value))
+        flags.add(Flag.LIMIT_OVERRIDDEN)
+    if header.gas_used.value > effective.value:
+        flags.add(Flag.USAGE_EXCEEDS_EFFECTIVE_LIMIT)
+    return effective, frozenset(flags)
+
+
+def reference_effective_gas_price(header, profile, first_seen_base_fee=None):
+    flags = set()
+    base = header.base_fee_per_gas
+    if profile.priority_policy is PriorityPolicy.EXCLUDE:
+        price = base
+        flags.add(Flag.PRIORITY_EXCLUDED)
+    else:
+        tip = header.priority_fee_observed.value_wei if header.priority_fee_observed else 0
+        price = FeeQuantity(base.value_wei + tip)
+    if profile.constant_base_fee_expected:
+        reference = first_seen_base_fee if first_seen_base_fee is not None else base
+        if abs(base.value_wei - reference.value_wei) > profile.base_fee_tolerance_wei:
+            flags.add(Flag.BASE_FEE_DEVIATION)
+    return price, frozenset(flags)
+
+
+def reference_normalize_header(header, profile, first_seen_base_fee=None):
+    limit, limit_flags = reference_effective_gas_limit(header, profile)
+    price, price_flags = reference_effective_gas_price(header, profile, first_seen_base_fee)
+    return NormalizedBlockRecord(header=header, effective_gas_limit=limit,
+                                 effective_gas_price=price, flags=limit_flags | price_flags)
+
+
+@st.composite
+def policy_cases(draw):
+    """A header, a profile and a first-seen base fee, over every policy
+    combination: the override cap below, at and above the reported limit,
+    include and exclude, a tip that is None, 0 or positive, and a constant
+    base fee with a tolerance."""
+    limit = draw(st.integers(min_value=1, max_value=10**10))
+    used = draw(st.integers(min_value=0, max_value=limit))
+    base = draw(st.integers(min_value=0, max_value=10**12))
+    tip = draw(st.one_of(st.none(), st.just(0), st.integers(min_value=1, max_value=10**12)))
+    header = make_header(gas_used=used, gas_limit=limit, base_fee_wei=base, priority_fee_wei=tip)
+    cap = draw(st.one_of(
+        st.none(),
+        st.just(limit),
+        st.integers(min_value=1, max_value=limit),
+        st.integers(min_value=limit, max_value=2 * limit),
+    ))
+    profile = make_profile(
+        limit_policy=ReportedLimit() if cap is None else OverrideLimit(GasQuantity(cap)),
+        priority_policy=draw(st.sampled_from(PriorityPolicy)),
+        constant_base_fee_expected=draw(st.booleans()),
+        base_fee_tolerance_wei=draw(st.integers(min_value=0, max_value=10**6)),
+    )
+    first = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=10**12).map(FeeQuantity),
+                           st.integers(min_value=-10**6, max_value=10**6).map(
+                               lambda d: FeeQuantity(max(base + d, 0)))))
+    return header, profile, first
+
+
+@given(policy_cases())
+def test_normalize_matches_the_set_building_reference(case):
+    header, profile, first = case
+    assert effective_gas_limit(header, profile) == reference_effective_gas_limit(header, profile)
+    assert (effective_gas_price(header, profile, first)
+            == reference_effective_gas_price(header, profile, first))
+    record = normalize_header(header, profile, first)
+    expected = reference_normalize_header(header, profile, first)
+    assert record == expected
+    assert normalized_line(record) == normalized_line(expected)
+
+
+@given(st.lists(policy_cases(), min_size=1, max_size=5))
+def test_normalizer_matches_the_reference_over_a_stream(cases):
+    _, profile, _ = cases[0]
+    normalizer = Normalizer(profile)
+    first = cases[0][0].base_fee_per_gas
+    for header, _, _ in cases:
+        record = normalizer.normalize(header)
+        assert normalized_line(record) == normalized_line(
+            reference_normalize_header(header, profile, first))

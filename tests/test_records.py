@@ -156,11 +156,84 @@ def test_header_from_dict_shares_one_chain_ref_per_chain():
         RawBlockHeader(ChainRef("shared", 9), 0, 0, GasQuantity(1), GasQuantity(2), FeeQuantity(3))
     )
     first = header_from_dict(dict(line, number=1))
-    second = header_from_dict(dict(line, number=2, chain_id="9"))
+    second = header_from_dict(dict(line, number=2))
     assert first.chain is second.chain == ChainRef("shared", 9)
+    with pytest.raises(MalformedRecord):
+        header_from_dict(dict(line, number=2, chain_id="9"))
     assert header_from_dict(dict(line, chain_id=10)).chain == ChainRef("shared", 10)
     with pytest.raises(MalformedRecord):
         header_from_dict(dict(line, chain=["not", "a", "name"]))
+
+
+_HEADER = header_to_dict(RawBlockHeader(ChainRef("strict", 3), 7, 100, GasQuantity(5),
+                                        GasQuantity(10), FeeQuantity(4), FeeQuantity(1)))
+_NOT_UINTS = [5.7, 5.0, 3.9, "100", True, False, -1, None, [5]]
+
+
+@pytest.mark.parametrize("key", ["chain_id", "number", "ts", "gas_used", "gas_limit",
+                                 "base_fee_wei", "priority_fee_wei"])
+@pytest.mark.parametrize("value", _NOT_UINTS)
+def test_header_from_dict_takes_only_json_integers_of_zero_or_more(key, value):
+    if key == "priority_fee_wei" and value is None:
+        assert header_from_dict(dict(_HEADER, priority_fee_wei=None)).priority_fee_observed is None
+        return
+    with pytest.raises(MalformedRecord, match=key):
+        header_from_dict(dict(_HEADER, **{key: value}))
+
+
+@pytest.mark.parametrize("name", [5, None, ["x"], True])
+def test_record_decoders_take_only_a_string_chain_name(name):
+    with pytest.raises(MalformedRecord):
+        header_from_dict(dict(_HEADER, chain=name))
+    sample = sample_to_dict(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 1.5))
+    with pytest.raises(MalformedRecord):
+        sample_from_dict(dict(sample, chain=name))
+
+
+@pytest.mark.parametrize("value", _NOT_UINTS)
+def test_normalized_from_dict_takes_only_json_integers_of_zero_or_more(value):
+    obj = normalized_to_dict(NormalizedBlockRecord(header_from_dict(_HEADER), GasQuantity(10),
+                                                   FeeQuantity(4), frozenset()))
+    assert normalized_from_dict(obj).effective_gas_limit == GasQuantity(10)
+    for key in ("eff_limit", "eff_price_wei"):
+        with pytest.raises(MalformedRecord, match=key):
+            normalized_from_dict(dict(obj, **{key: value}))
+    with pytest.raises(MalformedRecord, match="flags"):
+        normalized_from_dict(dict(obj, flags="limit_overridden"))
+
+
+@pytest.mark.parametrize("key", ["chain_id", "number", "ts"])
+@pytest.mark.parametrize("value", _NOT_UINTS)
+def test_sample_from_dict_takes_only_json_integers_of_zero_or_more(key, value):
+    obj = sample_to_dict(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 1.5))
+    with pytest.raises(MalformedRecord, match=key):
+        sample_from_dict(dict(obj, **{key: value}))
+
+
+@pytest.mark.parametrize("value", ["1.5", True, None, [1.5]])
+def test_sample_value_must_be_a_json_number(value):
+    obj = sample_to_dict(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 1.5))
+    assert sample_from_dict(dict(obj, value=2)).value == 2.0
+    with pytest.raises(MalformedRecord, match="value"):
+        sample_from_dict(dict(obj, value=value))
+
+
+def test_window_summary_from_dict_is_strict():
+    summary = WindowSummary(ChainRef("c", 5), MetricKind.BLOCK_USAGE_RATIO, 600, 900,
+                            SummaryStats(count=4, median=0.5, q1=0.25, q3=0.75, iqr=0.5,
+                                         min=0.1, max=0.9), partial=True)
+    obj = window_summary_to_dict(summary)
+    for key in ("chain_id", "window_start", "window_end", "count"):
+        for value in _NOT_UINTS:
+            with pytest.raises(MalformedRecord, match=key):
+                window_summary_from_dict(dict(obj, **{key: value}))
+    for key in ("median", "q1", "q3", "iqr", "min", "max"):
+        for value in ("0.5", True, None):
+            with pytest.raises(MalformedRecord, match=key):
+                window_summary_from_dict(dict(obj, **{key: value}))
+    for value in (1, 0, "true", None):
+        with pytest.raises(MalformedRecord, match="partial"):
+            window_summary_from_dict(dict(obj, partial=value))
 
 
 def test_window_summary_round_trip():

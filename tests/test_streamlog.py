@@ -440,3 +440,66 @@ def test_registered_groups_see_every_record_through_a_tiny_retention():
         sys.setswitchinterval(switch_interval)
     assert not any(t.is_alive() for t in consumers)
     assert seen == {g: list(range(total)) for g in ("g0", "g1")}
+
+
+@pytest.mark.parametrize("retention", [1, 2, 3, 100_000])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_consumer_alternating_poll_and_wait_sees_every_burst(retention, seed):
+    """A producer appends seeded bursts with pauses between them, so the
+    consumer keeps catching up and sleeping in wait, where only an append
+    that finds it counted as waiting wakes it. At retention 1-3 the
+    producer is also held back, and only the consumer's commit wakes it.
+    The consumer catches up before the close and sees every record once,
+    in order, then the end. A lost wake-up of the consumer fails the
+    catch-up; one of the producer hangs, and hang_guard ends the run."""
+    broker = fresh(retention=retention)
+    rng = random.Random(seed)
+    bursts = [rng.randint(1, 40) for _ in range(60)]
+    seen = []
+
+    def consume():
+        batch_sizes = random.Random(seed + 1)
+        handle = broker.subscribe("t", "g")
+        while True:
+            batch = broker.poll(handle, batch_sizes.randint(1, 8))
+            if batch:
+                seen.extend(payload for _, payload in batch)
+                broker.commit(handle, batch[-1][0])
+            elif not broker.wait(handle):
+                return
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
+        n = 0
+        for size in bursts:
+            for _ in range(size):
+                broker.append("t", n)
+                n += 1
+            time.sleep(rng.choice((0, 0, 0.0005)))  # a pause lets the consumer wait
+        deadline = time.monotonic() + 10
+        while len(seen) < n and time.monotonic() < deadline:  # woken by appends alone
+            time.sleep(0.001)
+        caught_up = len(seen)
+        broker.close("t")
+        consumer.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not consumer.is_alive()
+    assert caught_up == n
+    assert seen == list(range(n))
+
+
+def test_an_append_with_no_consumer_waiting_notifies_no_one(monkeypatch):
+    notified = []
+    notify_all = threading.Condition.notify_all
+    monkeypatch.setattr(threading.Condition, "notify_all",
+                        lambda self: (notified.append(self), notify_all(self))[1])
+    broker = fresh()
+    handle = broker.subscribe("t", "g")
+    for i in range(100):
+        broker.append("t", i)
+    assert [p for _, p in broker.poll(handle, 200)] == list(range(100))
+    assert notified == []  # no consumer was waiting
