@@ -1,18 +1,19 @@
 """Minimal complex-event-processing framework: typed operator chains.
 
 A Pipeline is a source plus an ordered list of stages (Map, TumblingWindow,
-Sink) ending in exactly one Sink. Windowing is event-time, keyed by chain:
-the watermark per key is the maximum record timestamp seen, a window
-[start, start+width) flushes when a record with timestamp >= its end
-arrives for that key, and all open windows flush when the stream ends
-(marked partial). A TumblingWindow owns its aggregate: each
-flushed window leaves the stage only as the value of the window's fn.
-Records whose timestamp falls behind the key's watermark are late; since
-upstream ingest guarantees per-chain order, lateness indicates an upstream
-defect and such records go to the dead-letter diagnostics rather than
-terminating the stream, as do records (or windows) a stage function fails
-on. An exception from the source or the sink aborts the run, and the
-PipelineFailure it raises carries the counts so far.
+Sink) ending in exactly one Sink. A pipeline serves one stream (evmon
+builds one per chain), so a window stage keeps one event-time watermark,
+the maximum record timestamp seen: a window [start, start+width) flushes
+when a record with timestamp >= its end arrives, and the open window
+flushes when the stream ends (marked partial). A TumblingWindow owns its
+aggregate: each flushed window leaves the stage only as the value of the
+window's fn. Records whose timestamp falls behind the watermark are late;
+since upstream ingest guarantees per-chain order, lateness indicates an
+upstream defect and such records go to the dead-letter diagnostics rather
+than terminating the stream, as do records (or windows) a stage function
+fails on. An exception from the source or the sink, or an OSError from any
+stage function (a failed write), aborts the run, and the PipelineFailure
+it raises carries the counts so far.
 
 The engine is push-driven: a PipelineRun carries each record through
 every stage in the caller's thread, and run_pipeline feeds one from a
@@ -22,46 +23,21 @@ to several pipelines in one thread, with no queue between them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Protocol
-
-
-class KeyedRecord(Protocol):
-    """What window stages need from a record."""
-
-    @property
-    def chain(self) -> Any: ...
-
-    @property
-    def timestamp(self) -> int: ...
-
-
-@dataclass(frozen=True)
-class WindowAssignment:
-    """The single tumbling window a record falls into, for its key."""
-
-    key: Any
-    start: int
-    end: int
-
-
-def assign_tumbling_window(record: KeyedRecord, width_s: int) -> WindowAssignment:
-    """Window [floor(ts / width) * width, +width) for the record's chain."""
-    if width_s <= 0:
-        raise ValueError(f"window width must be positive, got {width_s}")
-    start = (record.timestamp // width_s) * width_s
-    return WindowAssignment(key=record.chain, start=start, end=start + width_s)
+from typing import Any, Callable, Iterable
 
 
 @dataclass(frozen=True)
 class FlushedWindow:
-    """A closed window handed to its TumblingWindow's aggregate.
+    """A closed window [start, end) handed to its TumblingWindow's aggregate.
 
     partial is True when the flush came from the end of the stream (finish,
     at shutdown or source exhaustion) rather than from the watermark.
     """
 
-    assignment: WindowAssignment
+    start: int
+    end: int
     records: tuple
     partial: bool
 
@@ -78,6 +54,10 @@ class TumblingWindow:
 
     width_s: int
     fn: Callable[[FlushedWindow], Any]
+
+    def __post_init__(self) -> None:
+        if self.width_s <= 0:
+            raise ValueError(f"window width must be positive, got {self.width_s}")
 
 
 @dataclass(frozen=True)
@@ -129,11 +109,14 @@ Push = Callable[[Any], None]
 
 
 def _map(fn: Callable[[Any], Any], index: int, report: RunReport, downstream: Push) -> Push:
-    """Push fn(record) downstream; a record fn fails on becomes a dead letter."""
+    """Push fn(record) downstream; a record fn fails on becomes a dead letter,
+    except for an OSError (a failed write), which aborts the run."""
 
     def push(record: Any) -> None:
         try:
             value = fn(record)
+        except OSError:
+            raise
         except Exception as exc:  # noqa: BLE001 - per-record isolation is the contract
             report.dead_letters.append(DeadLetter(index, record, f"map: {exc}"))
             return
@@ -143,54 +126,40 @@ def _map(fn: Callable[[Any], Any], index: int, report: RunReport, downstream: Pu
     return push
 
 
-class _KeyState:
-    """One key's watermark and open window, if any, in a window stage."""
-
-    __slots__ = ("watermark", "window", "records")
-
-    def __init__(self, watermark: int) -> None:
-        self.watermark = watermark
-        self.window: WindowAssignment | None = None
-        self.records: list = []
-
-
 def _window(width_s: int, index: int, report: RunReport,
             emit: Push) -> tuple[Push, Callable[[], None]]:
     """A window stage's push and end-of-stream flush, which emit closed windows.
 
-    Only a record that opens a window builds its WindowAssignment; every
-    other record falls in its key's open window while its timestamp is
-    below that window's end.
+    The stream has one watermark and at most one open window. A record
+    below the open window's end joins it; one at or past the end closes
+    it and opens [floor(ts / width) * width, +width).
     """
-    keys: dict[Any, _KeyState] = {}
+    watermark: float = -math.inf
+    start, end = 0, -math.inf
+    members: list = []  # the open window's records; empty when none is open
 
-    def push(record: KeyedRecord) -> None:
+    def push(record: Any) -> None:
+        nonlocal watermark, start, end, members
         ts = record.timestamp
-        state = keys.get(record.chain)
-        if state is None:
-            state = keys[record.chain] = _KeyState(ts)
-        elif ts < state.watermark:
+        if ts < watermark:
             report.dead_letters.append(
-                DeadLetter(index, record, f"late: ts {ts} behind watermark {state.watermark}")
+                DeadLetter(index, record, f"late: ts {ts} behind watermark {watermark}")
             )
             return
-        state.watermark = ts
-        window = state.window
-        if window is None or ts >= window.end:
-            if window is not None:
-                emit(FlushedWindow(assignment=window, records=tuple(state.records),
-                                   partial=False))
-            state.window = assign_tumbling_window(record, width_s)
-            state.records = []
-        state.records.append(record)
+        watermark = ts
+        if ts >= end:
+            if members:
+                emit(FlushedWindow(start, end, tuple(members), partial=False))
+            start = (ts // width_s) * width_s
+            end = start + width_s
+            members = []
+        members.append(record)
 
     def flush() -> None:
-        for key in sorted(keys, key=repr):  # a deterministic key order
-            state = keys[key]
-            if state.window is not None:
-                window, state.window = state.window, None
-                emit(FlushedWindow(assignment=window, records=tuple(state.records),
-                                   partial=True))
+        nonlocal members
+        if members:
+            closed, members = tuple(members), []
+            emit(FlushedWindow(start, end, closed, partial=True))
 
     return push, flush
 
@@ -198,8 +167,9 @@ def _window(width_s: int, index: int, report: RunReport,
 class PipelineRun:
     """A stage tuple driven by push: each record passes every stage before
     push returns; finish() flushes open windows as partial and returns the
-    report. A sink exception raises PipelineFailure with the report so far;
-    map and window aggregate fail per record, into dead letters."""
+    report. A sink exception, or an OSError from a stage function, raises
+    PipelineFailure with the report so far; any other failure of a map or
+    window aggregate is per record, into dead letters."""
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         if not stages or not isinstance(stages[-1], Sink):

@@ -8,8 +8,8 @@ of the raw topics differs: an ingest poll loop per chain for monitor, one
 streaming pass over a recorded JSONL file for replay. Each chain's files
 have one writer thread, which writes in offset order, so replay's outputs
 are byte-identical across runs. topic_retention is how far a producer may
-run ahead of its chain's consumer. A metric pipeline whose sink fails is
-dropped; when normalize ends, the consumer closes its raw topic, which
+run ahead of its chain's consumer. A metric pipeline whose file write fails
+is dropped; when normalize ends, the consumer closes its raw topic, which
 stops the chain's producer, and flushes the metric pipelines' windows.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
@@ -228,7 +228,7 @@ def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
     return (cep.Map(tap_raw), cep.Map(normalizer.normalize), cep.Sink(publish))
 
 
-def _metric_stages(kind: MetricKind, window_s: int, files: dict[str, TextIO],
+def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict[str, TextIO],
                    collector: array) -> tuple[cep.Stage, ...]:
     sample_file, window_file = files[f"{kind.value}.jsonl"], files[f"{kind.value}_windows.jsonl"]
     make_sample = (
@@ -244,10 +244,10 @@ def _metric_stages(kind: MetricKind, window_s: int, files: dict[str, TextIO],
 
     def aggregate(window: cep.FlushedWindow) -> WindowSummary:
         return WindowSummary(
-            chain=window.assignment.key,
+            chain=chain,
             kind=kind,
-            window_start=window.assignment.start,
-            window_end=window.assignment.end,
+            window_start=window.start,
+            window_end=window.end,
             stats=metrics.summarize_samples(window.records),
             partial=window.partial,
         )
@@ -298,7 +298,7 @@ def _start_consumer(
     for kind in METRIC_KINDS:
         outcome.full_run_values[kind.value] = collector = array("d")
         metric_runs[kind.value] = cep.PipelineRun(
-            _metric_stages(kind, config.window_s, files, collector))
+            _metric_stages(profile.chain, kind, config.window_s, files, collector))
 
     def failed(name: str, exc: cep.PipelineFailure) -> None:
         metric_runs.pop(name, None)
@@ -374,7 +374,7 @@ def _write_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict
         full_run: dict[str, Any] = {}
         for kind in METRIC_KINDS:
             report = outcome.reports[kind.value]
-            samples[kind.value] = report.stage_out[0]
+            samples[kind.value] = report.stage_out[1]  # the samples tap wrote
             windows[kind.value] = report.records_out
             values = outcome.full_run_values[kind.value]
             full_run[kind.value] = (

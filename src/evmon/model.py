@@ -24,10 +24,10 @@ class InvalidProfile(ValueError):
 class ChainRef:
     """One monitored network: a short name plus its EVM chain id.
 
-    Every record carries its chain, and the line writers and window
-    stages key dicts by it, so the hash is computed once, at
-    construction. A str hashes differently in each process, so a pickle
-    carries only the two fields and the loading process hashes them anew.
+    Every record carries its chain, and the line writers key a dict by
+    it, so the hash is computed once, at construction. A str hashes
+    differently in each process, so a pickle carries only the two fields
+    and the loading process hashes them anew.
     """
 
     name: str

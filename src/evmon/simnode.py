@@ -19,6 +19,7 @@ priority-fee estimate when a priority model is configured.
 
 from __future__ import annotations
 
+import bisect
 import json
 import socket
 import threading
@@ -228,10 +229,6 @@ class ManualClock:
         with self._lock:
             self._now += seconds
 
-    def set(self, t: float) -> None:
-        with self._lock:
-            self._now = t
-
 
 class ScaledClock:
     """Virtual time advancing at rate x real time from a fixed start."""
@@ -259,15 +256,9 @@ class _Ledger:
     def head_number(self) -> int:
         """Highest block whose timestamp <= the clock; genesis is always
         visible (a node has its genesis from the start)."""
-        now = self.clock.now()
-        lo, hi = 0, len(self.headers) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.headers[mid].timestamp <= now:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        visible = bisect.bisect_right(self.headers, self.clock.now(),
+                                      key=lambda header: header.timestamp)
+        return max(visible - 1, 0)
 
     def block_at(self, number: int) -> RawBlockHeader | None:
         if number < 0 or number > self.head_number():

@@ -12,8 +12,6 @@ from evmon.cep import (
     PipelineFailure,
     Sink,
     TumblingWindow,
-    WindowAssignment,
-    assign_tumbling_window,
     run_pipeline,
 )
 from evmon.metrics import gas_price_sample, summarize_samples
@@ -25,26 +23,35 @@ def headers(n, chain=TEST_CHAIN, interval=30):
     return [make_header(number=i, timestamp=1000 + i * interval, chain=chain) for i in range(n)]
 
 
+def windows_of(records, width_s):
+    """The windows a TumblingWindow stage flushes for records, in order."""
+    flushed = []
+    run_pipeline(Pipeline(source=records, stages=(TumblingWindow(width_s, lambda fw: fw),
+                                                  collecting_sink(flushed))))
+    return flushed
+
+
 def test_window_assignment_floor_rule():
-    record = make_header(timestamp=125)
-    assert assign_tumbling_window(record, 60).start == 120
-    assert assign_tumbling_window(record, 60).end == 180
-
-
-def test_window_boundary_belongs_to_own_window():
-    record = make_header(timestamp=120)
-    window = assign_tumbling_window(record, 60)
+    (window,) = windows_of([make_header(timestamp=125)], 60)
     assert (window.start, window.end) == (120, 180)
 
 
+def test_window_boundary_belongs_to_own_window():
+    before, at = make_header(number=0, timestamp=119), make_header(number=1, timestamp=120)
+    first, second = windows_of([before, at], 60)
+    assert (first.start, first.end, first.records) == (60, 120, (before,))
+    assert (second.start, second.end, second.records) == (120, 180, (at,))
+
+
 def test_window_origin():
-    window = assign_tumbling_window(make_header(timestamp=0), 3600)
+    (window,) = windows_of([make_header(timestamp=0)], 3600)
     assert (window.start, window.end) == (0, 3600)
 
 
 def test_window_rejects_nonpositive_width():
-    with pytest.raises(ValueError):
-        assign_tumbling_window(make_header(), 0)
+    for width_s in (0, -60):
+        with pytest.raises(ValueError, match="window width must be positive"):
+            TumblingWindow(width_s, lambda fw: fw)
 
 
 def collecting_sink(into):
@@ -105,7 +112,7 @@ def test_window_flushes_when_timestamp_passes_end():
     first, last = flushed
     assert first.partial is False
     assert len(first.records) == 2
-    assert (first.assignment.start, first.assignment.end) == (0, 60)
+    assert (first.start, first.end) == (0, 60)
     assert last.partial is True  # open window flushed at exhaustion
     assert len(last.records) == 1
     assert len(report.dead_letters) == 0
@@ -143,6 +150,22 @@ def test_sink_failure_aborts_with_report():
     assert excinfo.value.report.records_in >= 1
 
 
+@pytest.mark.parametrize("stage,records_in", [(Map, 1), (lambda fn: TumblingWindow(60, fn), 2)],
+                         ids=["map", "window"])
+def test_stage_oserror_aborts_with_report(stage, records_in):
+    """An OSError from a stage function is a failed write: it aborts the
+    run like a sink failure instead of becoming a dead letter."""
+    def disk_full(value):
+        raise OSError("disk full")
+
+    # one header every 30 s from 1000: the second closes the first 60 s window
+    with pytest.raises(PipelineFailure) as excinfo:
+        run_pipeline(Pipeline(source=headers(5), stages=(stage(disk_full), collecting_sink([]))))
+    assert isinstance(excinfo.value.cause, OSError)
+    assert excinfo.value.report.records_in == records_in
+    assert excinfo.value.report.dead_letters == []
+
+
 def test_source_failure_aborts_with_report():
     def failing_source(k):
         yield from headers(k)
@@ -161,7 +184,7 @@ def test_aggregate_failure_goes_to_dead_letters_at_window_stage():
     records = [make_header(number=i, timestamp=i * 60) for i in range(4)]
 
     def count_or_explode(window):
-        if window.assignment.start == 60:
+        if window.start == 60:
             raise RuntimeError("boom")
         return len(window.records)
 
@@ -175,7 +198,7 @@ def test_aggregate_failure_goes_to_dead_letters_at_window_stage():
     assert len(report.dead_letters) == 1
     dead = report.dead_letters[0]
     assert dead.stage_index == 1
-    assert dead.record.assignment.start == 60
+    assert dead.record.start == 60
     assert report.stage_out == [4, 3, 3]
 
 
@@ -219,17 +242,16 @@ def test_windows_tile_time_range_disjointly():
         Pipeline(source=ledger,
                  stages=(TumblingWindow(60, lambda fw: fw), collecting_sink(flushed)))
     )
-    spans = [(fw.assignment.start, fw.assignment.end) for fw in flushed]
+    spans = [(fw.start, fw.end) for fw in flushed]
     for (_, prev_end), (start, _) in zip(spans, spans[1:]):
         assert start >= prev_end
     for fw in flushed:
         for record in fw.records:
-            assert fw.assignment.start <= record.timestamp < fw.assignment.end
+            assert fw.start <= record.timestamp < fw.end
 
 
 @dataclass(frozen=True)
 class Event:
-    chain: str
     timestamp: int
     seq: int
 
@@ -238,16 +260,15 @@ def reference_run(events, width, map_fails, aggregate_fails):
     """The engine's contract for (Map, TumblingWindow, Sink) as one plain
     loop over lists: (sink outputs, stage_out, dead letters)."""
     out, stage_out, dead = [], [0, 0, 0], []
-    open_windows, watermarks = {}, {}
+    open_window, watermark = None, None
 
-    def aggregate(key, start, members, partial):
+    def aggregate(start, members, partial):
         if start // width in aggregate_fails:
-            window = FlushedWindow(WindowAssignment(key, start, start + width),
-                                   tuple(members), partial)
+            window = FlushedWindow(start, start + width, tuple(members), partial)
             dead.append((1, f"map: window {start}", window))
         else:
             stage_out[1] += 1
-            out.append((key, start, [e.seq for e in members], partial))
+            out.append((start, [e.seq for e in members], partial))
             stage_out[2] += 1
 
     for event in events:
@@ -255,29 +276,32 @@ def reference_run(events, width, map_fails, aggregate_fails):
             dead.append((0, f"map: event {event.seq}", event))
             continue
         stage_out[0] += 1
-        key, ts = event.chain, event.timestamp
-        if key in watermarks and ts < watermarks[key]:
-            dead.append((1, f"late: ts {ts} behind watermark {watermarks[key]}", event))
+        ts = event.timestamp
+        if watermark is not None and ts < watermark:
+            dead.append((1, f"late: ts {ts} behind watermark {watermark}", event))
             continue
-        watermarks[key] = ts
+        watermark = ts
         start = ts - ts % width
-        if key in open_windows and open_windows[key][0] < start:
-            aggregate(key, *open_windows.pop(key), False)
-        open_windows.setdefault(key, (start, []))[1].append(event)
-    for key in sorted(open_windows, key=repr):
-        aggregate(key, *open_windows[key], True)
+        if open_window is not None and open_window[0] < start:
+            aggregate(*open_window, False)
+            open_window = None
+        if open_window is None:
+            open_window = (start, [])
+        open_window[1].append(event)
+    if open_window is not None:
+        aggregate(*open_window, True)
     return out, stage_out, dead
 
 
 @settings(max_examples=200, deadline=None)
 @given(
-    stamps=st.lists(st.tuples(st.sampled_from("ab"), st.integers(0, 300)), max_size=60),
+    stamps=st.lists(st.integers(0, 300), max_size=60),
     width=st.integers(1, 90),
     map_fails=st.sets(st.integers(0, 59), max_size=10),
     aggregate_fails=st.sets(st.integers(0, 300), max_size=10),
 )
 def test_push_engine_matches_reference_model(stamps, width, map_fails, aggregate_fails):
-    events = [Event(chain, ts, seq) for seq, (chain, ts) in enumerate(stamps)]
+    events = [Event(ts, seq) for seq, ts in enumerate(stamps)]
 
     def check(event):
         if event.seq in map_fails:
@@ -285,10 +309,9 @@ def test_push_engine_matches_reference_model(stamps, width, map_fails, aggregate
         return event
 
     def aggregate(window):
-        start = window.assignment.start
-        if start // width in aggregate_fails:
-            raise RuntimeError(f"window {start}")
-        return (window.assignment.key, start, [e.seq for e in window.records], window.partial)
+        if window.start // width in aggregate_fails:
+            raise RuntimeError(f"window {window.start}")
+        return (window.start, [e.seq for e in window.records], window.partial)
 
     out = []
     report = run_pipeline(Pipeline(source=events, stages=(

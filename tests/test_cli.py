@@ -241,19 +241,19 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
     assert len(encoded) == len(read_lines(fixture))
 
 
-def test_replay_builds_one_window_assignment_per_window(tmp_path, monkeypatch):
-    """A window stage builds a WindowAssignment only for the record that
-    opens a window; every other record compares with the open window's end."""
+def test_replay_builds_one_flushed_window_per_window(tmp_path, monkeypatch):
+    """A window stage builds a FlushedWindow only when it closes a window;
+    every other record joins the open window's member list."""
     fixtures = Path(__file__).parent / "fixtures"
     config = load_config(fixtures / "replay_config.json")
     built = []
-    assign = cli.cep.assign_tumbling_window
+    flushed_window = cli.cep.FlushedWindow
 
-    def counting(record, width_s):
-        built.append(record)
-        return assign(record, width_s)
+    def counting(*args, **kwargs):
+        built.append(flushed_window(*args, **kwargs))
+        return built[-1]
 
-    monkeypatch.setattr(cli.cep, "assign_tumbling_window", counting)
+    monkeypatch.setattr(cli.cep, "FlushedWindow", counting)
     report = run_replay(fixtures / "replay_fixture.jsonl",
                         dataclasses.replace(config, output_dir=tmp_path / "out"))
     windows = sum(n for chain in report["chains"].values() for n in chain["windows"].values())
@@ -353,6 +353,56 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
     eth = report["chains"]["ethereum_like"]
     assert eth["errors"] == []
     assert eth["raw_records"] == eth["normalized_records"] == eth["blocks_ingested"] == 200
+
+
+@pytest.mark.parametrize("chain,name", [
+    ("arbitrum_like", "raw.jsonl"),
+    ("ethereum_like", "gas_price_gwei.jsonl"),
+    ("ethereum_like", "block_usage_ratio.jsonl"),
+])
+def test_replay_aborts_a_pipeline_whose_series_write_fails(tmp_path, monkeypatch, chain, name):
+    """A failed per-block write aborts the pipeline that writes the file,
+    as a failed window or normalized write does: the error names the
+    pipeline, no dead letter hides the gap, and every count in the report
+    equals the lines in its file. A dead normalize stops the chain's feed."""
+    fixtures = Path(__file__).parent / "fixtures"
+    config = dataclasses.replace(load_config(fixtures / "replay_config.json"),
+                                 output_dir=tmp_path)
+    pipeline = "normalize" if name == "raw.jsonl" else name.removesuffix(".jsonl")
+    writer = "header_line" if pipeline == "normalize" else "sample_line"
+    write_line = getattr(records, writer)
+    calls = []
+
+    def disk_full_on_50th_line(record):
+        # chains run concurrently, so only a per-chain count is deterministic
+        kind = getattr(record, "kind", None)
+        if record.chain.name == chain and (kind is None or kind.value == pipeline):
+            calls.append(record)
+            if len(calls) == 50:
+                raise OSError("disk full")
+        return write_line(record)
+
+    monkeypatch.setattr(records, writer, disk_full_on_50th_line)
+    report = run_replay(fixtures / "replay_fixture.jsonl", config)
+    entry = report["chains"][chain]
+    assert entry["errors"] == [f"{pipeline}: disk full"]
+    assert entry["dead_letters"] == 0
+    chain_dir = tmp_path / chain
+    assert len(read_lines(chain_dir / name)) == 49
+    assert entry["normalized_records"] == len(read_lines(chain_dir / "normalized.jsonl"))
+    for kind in MetricKind:
+        assert entry["samples"][kind.value] == len(read_lines(chain_dir / f"{kind.value}.jsonl"))
+        assert entry["windows"][kind.value] == len(
+            read_lines(chain_dir / f"{kind.value}_windows.jsonl"))
+    if pipeline == "normalize":
+        # the consumer took no record after the failed one
+        assert (entry["raw_records"], entry["normalized_records"]) == (50, 49)
+    else:
+        assert entry["normalized_records"] == 200
+        assert {k: n == 49 for k, n in entry["samples"].items()} == {
+            kind.value: kind.value == pipeline for kind in MetricKind}
+    others = [e for c, e in report["chains"].items() if c != chain]
+    assert others and all(e["errors"] == [] and e["normalized_records"] == 200 for e in others)
 
 
 def test_replay_empty_input(tmp_path):

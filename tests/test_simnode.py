@@ -337,3 +337,20 @@ def test_ledger_client_round_trips_full_scenario():
     assert client.head_number() == 999
     decoded = [client.fetch_block(n) for n in range(1000)]
     assert decoded == ledger
+
+
+@pytest.mark.parametrize("offset_s,head", [
+    (-1000, 0),  # before genesis: genesis is still visible
+    (0, 0),
+    (10 * 12, 10),  # exactly at block 10's timestamp
+    (10 * 12 + 11, 10),
+    (10 * 12 + 12, 11),
+    (49 * 12, 49),  # the last block
+    (10**7, 49),  # long past the last block
+])
+def test_ledger_head_follows_the_clock(offset_s, head):
+    scenario = constant_fee_scenario(block_count=50, block_interval_s=12)
+    client = LedgerRpcClient(generate_scenario(scenario),
+                             ManualClock(scenario.start_time_s + offset_s), scenario.chain)
+    assert client.head_number() == head
+    assert client.fetch_block(head).number == head
