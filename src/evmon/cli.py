@@ -120,7 +120,7 @@ def _profile_from_dict(obj: Any) -> NetworkProfile:
         raise ConfigParse(f"network {name!r}: {exc}") from None
     where = f"network {name!r}: "
     return NetworkProfile(
-        chain=ChainRef(name=obj["name"], chain_id=_config_int(obj, "chain_id", None, where)),
+        chain=records.chain_ref(obj["name"], _config_int(obj, "chain_id", None, where)),
         rpc_url=obj["rpc_url"],
         poll_interval_ms=_config_int(obj, "poll_interval_ms", 1000, where),
         limit_policy=limit_policy,
@@ -294,20 +294,23 @@ def _start_consumer(
     chain = profile.chain.name
     raw_topic = _raw_topic(chain)
     files = _open_chain_files(stack, config.output_dir / chain)
-    metric_runs: dict[str, cep.PipelineRun] = {}
+    # (name, run) of each metric pipeline still running. failed() binds a
+    # new tuple, so a loop over the old one goes on undisturbed.
+    metric_runs: tuple[tuple[str, cep.PipelineRun], ...] = ()
     for kind in METRIC_KINDS:
         outcome.full_run_values[kind.value] = collector = array("d")
-        metric_runs[kind.value] = cep.PipelineRun(
-            _metric_stages(profile.chain, kind, config.window_s, files, collector))
+        metric_runs += ((kind.value, cep.PipelineRun(
+            _metric_stages(profile.chain, kind, config.window_s, files, collector))),)
 
     def failed(name: str, exc: cep.PipelineFailure) -> None:
-        metric_runs.pop(name, None)
+        nonlocal metric_runs
+        metric_runs = tuple(entry for entry in metric_runs if entry[0] != name)
         outcome.reports[name] = exc.report
         outcome.errors.append(f"{name}: {exc.cause}")
         log.exception("%s: %s pipeline failed", chain, name)
 
     def fan_out(record: NormalizedBlockRecord) -> None:
-        for name, run in list(metric_runs.items()):
+        for name, run in metric_runs:
             try:
                 run.push(record)
             except cep.PipelineFailure as exc:
@@ -323,7 +326,7 @@ def _start_consumer(
             failed("normalize", exc)
         finally:
             broker.close(raw_topic)
-            for name, run in list(metric_runs.items()):
+            for name, run in metric_runs:
                 try:
                     outcome.reports[name] = run.finish()
                 except cep.PipelineFailure as exc:
@@ -382,7 +385,7 @@ def _write_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict
             )
         chains[chain] = {
             "blocks_ingested": outcome.blocks_ingested,
-            "raw_records": norm.records_in,
+            "raw_records": norm.stage_out[0],  # the lines tap_raw wrote
             "normalized_records": norm.records_out,
             "samples": samples,
             "windows": windows,
@@ -477,13 +480,16 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
         raise FileNotFoundError(f"no input file {input_path}")
 
     def feed(broker: StreamLog, outcomes: dict[str, _ChainOutcome]) -> None:
+        targets = {chain: (_raw_topic(chain), outcome) for chain, outcome in outcomes.items()}
         for header in records.read_jsonl(input_path, records.header_from_dict):
-            chain = header.chain.name
-            if chain not in outcomes:
-                raise InputDataError(f"input contains chain {chain!r} with no configured profile")
-            outcomes[chain].blocks_ingested += 1
+            target = targets.get(header.chain.name)
+            if target is None:
+                raise InputDataError(f"input contains chain {header.chain.name!r} "
+                                     "with no configured profile")
+            topic, outcome = target
+            outcome.blocks_ingested += 1
             try:
-                broker.append(_raw_topic(chain), header)
+                broker.append(topic, header)
             except TopicClosed:
                 pass  # its normalize consumer died; the record is still counted
 

@@ -116,15 +116,9 @@ def decode_block_fields(chain: ChainRef, obj: dict[str, Any]) -> RawBlockHeader:
             priority = FeeQuantity(parse_quantity(obj["priorityFeeObserved"]))
         except MalformedQuantity as exc:
             raise InvalidHeader(f"field priorityFeeObserved: {exc}") from None
-    return RawBlockHeader(
-        chain=chain,
-        number=fields["number"],
-        timestamp=fields["timestamp"],
-        gas_used=GasQuantity(fields["gasUsed"]),
-        gas_limit=GasQuantity(fields["gasLimit"]),
-        base_fee_per_gas=FeeQuantity(fields["baseFeePerGas"]),
-        priority_fee_observed=priority,
-    )
+    return RawBlockHeader(chain, fields["number"], fields["timestamp"],
+                          GasQuantity(fields["gasUsed"]), GasQuantity(fields["gasLimit"]),
+                          FeeQuantity(fields["baseFeePerGas"]), priority)
 
 
 class BlockSource(Protocol):

@@ -32,13 +32,8 @@ class ZeroLimit(ValueError):
 def gas_price_sample(record: NormalizedBlockRecord) -> MetricSample:
     """Effective gas price of the block, in gwei."""
     header = record.header
-    return MetricSample(
-        chain=header.chain,
-        block_number=header.number,
-        timestamp=header.timestamp,
-        kind=MetricKind.GAS_PRICE_GWEI,
-        value=record.effective_gas_price.gwei,
-    )
+    return MetricSample(header.chain, header.number, header.timestamp,
+                        MetricKind.GAS_PRICE_GWEI, record.effective_gas_price.gwei)
 
 
 def block_usage_sample(record: NormalizedBlockRecord) -> MetricSample:
@@ -50,13 +45,9 @@ def block_usage_sample(record: NormalizedBlockRecord) -> MetricSample:
     header = record.header
     if record.effective_gas_limit.value == 0:
         raise ZeroLimit(f"block {header.number} of {header.chain.name} has effective limit 0")
-    return MetricSample(
-        chain=header.chain,
-        block_number=header.number,
-        timestamp=header.timestamp,
-        kind=MetricKind.BLOCK_USAGE_RATIO,
-        value=header.gas_used.value / record.effective_gas_limit.value,
-    )
+    return MetricSample(header.chain, header.number, header.timestamp,
+                        MetricKind.BLOCK_USAGE_RATIO,
+                        header.gas_used.value / record.effective_gas_limit.value)
 
 
 def _quantile_sorted(data: Sequence[float], p: float) -> float:

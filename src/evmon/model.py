@@ -1,8 +1,14 @@
 """Shared domain types for the monitoring pipeline.
 
-Everything here is an immutable value type, safe to hand between the
-per-chain pipeline threads. Fee amounts are integer wei internally; gwei
-is a display/export unit only, so exact arithmetic never touches floats.
+The values built for every block (GasQuantity, FeeQuantity,
+RawBlockHeader, NormalizedBlockRecord, MetricSample) are slotted
+dataclasses, not frozen ones: a frozen dataclass sets each field through
+object.__setattr__, which costs more than the rest of its construction.
+They check their fields when built and are not hashable. Nothing assigns
+to them after that, and they cross threads only through the StreamLog.
+Every other dataclass here is frozen.
+Fee amounts are integer wei internally; gwei is a display/export unit
+only, so exact arithmetic never touches floats.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ class ChainRef:
         return type(self), (self.name, self.chain_id)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class GasQuantity:
     """An amount of gas units."""
 
@@ -54,7 +60,7 @@ class GasQuantity:
             raise ValueError(f"gas quantity must be non-negative, got {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FeeQuantity:
     """A per-gas fee in integer wei."""
 
@@ -178,7 +184,7 @@ def validate_profile(profile: NetworkProfile) -> ValidatedProfile:
     return ValidatedProfile(**{f.name: getattr(profile, f.name) for f in fields(profile)})
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RawBlockHeader:
     """A block header as reported by a node's RPC.
 
@@ -197,7 +203,7 @@ class RawBlockHeader:
     priority_fee_observed: FeeQuantity | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NormalizedBlockRecord:
     """A header after normalization: comparable effective limit and price.
 
@@ -222,7 +228,7 @@ class MetricKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MetricSample:
     """The unit flowing through the metric pipelines: one value per block."""
 

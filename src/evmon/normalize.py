@@ -116,18 +116,13 @@ def normalize_header(
     Pure function of (header, profile, first_seen_base_fee); the Normalizer
     class supplies the per-chain reference for streaming use.
     """
-    if header.chain != profile.chain:
+    if header.chain is not profile.chain and header.chain != profile.chain:
         raise ProfileMismatch(
             f"header for {header.chain.name} normalized with profile for {profile.chain.name}"
         )
     limit, limit_flags = effective_gas_limit(header, profile)
     price, price_flags = effective_gas_price(header, profile, first_seen_base_fee)
-    return NormalizedBlockRecord(
-        header=header,
-        effective_gas_limit=limit,
-        effective_gas_price=price,
-        flags=_UNIONS[limit_flags, price_flags],
-    )
+    return NormalizedBlockRecord(header, limit, price, _UNIONS[limit_flags, price_flags])
 
 
 class Normalizer:

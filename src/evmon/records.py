@@ -162,20 +162,21 @@ def _number(obj: dict[str, Any], key: str) -> float:
     return float(value)
 
 
-# Interned by _chain, which every record decoder uses: one entry per chain
-# decoded. Replay stops at its first unconfigured chain, so there this
-# holds at most the configured chains plus one.
+# Interned by chain_ref, which every record decoder and load_config use:
+# one entry per chain configured or decoded. Replay stops at its first
+# unconfigured chain, so there this holds at most one chain more.
 _chains: dict[tuple[str, int], ChainRef] = {}
 
 
-def _chain(obj: dict[str, Any], chain_id: int) -> ChainRef:
-    """The ChainRef of obj["chain"] and chain_id, one object per chain."""
-    key = (obj["chain"], chain_id)
+def chain_ref(name: str, chain_id: int) -> ChainRef:
+    """The one ChainRef of name and chain_id, so a decoded record and its
+    chain's profile share the very object."""
+    key = (name, chain_id)
     chain = _chains.get(key)
     if chain is None:
-        if type(key[0]) is not str:
-            raise ValueError(f"chain must be a string, got {key[0]!r}")
-        chain = _chains[key] = ChainRef(name=key[0], chain_id=chain_id)
+        if type(name) is not str:
+            raise ValueError(f"chain must be a string, got {name!r}")
+        chain = _chains[key] = ChainRef(name, chain_id)
     return chain
 
 
@@ -187,15 +188,9 @@ def header_from_dict(obj: dict[str, Any]) -> RawBlockHeader:
             chain_id, number, ts, used, limit, base = _header_ints(obj)
         else:
             chain_id, number, ts, used, limit, base, priority = _header_ints_with_priority(obj)
-        header = RawBlockHeader(
-            chain=_chain(obj, chain_id),
-            number=number,
-            timestamp=ts,
-            gas_used=GasQuantity(used),
-            gas_limit=GasQuantity(limit),
-            base_fee_per_gas=FeeQuantity(base),
-            priority_fee_observed=None if priority is None else FeeQuantity(priority),
-        )
+        header = RawBlockHeader(chain_ref(obj["chain"], chain_id), number, ts,
+                                GasQuantity(used), GasQuantity(limit), FeeQuantity(base),
+                                None if priority is None else FeeQuantity(priority))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(str(exc)) from exc
     if used > limit:
@@ -243,13 +238,8 @@ def sample_to_dict(sample: MetricSample) -> dict[str, Any]:
 def sample_from_dict(obj: dict[str, Any]) -> MetricSample:
     try:
         chain_id, number, ts = _sample_ints(obj)
-        return MetricSample(
-            chain=_chain(obj, chain_id),
-            block_number=number,
-            timestamp=ts,
-            kind=MetricKind(obj["kind"]),
-            value=_number(obj, "value"),
-        )
+        return MetricSample(chain_ref(obj["chain"], chain_id), number, ts,
+                            MetricKind(obj["kind"]), _number(obj, "value"))
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedRecord(str(exc)) from exc
 
@@ -292,7 +282,7 @@ def window_summary_from_dict(obj: dict[str, Any]) -> WindowSummary:
         if type(partial) is not bool:
             raise ValueError(f"partial must be true or false, got {partial!r}")
         return WindowSummary(
-            chain=_chain(obj, chain_id),
+            chain=chain_ref(obj["chain"], chain_id),
             kind=MetricKind(obj["kind"]),
             window_start=start,
             window_end=end,
@@ -316,17 +306,32 @@ def stats_to_dict(stats: SummaryStats) -> dict[str, Any]:
     }
 
 
+# The C scanner that json.loads runs after its Python-level wrappers skip
+# whitespace at both ends of the text; a stripped line has none to skip.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def read_jsonl(path: Path, parse: Callable[[dict[str, Any]], T]) -> Iterator[T]:
-    """Parse a JSONL file; MalformedRecord errors carry the line number."""
+    """Parse a JSONL file; MalformedRecord errors carry the line number.
+
+    Each stripped line goes to the JSON scanner alone. A line that the
+    scanner rejects or does not consume to its end is parsed again by
+    json.loads, so every line is accepted or rejected, with the same
+    error text, exactly as json.loads would."""
     with open(path, encoding="utf-8") as fh:
         for line_number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise MalformedRecord(f"invalid JSON ({exc})", line_number) from exc
+                obj, end = _scan_once(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end != len(line):  # so json.loads raises, with its own message
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise MalformedRecord(f"invalid JSON ({exc})", line_number) from exc
             if not isinstance(obj, dict):
                 raise MalformedRecord("not a JSON object", line_number)
             try:

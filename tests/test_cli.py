@@ -389,6 +389,7 @@ def test_replay_aborts_a_pipeline_whose_series_write_fails(tmp_path, monkeypatch
     assert entry["dead_letters"] == 0
     chain_dir = tmp_path / chain
     assert len(read_lines(chain_dir / name)) == 49
+    assert entry["raw_records"] == len(read_lines(chain_dir / "raw.jsonl"))
     assert entry["normalized_records"] == len(read_lines(chain_dir / "normalized.jsonl"))
     for kind in MetricKind:
         assert entry["samples"][kind.value] == len(read_lines(chain_dir / f"{kind.value}.jsonl"))
@@ -396,7 +397,7 @@ def test_replay_aborts_a_pipeline_whose_series_write_fails(tmp_path, monkeypatch
             read_lines(chain_dir / f"{kind.value}_windows.jsonl"))
     if pipeline == "normalize":
         # the consumer took no record after the failed one
-        assert (entry["raw_records"], entry["normalized_records"]) == (50, 49)
+        assert (entry["raw_records"], entry["normalized_records"]) == (49, 49)
     else:
         assert entry["normalized_records"] == 200
         assert {k: n == 49 for k, n in entry["samples"].items()} == {

@@ -2,7 +2,7 @@ import json
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from evmon.model import (
@@ -310,3 +310,101 @@ def test_read_jsonl_skips_blank_lines(tmp_path):
     ))
     path.write_text(line + "\n" + line, encoding="utf-8")
     assert len(list(read_jsonl(path, sample_from_dict))) == 2
+
+
+def reference_read_jsonl(path, parse):
+    """read_jsonl as it was when every line went through json.loads."""
+    with open(path, encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise MalformedRecord(f"invalid JSON ({exc})", line_number) from exc
+            if not isinstance(obj, dict):
+                raise MalformedRecord("not a JSON object", line_number)
+            try:
+                yield parse(obj)
+            except MalformedRecord as exc:
+                raise MalformedRecord(exc.reason, line_number) from exc
+
+
+def read_outcome(read, path, parse):
+    """The records read before the first MalformedRecord, and its reason
+    and line number (None when the whole file reads)."""
+    got = []
+    try:
+        for record in read(path, parse):
+            got.append(record)
+    except MalformedRecord as exc:
+        return got, (exc.reason, exc.line_number)
+    return got, None
+
+
+_SAMPLE_LINE = sample_line(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 1.5))
+# a file line holds no \n or \r: the reader splits lines at both
+line_text = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"))
+json_whitespace = st.text(alphabet=" \t", max_size=3)
+
+
+@st.composite
+def spaced_lines(draw):
+    """A header or sample object with whitespace, JSON's or not, around
+    its separators."""
+    obj = json.loads(draw(st.sampled_from([header_line(draw(headers())), _SAMPLE_LINE])))
+    space = st.text(alphabet=" \t\x0b\x0c\xa0", max_size=2)
+    return json.dumps(obj, separators=(draw(space) + "," + draw(space),
+                                       draw(space) + ":" + draw(space)))
+
+
+@st.composite
+def with_control_character(draw):
+    """A header line with a raw control character in its chain name."""
+    line = header_line(draw(headers())).strip()
+    char = draw(st.characters(max_codepoint=0x1F, blacklist_characters="\n\r"))
+    return line.replace('"chain":"', '"chain":"' + char, 1)
+
+
+jsonl_lines = st.one_of(
+    headers().map(lambda header: header_line(header).strip()),
+    st.sampled_from(["NaN", "Infinity", "-Infinity"]).flatmap(lambda constant: st.sampled_from([
+        _SAMPLE_LINE.strip().replace("1.5", constant),
+        header_line(RawBlockHeader(ChainRef("c", 1), 0, 0, GasQuantity(1), GasQuantity(2),
+                                   FeeQuantity(3))).strip().replace('"ts":0', f'"ts":{constant}'),
+        constant,
+    ])),
+    st.tuples(st.sampled_from([_SAMPLE_LINE.strip(), "{}", "[1]", "5"]), line_text).map("".join),
+    st.sampled_from([_SAMPLE_LINE, "{}"]).map(lambda line: "\ufeff" + line.strip()),
+    st.sampled_from(["[1,2]", "[]", "5", "-0", "1.5e3", "null", "true", '"x"', "[NaN]"]),
+    with_control_character(),
+    spaced_lines(),
+    st.tuples(json_whitespace, st.sampled_from([_SAMPLE_LINE.strip(), "{}"]),
+              json_whitespace).map("".join),
+    st.sampled_from(["", " ", "\t", "\x0c"]),
+    line_text,
+)
+
+
+@pytest.mark.parametrize("parse", [repr, header_from_dict, sample_from_dict],
+                         ids=["objects", "headers", "samples"])
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(jsonl_lines, max_size=6))
+def test_read_jsonl_decodes_as_json_loads_did(tmp_path, parse, lines):
+    """read_jsonl reads the same records, and stops with the same reason at
+    the same line, as the json.loads reader: the scanner changes no
+    accepted or rejected line and no error text."""
+    path = tmp_path / "input.jsonl"  # each example writes it whole
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert read_outcome(read_jsonl, path, parse) == read_outcome(reference_read_jsonl, path, parse)
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-1.5", "-1"])
+def test_sample_from_dict_rejects_a_value_that_is_not_finite_or_is_negative(tmp_path, value):
+    path = tmp_path / "samples.jsonl"
+    path.write_text(_SAMPLE_LINE.replace("1.5", value), encoding="utf-8")
+    with pytest.raises(MalformedRecord, match="finite and >= 0") as excinfo:
+        list(read_jsonl(path, sample_from_dict))
+    assert excinfo.value.line_number == 1
