@@ -1,16 +1,18 @@
 """Operator-facing command line: monitor, replay, stats, plot.
 
-monitor and replay share one engine. Per configured chain, one consumer
-thread drains the chain's raw topic through the normalize pipeline, whose
-sink pushes each normalized record into one metric pipeline per metric
-kind in the same thread, so one wake-up serves all three. Only the feed
-of the raw topics differs: an ingest poll loop per chain for monitor, one
-streaming pass over a recorded JSONL file for replay. Each chain's files
-have one writer thread, which writes in offset order, so replay's outputs
-are byte-identical across runs. topic_retention is how far a producer may
-run ahead of its chain's consumer. A metric pipeline whose file write fails
-is dropped; when normalize ends, the consumer closes its raw topic, which
-stops the chain's producer, and flushes the metric pipelines' windows.
+monitor and replay share one engine. Each configured chain has one
+consumer of its raw topic: the normalize pipeline, whose sink pushes each
+normalized record into one metric pipeline per metric kind in the same
+thread. Only the drive differs. replay's file never blocks, so replay runs
+in the calling thread: its reader appends each header to its chain's
+topic and runs the chain's consumer once the topic holds a batch. monitor's
+ingest blocks on RPC, so each chain has an ingest thread and a consumer
+thread that sleeps on the log, and topic_retention is how far ingest may
+run ahead of it. Each chain's files have one writer, which writes in
+offset order, so replay's outputs are byte-identical across runs. A metric
+pipeline whose file write fails is dropped; when normalize ends, the
+consumer closes its raw topic, which stops the chain's producer, and
+flushes the metric pipelines' windows.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -30,7 +32,7 @@ from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TextIO, cast
+from typing import Any, Callable, Iterator, TextIO, cast
 
 from evmon import cep, metrics, records
 from evmon.cep import RunReport
@@ -186,29 +188,7 @@ class _ChainOutcome:
 _PIPELINES = ("normalize", *(kind.value for kind in METRIC_KINDS))
 
 
-def _raw_topic(chain: str) -> str:
-    return f"raw.{chain}"
-
-
-def _drain(broker: StreamLog, topic: str, group: str, files: Iterable[TextIO]) -> Iterator[Any]:
-    """Yield a topic's records from its first one, the very objects
-    appended, until caught up on a closed topic.
-
-    After an empty poll, flushes the consumer's files and blocks on the
-    log. Commits after every batch, which frees a held-back producer.
-    """
-    handle = broker.subscribe(topic, group)
-    while True:
-        batch = broker.poll(handle, 500)
-        if batch:
-            for _, record in batch:
-                yield record
-            broker.commit(handle, batch[-1][0])
-        else:
-            for fh in files:
-                fh.flush()
-            if not broker.wait(handle):
-                return
+_POLL_BATCH = 500  # records per poll, and the most records replay lets a topic hold
 
 
 def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
@@ -281,84 +261,137 @@ def _open_chain_files(stack: ExitStack, chain_dir: Path) -> dict[str, TextIO]:
     }
 
 
-def _start_consumer(
-    profile: ValidatedProfile,
-    config: RunConfig,
-    broker: StreamLog,
-    outcome: _ChainOutcome,
-    stack: ExitStack,
-) -> threading.Thread:
-    """Open one chain's files and start its consumer thread: normalize,
-    whose sink pushes into every metric pipeline still running. A pipeline
-    that aborts still leaves its report, and an error naming it."""
-    chain = profile.chain.name
-    raw_topic = _raw_topic(chain)
-    files = _open_chain_files(stack, config.output_dir / chain)
-    # (name, run) of each metric pipeline still running. failed() binds a
-    # new tuple, so a loop over the old one goes on undisturbed.
-    metric_runs: tuple[tuple[str, cep.PipelineRun], ...] = ()
-    for kind in METRIC_KINDS:
-        outcome.full_run_values[kind.value] = collector = array("d")
-        metric_runs += ((kind.value, cep.PipelineRun(
-            _metric_stages(profile.chain, kind, config.window_s, files, collector))),)
+class _ChainConsumer:
+    """One chain's consumer of raw.<chain>: normalize, whose sink pushes
+    each record into every metric pipeline still running, all in the
+    thread that drives it, writing the chain's six files. A pipeline that
+    aborts is dropped and leaves its report and an error naming it.
 
-    def failed(name: str, exc: cep.PipelineFailure) -> None:
-        nonlocal metric_runs
-        metric_runs = tuple(entry for entry in metric_runs if entry[0] != name)
-        outcome.reports[name] = exc.report
-        outcome.errors.append(f"{name}: {exc.cause}")
-        log.exception("%s: %s pipeline failed", chain, name)
+    replay drives it with run_held from the reading thread, monitor with
+    follow from a thread of its own; end finishes it.
+    """
 
-    def fan_out(record: NormalizedBlockRecord) -> None:
-        for name, run in metric_runs:
+    def __init__(self, profile: ValidatedProfile, config: RunConfig, broker: StreamLog,
+                 stack: ExitStack) -> None:
+        self.chain = profile.chain.name
+        self.topic = f"raw.{self.chain}"
+        self.outcome = _ChainOutcome()
+        self._broker = broker
+        broker.create_topic(self.topic, groups=("normalize",))
+        self._handle = broker.subscribe(self.topic, "normalize")
+        self._files = _open_chain_files(stack, config.output_dir / self.chain)
+        self._normalize = cep.PipelineRun(_normalize_stages(profile, self._files, self._fan_out))
+        # (name, run) of each metric pipeline still running. _failed binds a
+        # new tuple, so a loop over the old one goes on undisturbed.
+        self._metric_runs: tuple[tuple[str, cep.PipelineRun], ...] = ()
+        for kind in METRIC_KINDS:
+            self.outcome.full_run_values[kind.value] = collector = array("d")
+            self._metric_runs += ((kind.value, cep.PipelineRun(
+                _metric_stages(profile.chain, kind, config.window_s, self._files, collector))),)
+        self._ended = False
+
+    def _failed(self, name: str, report: RunReport, cause: BaseException) -> None:
+        self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != name)
+        self.outcome.reports[name] = report
+        self.outcome.errors.append(f"{name}: {cause}")
+        log.error("%s: %s pipeline failed", self.chain, name, exc_info=cause)
+
+    def _fan_out(self, record: NormalizedBlockRecord) -> None:
+        for name, run in self._metric_runs:
             try:
                 run.push(record)
             except cep.PipelineFailure as exc:
-                failed(name, exc)
+                self._failed(name, exc.report, exc.cause)
 
-    def consume() -> None:
+    def _flush(self) -> None:
+        for fh in self._files.values():
+            fh.flush()
+
+    def _held(self) -> Iterator[RawBlockHeader]:
+        """The records the topic holds, the very objects appended. Commits
+        after every batch, which frees a held-back producer."""
+        while batch := self._broker.poll(self._handle, _POLL_BATCH):
+            for _, header in batch:
+                yield header
+            self._broker.commit(self._handle, batch[-1][0])
+
+    def run_held(self) -> None:
+        """replay's step: push every record the topic holds through the
+        pipelines, then flush the files. A failed normalize, or flush, ends
+        the consumer."""
+        if self._ended:
+            return
+        push = self._normalize.push
         try:
-            outcome.reports["normalize"] = cep.run_pipeline(cep.Pipeline(
-                source=_drain(broker, raw_topic, "normalize", files.values()),
-                stages=_normalize_stages(profile, files, fan_out),
-            ))
+            for header in self._held():
+                push(header)
+            self._flush()
         except cep.PipelineFailure as exc:
-            failed("normalize", exc)
-        finally:
-            broker.close(raw_topic)
-            for name, run in metric_runs:
-                try:
-                    outcome.reports[name] = run.finish()
-                except cep.PipelineFailure as exc:
-                    failed(name, exc)
+            self.end(exc.cause)
+        except OSError as exc:  # from a flush
+            self.end(exc)
 
-    thread = threading.Thread(target=consume, name=f"{chain}-consumer")
-    thread.start()
-    return thread
+    def _drain(self) -> Iterator[RawBlockHeader]:
+        """The topic's records until it is closed and drained; whenever it
+        holds none, flushes the files and blocks on the log."""
+        while True:
+            yield from self._held()
+            self._flush()
+            if not self._broker.wait(self._handle):
+                return
 
-
-def _run(config: RunConfig, feed: Callable[[StreamLog, dict[str, _ChainOutcome]], None],
-         ) -> dict[str, Any]:
-    """Run every chain's consumers while feed appends the raw headers, then
-    write and return the run report. If feed raises, the consumers still
-    drain and end, and the error propagates with no report written."""
-    broker = StreamLog(retention=config.topic_retention)
-    outcomes = {profile.chain.name: _ChainOutcome() for profile in config.networks}
-    for chain in outcomes:
-        broker.create_topic(_raw_topic(chain), groups=("normalize",))
-    consumers: list[threading.Thread] = []
-    with ExitStack() as stack:
+    def follow(self) -> None:
+        """monitor's consumer thread: read the topic through a pipeline
+        until it is closed and drained, then end."""
         try:
-            for profile in config.networks:
-                consumers.append(_start_consumer(profile, config, broker,
-                                                 outcomes[profile.chain.name], stack))
-            feed(broker, outcomes)
-        finally:
-            for chain in outcomes:
-                broker.close(_raw_topic(chain))
-            for thread in consumers:
-                thread.join()
+            cep.run_pipeline(cep.Pipeline(source=self._drain(),
+                                          stages=(cep.Sink(self._normalize.push),)))
+        except cep.PipelineFailure as exc:
+            # the source failed, or normalize did and its sink passed that on
+            cause = exc.cause
+            self.end(cause.cause if isinstance(cause, cep.PipelineFailure) else cause)
+        else:
+            self.end()
 
+    def end(self, error: BaseException | None = None) -> None:
+        """Close the topic, which stops its producer, and finish every
+        pipeline still running, so open windows are written as partial;
+        record their reports. error is why normalize stopped early, if it
+        did. Does nothing once ended."""
+        if self._ended:
+            return
+        self._ended = True
+        self._broker.close(self.topic)
+        runs = self._metric_runs
+        if error is None:
+            runs = (("normalize", self._normalize), *runs)
+        else:
+            self._failed("normalize", self._normalize.report, error)
+        for name, run in runs:
+            try:
+                self.outcome.reports[name] = run.finish()
+            except cep.PipelineFailure as exc:
+                self._failed(name, exc.report, exc.cause)
+
+
+def _run(config: RunConfig, drive: Callable[[StreamLog, dict[str, _ChainConsumer]], None],
+         ) -> dict[str, Any]:
+    """Build every chain's consumer, let drive feed and run them, then end
+    them and write and return the run report. If drive raises, each
+    consumer still runs what its topic holds and ends, and the error
+    propagates with no report written. drive ends any thread it starts."""
+    broker = StreamLog(retention=config.topic_retention)
+    with ExitStack() as stack:
+        consumers = {profile.chain.name: _ChainConsumer(profile, config, broker, stack)
+                     for profile in config.networks}
+        try:
+            drive(broker, consumers)
+        finally:
+            for consumer in consumers.values():
+                consumer.run_held()
+                consumer.end()
+
+    outcomes = {chain: consumer.outcome for chain, consumer in consumers.items()}
     for chain, outcome in outcomes.items():
         with open(config.output_dir / chain / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
             for name in _PIPELINES:
@@ -430,70 +463,98 @@ def run_monitor(
         timer.start()
     build_client = client_factory or (lambda profile: RpcClient(profile.rpc_url, profile.chain))
 
-    def feed(broker: StreamLog, outcomes: dict[str, _ChainOutcome]) -> None:
-        def ingest(profile: ValidatedProfile, client: BlockSource) -> None:
-            raw_topic, outcome = _raw_topic(profile.chain.name), outcomes[profile.chain.name]
+    def drive(broker: StreamLog, consumers: dict[str, _ChainConsumer]) -> None:
+        def ingest(profile: ValidatedProfile) -> None:
+            consumer = consumers[profile.chain.name]
+            client: BlockSource | None = None
 
             def emit(header: RawBlockHeader) -> None:
-                broker.append(raw_topic, header)
-                outcome.blocks_ingested += 1
+                broker.append(consumer.topic, header)
+                consumer.outcome.blocks_ingested += 1
 
             try:
+                client = build_client(profile)
                 poll_chain(profile, emit, client=client, stop=stop, max_blocks=max_blocks,
                            start_number=start_number)
             except TopicClosed:
                 pass  # the normalize consumer ended and closed the raw topic
             except Exception as exc:  # noqa: BLE001 - isolate this chain
-                outcome.errors.append(f"ingest: {exc}")
+                consumer.outcome.errors.append(f"ingest: {exc}")
                 log.exception("%s: ingest failed", profile.chain.name)
             finally:
-                broker.close(raw_topic)
-                if client_factory is None:
+                broker.close(consumer.topic)
+                if client_factory is None and client is not None:
                     cast(RpcClient, client).close()
 
-        threads = [threading.Thread(target=ingest, args=(profile, build_client(profile)),
-                                    name=f"{profile.chain.name}-ingest")
-                   for profile in config.networks]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        # ingest blocks on RPC, so each chain's consumer waits on the log in
+        # a thread of its own
+        threads = [threading.Thread(target=consumer.follow, name=f"{chain}-consumer")
+                   for chain, consumer in consumers.items()]
+        threads += [threading.Thread(target=ingest, args=(profile,),
+                                     name=f"{profile.chain.name}-ingest")
+                    for profile in config.networks]
+        started: list[threading.Thread] = []
+        try:
+            for thread in threads:
+                thread.start()
+                started.append(thread)
+        finally:
+            if len(started) < len(threads):  # end the threads that did start
+                for consumer in consumers.values():
+                    broker.close(consumer.topic)
+            for thread in started:
+                thread.join()
 
     try:
-        return _run(config, feed)
+        return _run(config, drive)
     finally:
         if timer is not None:
             timer.cancel()  # a run that ended otherwise must not set the caller's event
 
 
 def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
-    """Replay a recorded RawBlockHeader JSONL through monitor's engine.
+    """Replay a recorded RawBlockHeader JSONL through monitor's engine, in
+    the calling thread.
 
-    One streaming pass appends each header to its chain's raw topic, so
-    memory stays bounded by topic_retention; outputs are a pure function
-    of (input bytes, config). A chain's blocks_ingested is its number of
-    input records. A record of an unconfigured chain, or a malformed
-    line, raises at that record.
+    The reader is a pipeline whose sink appends each header to its chain's
+    raw topic and, once the topic holds min(500, topic_retention) records,
+    runs them through the chain's consumer. So an append never blocks, and
+    memory holds at most that many headers per chain. Outputs are a pure
+    function of (input bytes, config). A chain's blocks_ingested is its
+    number of input records. A record of an unconfigured chain, or a
+    malformed line, raises at that record, once every consumer has run
+    the records before it and ended.
     """
     input_path = Path(input_path)
     if not input_path.is_file():  # fail before the output files are truncated
         raise FileNotFoundError(f"no input file {input_path}")
+    step = min(_POLL_BATCH, config.topic_retention)
 
-    def feed(broker: StreamLog, outcomes: dict[str, _ChainOutcome]) -> None:
-        targets = {chain: (_raw_topic(chain), outcome) for chain, outcome in outcomes.items()}
-        for header in records.read_jsonl(input_path, records.header_from_dict):
-            target = targets.get(header.chain.name)
-            if target is None:
+    def drive(broker: StreamLog, consumers: dict[str, _ChainConsumer]) -> None:
+        def route(header: RawBlockHeader) -> None:
+            consumer = consumers.get(header.chain.name)
+            if consumer is None:
                 raise InputDataError(f"input contains chain {header.chain.name!r} "
                                      "with no configured profile")
-            topic, outcome = target
-            outcome.blocks_ingested += 1
+            consumer.outcome.blocks_ingested += 1
             try:
-                broker.append(topic, header)
+                offset = broker.append(consumer.topic, header)
             except TopicClosed:
-                pass  # its normalize consumer died; the record is still counted
+                return  # its normalize pipeline died; the record is still counted
+            if offset % step == step - 1:
+                consumer.run_held()
 
-    return _run(config, feed)
+        try:
+            cep.run_pipeline(cep.Pipeline(
+                source=records.read_jsonl(input_path, records.header_from_dict),
+                stages=(cep.Sink(route),)))
+        except cep.PipelineFailure as exc:
+            error = exc.cause
+        else:
+            return
+        raise error  # outside the handler, so it keeps its own type and chain
+
+    return _run(config, drive)
 
 
 def _load_series(input_path: Path) -> metrics.Series:

@@ -143,6 +143,10 @@ class ValidatedProfile(NetworkProfile):
 
 
 def _is_http_endpoint(url: str) -> bool:
+    # http.client refuses whitespace and control characters, and urlsplit
+    # drops tab, CR and LF, which would connect to another host
+    if re.search(r"[\s\x00-\x1f\x7f]", url):
+        return False
     try:
         parts = urlsplit(url)
         parts.port  # noqa: B018 - raises ValueError for a port that is not a number
@@ -157,7 +161,8 @@ def validate_profile(profile: NetworkProfile) -> ValidatedProfile:
     Raises InvalidProfile for an empty or non-ASCII chain name, a
     non-positive chain id or poll interval, a zero override limit, a
     negative base-fee tolerance, or an endpoint that is not an http or
-    https URL naming a host (with a numeric port, if any).
+    https URL naming a host (with a numeric port, if any) and free of
+    whitespace and control characters.
     """
     chain = profile.chain
     if not chain.name or not re.fullmatch(r"[A-Za-z0-9_\-]+", chain.name):

@@ -296,9 +296,10 @@ def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
 
 
 def test_replay_at_default_retention_holds_the_reader_back(tmp_path, monkeypatch):
-    """With no topic_retention configured, the reader runs at most
-    DEFAULT_RETENTION_RECORDS (1,000) records ahead of each consumer, so a
-    3,000-block chain never has more than that held in its topic."""
+    """With no topic_retention configured (DEFAULT_RETENTION_RECORDS,
+    1,000), the reader runs each chain's consumer every 500 appends, in
+    its own thread: a 3,000-block chain never has more than 500 records
+    held in its topic, and the replay starts no thread."""
     input_path, config_path = two_chain_fixture(tmp_path, blocks=3000)
     assert "topic_retention" not in json.loads(config_path.read_text(encoding="utf-8"))
     append = StreamLog.append
@@ -309,11 +310,20 @@ def test_replay_at_default_retention_holds_the_reader_back(tmp_path, monkeypatch
         retained[topic] = max(retained[topic], offset + 1 - self.earliest_offset(topic))
         return offset
 
+    start = threading.Thread.start
+    started = []
+
+    def counted_start(self):
+        started.append(self.name)
+        start(self)
+
     monkeypatch.setattr(StreamLog, "append", counted_append)
+    monkeypatch.setattr(threading.Thread, "start", counted_start)
     report = run_replay(input_path, load_config(config_path))
     assert all(entry["normalized_records"] == 3000 for entry in report["chains"].values())
     assert len(retained) == 2
-    assert max(retained.values()) <= 1000
+    assert max(retained.values()) == 500
+    assert started == []
 
 
 def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
@@ -327,7 +337,7 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
     calls = []
 
     def disk_full_on_50th_arbitrum_record(record):
-        # chains run concurrently, so only a per-chain count is deterministic
+        # counted per chain, so the fault pins arbitrum_like's 50th record
         if record.header.chain.name == "arbitrum_like":
             calls.append(record)
             if len(calls) == 50:
@@ -374,7 +384,7 @@ def test_replay_aborts_a_pipeline_whose_series_write_fails(tmp_path, monkeypatch
     calls = []
 
     def disk_full_on_50th_line(record):
-        # chains run concurrently, so only a per-chain count is deterministic
+        # counted per chain and pipeline, so the fault pins the 50th line of one file
         kind = getattr(record, "kind", None)
         if record.chain.name == chain and (kind is None or kind.value == pipeline):
             calls.append(record)
@@ -797,6 +807,35 @@ def test_monitor_isolates_dead_endpoint(tmp_path):
     assert report["chains"]["dead_chain"]["blocks_ingested"] == 0
 
 
+def test_monitor_client_that_cannot_be_built_degrades_only_its_chain(tmp_path):
+    """Each chain builds its client in its own ingest thread: a factory
+    that raises for one chain ends that chain with an ingest error, and
+    the other chain runs to max_blocks."""
+    scenario = constant_fee_scenario(block_count=40)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161),
+                                                 network_entry("broken", 7)]))
+    builders = []
+
+    def factory(profile):
+        builders.append(threading.current_thread().name)
+        if profile.chain.name == "broken":
+            raise ConnectionError("no route to broken")
+        return LedgerRpcClient(ledger, clock, profile.chain)
+
+    report = run_monitor(config, max_blocks=40, duration_s=60, start_number=0,
+                         client_factory=factory)
+    assert sorted(builders) == ["arbitrum_like-ingest", "broken-ingest"]
+    broken = report["chains"]["broken"]
+    assert broken["errors"] == ["ingest: no route to broken"]
+    assert broken["blocks_ingested"] == broken["normalized_records"] == 0
+    arb = report["chains"]["arbitrum_like"]
+    assert arb["errors"] == []
+    assert arb["blocks_ingested"] == arb["normalized_records"] == 40
+    assert len(read_lines(config.output_dir / "arbitrum_like" / "raw.jsonl")) == 40
+
+
 def test_monitor_closes_only_the_clients_it_built(tmp_path, monkeypatch):
     built = []
 
@@ -994,16 +1033,28 @@ def test_replay_of_a_value_that_is_not_a_json_integer_exits_2(tmp_path, capsys, 
 
 
 def test_replay_malformed_line_after_valid_records_exits_2(tmp_path):
-    """The bad line ends the run after the consumers drained the records
-    before it: no run_report.json is written and no thread is left
-    running."""
+    """The bad line ends the run after the consumers ran the records before
+    it and ended: every per-block file holds each of those records, no
+    run_report.json is written and no thread is left running."""
     input_path, config_path = two_chain_fixture(tmp_path, blocks=50)
+    recorded = collections.defaultdict(list)
+    for line in read_lines(input_path):
+        recorded[json.loads(line)["chain"]].append(line)
     with open(input_path, "a", encoding="utf-8") as fh:
         fh.write("{not json\n")
     threads_before = set(threading.enumerate())
     assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 2
     assert set(threading.enumerate()) <= threads_before
     assert not (tmp_path / "out" / "run_report.json").exists()
+    assert sorted(recorded) == ["arbitrum_like", "ethereum_like"]
+    for chain, lines in recorded.items():
+        chain_dir = tmp_path / "out" / chain
+        assert read_lines(chain_dir / "raw.jsonl") == lines
+        assert [json.loads(line)["number"] for line in read_lines(
+            chain_dir / "normalized.jsonl")] == list(range(50))
+        for kind in MetricKind:
+            assert [json.loads(line)["number"] for line in read_lines(
+                chain_dir / f"{kind.value}.jsonl")] == list(range(50))
 
 
 @pytest.mark.parametrize("line", ["[1,2]", "5", "null", '"x"'])

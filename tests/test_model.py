@@ -94,6 +94,14 @@ def test_validate_accepts_override_exclude_combination():
         (ChainRef("ok", 1), "http://", 1000),
         (ChainRef("ok", 1), "wss://node", 1000),
         (ChainRef("ok", 1), "http://node:port", 1000),
+        (ChainRef("ok", 1), "http://exa mple.com", 1000),
+        (ChainRef("ok", 1), "http://ex\x7fample.com", 1000),
+        (ChainRef("ok", 1), "http://ho\tst.com", 1000),
+        (ChainRef("ok", 1), "http://node\r\n.com:8545", 1000),
+        (ChainRef("ok", 1), "http://node/rpc path", 1000),
+        (ChainRef("ok", 1), "http://node:8545\n", 1000),
+        (ChainRef("ok", 1), "http://node\x00", 1000),
+        (ChainRef("ok", 1), "http://node\u2003.com", 1000),
     ],
 )
 def test_validate_rejects_bad_fields(chain, rpc_url, poll_ms):
