@@ -3,16 +3,17 @@
 monitor and replay share one engine. Each configured chain has one
 consumer of its raw topic: the normalize pipeline, whose sink pushes each
 normalized record into one metric pipeline per metric kind in the same
-thread. Only the drive differs. replay's file never blocks, so replay runs
-in the calling thread: its reader appends each header to its chain's
-topic and runs the chain's consumer once the topic holds a batch. monitor's
-ingest blocks on RPC, so each chain has an ingest thread and a consumer
-thread that sleeps on the log, and topic_retention is how far ingest may
-run ahead of it. Each chain's files have one writer, which writes in
-offset order, so replay's outputs are byte-identical across runs. A metric
-pipeline whose file write fails is dropped; when normalize ends, the
-consumer closes its raw topic, which stops the chain's producer, and
-flushes the metric pipelines' windows.
+thread. The consumer runs in the thread that feeds its topic, and no
+thread ever blocks on the log. A consumer runs on what its topic holds
+every min(500, topic_retention) headers. replay runs in the calling
+thread: its reader hands each header to its chain's consumer. monitor
+runs one thread per chain, its ingest, which hands over each block it
+fetches; it also runs the consumer before each sleep and once a held
+header has waited a poll interval. Each chain's files have one
+writer, which writes in offset order, so replay's outputs are
+byte-identical across runs. A metric pipeline whose file write fails is
+dropped; when normalize ends, the consumer closes its raw topic, which
+stops the chain's producer, and flushes the metric pipelines' windows.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -28,6 +29,7 @@ import os
 import signal
 import sys
 import threading
+import time
 from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -54,7 +56,7 @@ from evmon.model import (
 )
 from evmon.normalize import Normalizer
 from evmon.records import WindowSummary
-from evmon.streamlog import DEFAULT_RETENTION_RECORDS, StreamLog, TopicClosed
+from evmon.streamlog import StreamLog, TopicClosed
 
 log = logging.getLogger(__name__)
 
@@ -70,12 +72,16 @@ class InputDataError(ValueError):
     """Input records are inconsistent with the configuration."""
 
 
+DEFAULT_RETENTION_RECORDS = 500
+
+
 @dataclass(frozen=True)
 class RunConfig:
     networks: tuple[ValidatedProfile, ...]
     output_dir: Path
     window_s: int = 300
     downsample_bucket_s: int = 300
+    # only caps a consumer's step: it runs every min(500, topic_retention) headers
     topic_retention: int = DEFAULT_RETENTION_RECORDS
 
 
@@ -160,6 +166,8 @@ def load_config(path: Path | str) -> RunConfig:
         seen_names.add(profile.chain.name)
         profiles.append(validate_profile(profile))
     output_dir = os.environ.get(OUTPUT_DIR_ENV) or obj.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        raise ConfigParse(f"output_dir must be a string, got {output_dir!r}")
     config = RunConfig(
         networks=tuple(profiles),
         output_dir=Path(output_dir),
@@ -188,7 +196,7 @@ class _ChainOutcome:
 _PIPELINES = ("normalize", *(kind.value for kind in METRIC_KINDS))
 
 
-_POLL_BATCH = 500  # records per poll, and the most records replay lets a topic hold
+_POLL_BATCH = 500  # records per poll, and the most records a topic holds
 
 
 def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
@@ -267,15 +275,21 @@ class _ChainConsumer:
     thread that drives it, writing the chain's six files. A pipeline that
     aborts is dropped and leaves its report and an error naming it.
 
-    replay drives it with run_held from the reading thread, monitor with
-    follow from a thread of its own; end finishes it.
+    Both modes drive it from the thread that feeds the chain: take for
+    each header, run_held when the feed has nothing new; end finishes it.
+    live bounds how long a header waits for its step to the chain's poll
+    interval, as monitor needs when each fetch is a network round trip.
     """
 
     def __init__(self, profile: ValidatedProfile, config: RunConfig, broker: StreamLog,
-                 stack: ExitStack) -> None:
+                 stack: ExitStack, live: bool) -> None:
         self.chain = profile.chain.name
         self.topic = f"raw.{self.chain}"
         self.outcome = _ChainOutcome()
+        self._step = min(_POLL_BATCH, config.topic_retention)
+        self._max_hold_s = profile.poll_interval_ms / 1000.0 if live else math.inf
+        self._unread = 0  # records appended since the last run_held
+        self._due = math.inf  # when the oldest of them has waited _max_hold_s
         self._broker = broker
         broker.create_topic(self.topic, groups=("normalize",))
         self._handle = broker.subscribe(self.topic, "normalize")
@@ -308,19 +322,33 @@ class _ChainConsumer:
             fh.flush()
 
     def _held(self) -> Iterator[RawBlockHeader]:
-        """The records the topic holds, the very objects appended. Commits
-        after every batch, which frees a held-back producer."""
+        """The records the topic holds, the very objects appended,
+        committing each batch; ends on the first empty poll."""
         while batch := self._broker.poll(self._handle, _POLL_BATCH):
             for _, header in batch:
                 yield header
             self._broker.commit(self._handle, batch[-1][0])
 
+    def take(self, header: RawBlockHeader) -> None:
+        """Append one header to the chain's topic and count it as ingested;
+        every min(500, topic_retention) of them, or once the oldest unread
+        one has waited the hold bound, run the consumer. Raises TopicClosed,
+        with the header not counted, once the consumer ended."""
+        self._broker.append(self.topic, header)
+        self.outcome.blocks_ingested += 1
+        self._unread += 1
+        if self._unread == 1:
+            self._due = time.monotonic() + self._max_hold_s
+        if self._unread == self._step or time.monotonic() >= self._due:
+            self.run_held()
+
     def run_held(self) -> None:
-        """replay's step: push every record the topic holds through the
-        pipelines, then flush the files. A failed normalize, or flush, ends
-        the consumer."""
-        if self._ended:
+        """Push every record the topic holds through the pipelines, then
+        flush the files; nothing to do when no record came since the last
+        run. A failed normalize, or flush, ends the consumer."""
+        if self._ended or not self._unread:
             return
+        self._unread = 0
         push = self._normalize.push
         try:
             for header in self._held():
@@ -330,28 +358,6 @@ class _ChainConsumer:
             self.end(exc.cause)
         except OSError as exc:  # from a flush
             self.end(exc)
-
-    def _drain(self) -> Iterator[RawBlockHeader]:
-        """The topic's records until it is closed and drained; whenever it
-        holds none, flushes the files and blocks on the log."""
-        while True:
-            yield from self._held()
-            self._flush()
-            if not self._broker.wait(self._handle):
-                return
-
-    def follow(self) -> None:
-        """monitor's consumer thread: read the topic through a pipeline
-        until it is closed and drained, then end."""
-        try:
-            cep.run_pipeline(cep.Pipeline(source=self._drain(),
-                                          stages=(cep.Sink(self._normalize.push),)))
-        except cep.PipelineFailure as exc:
-            # the source failed, or normalize did and its sink passed that on
-            cause = exc.cause
-            self.end(cause.cause if isinstance(cause, cep.PipelineFailure) else cause)
-        else:
-            self.end()
 
     def end(self, error: BaseException | None = None) -> None:
         """Close the topic, which stops its producer, and finish every
@@ -375,14 +381,15 @@ class _ChainConsumer:
 
 
 def _run(config: RunConfig, drive: Callable[[StreamLog, dict[str, _ChainConsumer]], None],
-         ) -> dict[str, Any]:
-    """Build every chain's consumer, let drive feed and run them, then end
-    them and write and return the run report. If drive raises, each
-    consumer still runs what its topic holds and ends, and the error
-    propagates with no report written. drive ends any thread it starts."""
-    broker = StreamLog(retention=config.topic_retention)
+         live: bool) -> dict[str, Any]:
+    """Build every chain's consumer (live as in _ChainConsumer), let drive
+    feed and run them, then run what each topic still holds, end them and
+    write and return the run report. If drive raises, each consumer still
+    runs what its topic holds and ends, and the error propagates with no
+    report written. drive ends any thread it starts."""
+    broker = StreamLog()
     with ExitStack() as stack:
-        consumers = {profile.chain.name: _ChainConsumer(profile, config, broker, stack)
+        consumers = {profile.chain.name: _ChainConsumer(profile, config, broker, stack, live)
                      for profile in config.networks}
         try:
             drive(broker, consumers)
@@ -448,8 +455,13 @@ def run_monitor(
 ) -> dict[str, Any]:
     """Monitor all configured chains until stopped.
 
-    Each chain runs in isolation: an endpoint failure degrades only that
-    chain. Stops when stop_event fires, duration_s elapses, or every chain
+    Each chain runs in one thread of its own, its ingest, so an endpoint
+    failure degrades only that chain. Ingest appends each block it fetches
+    to the chain's raw topic and runs the chain's consumer every
+    min(500, topic_retention) blocks, once a fetched block has waited
+    poll_interval_ms, and before each sleep: during a backlog, a block's
+    output lines trail its fetch by at most one poll interval plus one
+    fetch. Stops when stop_event fires, duration_s elapses, or every chain
     has emitted max_blocks blocks. Returns (and writes) the run report;
     shutdown flushes open windows as partial summaries. Without a
     client_factory each chain gets an RpcClient, closed when its ingest
@@ -467,32 +479,23 @@ def run_monitor(
         def ingest(profile: ValidatedProfile) -> None:
             consumer = consumers[profile.chain.name]
             client: BlockSource | None = None
-
-            def emit(header: RawBlockHeader) -> None:
-                broker.append(consumer.topic, header)
-                consumer.outcome.blocks_ingested += 1
-
             try:
                 client = build_client(profile)
-                poll_chain(profile, emit, client=client, stop=stop, max_blocks=max_blocks,
-                           start_number=start_number)
+                poll_chain(profile, consumer.take, client=client, stop=stop,
+                           max_blocks=max_blocks, start_number=start_number,
+                           idle=consumer.run_held)
             except TopicClosed:
-                pass  # the normalize consumer ended and closed the raw topic
+                pass  # normalize ended and closed the raw topic
             except Exception as exc:  # noqa: BLE001 - isolate this chain
                 consumer.outcome.errors.append(f"ingest: {exc}")
                 log.exception("%s: ingest failed", profile.chain.name)
             finally:
-                broker.close(consumer.topic)
                 if client_factory is None and client is not None:
                     cast(RpcClient, client).close()
 
-        # ingest blocks on RPC, so each chain's consumer waits on the log in
-        # a thread of its own
-        threads = [threading.Thread(target=consumer.follow, name=f"{chain}-consumer")
-                   for chain, consumer in consumers.items()]
-        threads += [threading.Thread(target=ingest, args=(profile,),
-                                     name=f"{profile.chain.name}-ingest")
-                    for profile in config.networks]
+        threads = [threading.Thread(target=ingest, args=(profile,),
+                                    name=f"{profile.chain.name}-ingest")
+                   for profile in config.networks]
         started: list[threading.Thread] = []
         try:
             for thread in threads:
@@ -506,7 +509,7 @@ def run_monitor(
                 thread.join()
 
     try:
-        return _run(config, drive)
+        return _run(config, drive, live=True)
     finally:
         if timer is not None:
             timer.cancel()  # a run that ended otherwise must not set the caller's event
@@ -516,9 +519,9 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
     """Replay a recorded RawBlockHeader JSONL through monitor's engine, in
     the calling thread.
 
-    The reader is a pipeline whose sink appends each header to its chain's
-    raw topic and, once the topic holds min(500, topic_retention) records,
-    runs them through the chain's consumer. So an append never blocks, and
+    The reader is a pipeline whose sink hands each header to its chain's
+    consumer, which appends it to the chain's raw topic and, every
+    min(500, topic_retention) headers, runs on what the topic holds. So
     memory holds at most that many headers per chain. Outputs are a pure
     function of (input bytes, config). A chain's blocks_ingested is its
     number of input records. A record of an unconfigured chain, or a
@@ -528,7 +531,6 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
     input_path = Path(input_path)
     if not input_path.is_file():  # fail before the output files are truncated
         raise FileNotFoundError(f"no input file {input_path}")
-    step = min(_POLL_BATCH, config.topic_retention)
 
     def drive(broker: StreamLog, consumers: dict[str, _ChainConsumer]) -> None:
         def route(header: RawBlockHeader) -> None:
@@ -536,13 +538,10 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
             if consumer is None:
                 raise InputDataError(f"input contains chain {header.chain.name!r} "
                                      "with no configured profile")
-            consumer.outcome.blocks_ingested += 1
             try:
-                offset = broker.append(consumer.topic, header)
-            except TopicClosed:
-                return  # its normalize pipeline died; the record is still counted
-            if offset % step == step - 1:
-                consumer.run_held()
+                consumer.take(header)
+            except TopicClosed:  # its normalize pipeline died; the record still counts
+                consumer.outcome.blocks_ingested += 1
 
         try:
             cep.run_pipeline(cep.Pipeline(
@@ -554,7 +553,7 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
             return
         raise error  # outside the handler, so it keeps its own type and chain
 
-    return _run(config, drive)
+    return _run(config, drive, live=False)
 
 
 def _load_series(input_path: Path) -> metrics.Series:

@@ -229,6 +229,7 @@ def poll_chain(
     stop: threading.Event | None = None,
     max_blocks: int | None = None,
     start_number: int | None = None,
+    idle: Callable[[], None] | None = None,
 ) -> int:
     """Poll the chain's head and emit each new block exactly once, in order.
 
@@ -236,8 +237,11 @@ def poll_chain(
     emission count. Raises InvalidHeader ("halted at block N: ...") when a
     block stays invalid after retries. Emission begins at start_number,
     or with None at the head observed at startup (monitoring, not archival
-    backfill); emitted numbers then increase by exactly 1. emit is called
-    in this thread, so a blocking sink provides backpressure.
+    backfill); emitted numbers then increase by exactly 1. emit and idle
+    run in this thread, and an exception from either ends the loop. idle,
+    if given, is called before each sleep (poll interval or backoff), so
+    the caller can process what was emitted while the chain has nothing
+    new.
 
     Each pass makes one call: a head poll when no polled head is left to
     fetch up to, otherwise a fetch of the next block.
@@ -253,6 +257,11 @@ def poll_chain(
     next_number = start_number or 0  # with None, re-anchored at each head poll
     head: int | None = None  # the polled head still to fetch up to
 
+    def sleep(seconds: float) -> None:
+        if idle is not None:
+            idle()
+        stop.wait(seconds)
+
     while not stop.is_set() and (max_blocks is None or emitted < max_blocks):
         polling = head is None
         try:
@@ -263,7 +272,7 @@ def poll_chain(
         except RpcUnavailable as exc:
             log.warning("%s: %s failed (%s); backing off %.1fs", profile.chain.name,
                         "head poll" if polling else f"fetch {next_number}", exc, backoff_s)
-            stop.wait(backoff_s)
+            sleep(backoff_s)
             backoff_s = min(backoff_s * 2, BACKOFF_CAP_S)
             continue
         except InvalidHeader as exc:
@@ -272,7 +281,7 @@ def poll_chain(
                 log.error("%s: block %d invalid after %d attempts (%s); halting this chain",
                           profile.chain.name, next_number, invalid_seen, exc)
                 raise InvalidHeader(f"halted at block {next_number}: {exc}") from exc
-            stop.wait(poll_interval_s)
+            sleep(poll_interval_s)
             continue
         except BlockNotFound:
             header = None  # announced but not yet servable: re-poll the head
@@ -294,5 +303,5 @@ def poll_chain(
             if next_number <= head or emitted == max_blocks:
                 continue
         head = None
-        stop.wait(poll_interval_s)
+        sleep(poll_interval_s)
     return emitted

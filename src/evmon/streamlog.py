@@ -9,22 +9,18 @@ offset survives its handles and drives resume-after-kill delivery.
 
 One retention rule: a topic keeps a record until every group it was
 created with has committed it. A topic's groups are fixed at creation,
-and it needs at least one. retention is how far a producer may run ahead
-of its slowest group: append blocks while that group has retention
-records uncommitted.
+and it needs at least one. The log sets no bound of its own: a producer
+that also drives its topic's consumers, as evmon's do, bounds what the
+topic holds by how often it runs them.
 
 Payloads are any Python objects, handed to every consumer as they were
 appended, never copied or serialized. A poll slices only the batch it
-returns. After an empty poll, wait blocks until the next append or until
-the producer closes the topic, which ends its stream. close is also how a
-consumer that ends early lets go: it wakes a held-back append, which
-raises TopicClosed, and no later append is stored.
+returns, and nothing ever blocks: a caught-up poll returns empty. close
+ends a topic's stream: every later append raises TopicClosed, and the
+records held stay readable. It is how a consumer that ends early stops
+its producer.
 
-Each topic has its own lock, shared by two Conditions: consumers sleep on
-one and a held-back producer on the other, so an append wakes only
-consumers and a commit only the producer. Consumers count themselves in
-and out of their wait under the lock, so an append notifies only when one
-sleeps; while none does, an append costs only the lock. A
+Each topic has its own lock, held only for the length of one call. A
 ConsumerHandle belongs to a single owner thread.
 """
 
@@ -40,7 +36,7 @@ class TopicMissing(KeyError):
 
 
 class TopicClosed(Exception):
-    """An append to a topic that is closed, or that closed while it waited."""
+    """An append to a topic that is closed."""
 
 
 class CommitRegression(Exception):
@@ -65,42 +61,29 @@ class _Topic:
     """payloads[i] holds offset base + i, for every offset from the slowest
     group's commit + 1 to the end, so len(payloads) is that group's
     uncommitted count. commit cuts the committed prefix off, so an
-    append costs O(1) and a poll O(batch). Every field is guarded by lock,
-    which cond (consumers) and space (the producer) share; waiting counts
-    the consumers asleep on cond."""
+    append costs O(1) and a poll O(batch). Every field is guarded by lock."""
 
-    def __init__(self, retention: int, groups: tuple[str, ...]) -> None:
-        self.retention = retention
+    def __init__(self, groups: tuple[str, ...]) -> None:
         self.groups = frozenset(groups)
         self.payloads: list[Any] = []
         self.base = 0
         self.next_offset = 0
         self.committed: dict[str, int] = {}
         self.closed = False
-        self.waiting = 0
         self.lock = threading.Lock()
-        self.cond = threading.Condition(self.lock)
-        self.space = threading.Condition(self.lock)
 
     def trim(self) -> None:
-        """Drop every record all groups have committed, and wake the producer."""
+        """Drop every record all groups have committed."""
         low = min(self.committed.get(g, -1) + 1 for g in self.groups)
         if low > self.base:
             del self.payloads[: low - self.base]
             self.base = low
-            self.space.notify_all()
-
-
-DEFAULT_RETENTION_RECORDS = 1_000
 
 
 class StreamLog:
-    """In-process broker: named topics, consumer groups, bounded lead."""
+    """In-process broker: named topics and consumer groups."""
 
-    def __init__(self, retention: int = DEFAULT_RETENTION_RECORDS) -> None:
-        if retention <= 0:
-            raise ValueError("retention must be positive")
-        self._retention = retention
+    def __init__(self) -> None:
         self._topics: dict[str, _Topic] = {}
         self._lock = threading.Lock()  # topic creation only; each topic has its own
 
@@ -111,7 +94,7 @@ class StreamLog:
         with self._lock:
             if name in self._topics:
                 raise ValueError(f"topic {name!r} already exists")
-            self._topics[name] = _Topic(self._retention, groups)
+            self._topics[name] = _Topic(groups)
 
     def _topic(self, name: str) -> _Topic:
         try:
@@ -120,45 +103,22 @@ class StreamLog:
             raise TopicMissing(name) from None
 
     def append(self, topic: str, payload: Any) -> int:
-        """Append one record and wake the topic's waiting consumers, if
-        any; returns its assigned offset. Blocks while the slowest group
-        has retention records uncommitted; raises TopicClosed once the
-        topic is closed."""
+        """Append one record; returns its assigned offset. Raises
+        TopicClosed once the topic is closed."""
         t = self._topic(topic)
         with t.lock:
-            while not t.closed and len(t.payloads) >= t.retention:
-                t.space.wait()
             if t.closed:
                 raise TopicClosed(topic)
             t.payloads.append(payload)
             t.next_offset += 1
-            if t.waiting:
-                t.cond.notify_all()
             return t.next_offset - 1
 
     def close(self, topic: str) -> None:
-        """Mark the end of the topic's stream and wake every waiter, held-back
-        appends too. Idempotent; the records held stay readable."""
+        """Mark the end of the topic's stream: later appends raise.
+        Idempotent; the records held stay readable."""
         t = self._topic(topic)
         with t.lock:
             t.closed = True
-            t.cond.notify_all()
-            t.space.notify_all()
-
-    def wait(self, handle: ConsumerHandle) -> bool:
-        """Block until a record exists at the handle's position (True), or
-        until the topic is closed with nothing left to read (False)."""
-        t = self._topic(handle.topic)
-        with t.lock:
-            while handle.position >= t.next_offset:
-                if t.closed:
-                    return False
-                t.waiting += 1
-                try:
-                    t.cond.wait()
-                finally:
-                    t.waiting -= 1
-            return True
 
     def subscribe(self, topic: str, group: str) -> ConsumerHandle:
         """A new handle for one of the topic's groups, right after the

@@ -33,8 +33,9 @@ HANG_TIMEOUT_S = 120
 
 @pytest.fixture(autouse=True)
 def hang_guard():
-    """Consumers block on the log without a timeout, so a lost wake-up
-    would hang the suite: dump every thread's stack and exit instead."""
+    """No consumer blocks on the log, but tests still start threads and
+    wait on events and joins, so a hang would stall the suite: dump every
+    thread's stack and exit instead."""
     faulthandler.dump_traceback_later(HANG_TIMEOUT_S, exit=True)
     yield
     faulthandler.cancel_dump_traceback_later()

@@ -228,7 +228,7 @@ def test_acceptance_6_broker_resume():
     deliver exactly offsets 0..9_999 per consumer group with no
     post-commit redelivery."""
     total = 10_000
-    broker = StreamLog(retention=total)  # the whole topic is written before any poll
+    broker = StreamLog()
     broker.create_topic("blocks", groups=("group0", "group1"))
     for i in range(total):
         broker.append("blocks", b"%d" % i)

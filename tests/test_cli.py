@@ -99,8 +99,9 @@ def test_load_config_rejects_an_endpoint_that_is_not_http(tmp_path):
     {"networks": [network_entry(5, 1)]},
     {"networks": [network_entry("a", 1, rpc_url=5)]},
     {"networks": [network_entry("a", 1, constant_base_fee_expected="false")]},
+    {"networks": [network_entry("a", 1)], "output_dir": 5},
 ], ids=["top_level_list", "network_int", "limit_policy_string", "name_int", "rpc_url_int",
-        "constant_base_fee_string"])
+        "constant_base_fee_string", "output_dir_int"])
 def test_malformed_config_shape_is_a_config_error(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -297,7 +298,7 @@ def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
 
 def test_replay_at_default_retention_holds_the_reader_back(tmp_path, monkeypatch):
     """With no topic_retention configured (DEFAULT_RETENTION_RECORDS,
-    1,000), the reader runs each chain's consumer every 500 appends, in
+    500), the reader runs each chain's consumer every 500 appends, in
     its own thread: a 3,000-block chain never has more than 500 records
     held in its topic, and the replay starts no thread."""
     input_path, config_path = two_chain_fixture(tmp_path, blocks=3000)
@@ -479,8 +480,8 @@ def test_monitor_two_simnode_chains(tmp_path):
 
 
 def test_monitor_behind_retention_loses_nothing_silently(tmp_path):
-    """A 2,000-block backlog through retention 5: consumers that fall
-    behind hold ingest back, so every block reaches every file."""
+    """A 2,000-block backlog through retention 5: ingest runs its chain's
+    consumer every 5 blocks, so every block reaches every file."""
     scenario = constant_fee_scenario(block_count=2000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -563,35 +564,27 @@ def test_duration_timer_does_not_outlive_the_run(tmp_path):
 
 
 def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkeypatch):
-    """With one metric pipeline stalled, ingest blocks in append at
-    retention 5; setting stop then ends the run once the stall clears,
-    and every window still open is written as partial."""
-    gate = threading.Event()
+    """At retention 5, ingest runs its consumer after every 5 blocks (the
+    poll interval is too long to end a step first), so a metric pipeline
+    that stalls in that step holds ingest back. Setting stop then ends the
+    run once the stall clears: the step finishes its 5 records, ingest
+    fetches no further block, and every window still open is written as
+    partial."""
+    entered, gate = threading.Event(), threading.Event()
     block_usage_sample = metrics.block_usage_sample
 
     def stalled(record):
+        entered.set()
         gate.wait()
         return block_usage_sample(record)
 
     monkeypatch.setattr(metrics, "block_usage_sample", stalled)
-    append = StreamLog.append
-    raw_appends = {"started": 0, "done": 0}
-
-    def counted_append(self, topic, payload):
-        raw = topic.startswith("raw.")
-        if raw:
-            raw_appends["started"] += 1
-        offset = append(self, topic, payload)
-        if raw:
-            raw_appends["done"] += 1
-        return offset
-
-    monkeypatch.setattr(StreamLog, "append", counted_append)
     scenario = constant_fee_scenario(block_count=1000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
-    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
-                                      topic_retention=5))
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161, poll_interval_ms=60_000)],
+        topic_retention=5))
     stop = threading.Event()
     reports = []
     run = threading.Thread(target=lambda: reports.append(run_monitor(
@@ -599,15 +592,7 @@ def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkey
         client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))), daemon=True)
     run.start()
     try:
-        steady, last = 0, None
-        deadline = time.monotonic() + 10
-        while steady < 20 and time.monotonic() < deadline:
-            time.sleep(0.01)
-            now = dict(raw_appends)
-            blocked = now["started"] > 5 and now["started"] == now["done"] + 1
-            steady = steady + 1 if blocked and now == last else 0
-            last = now
-        assert steady == 20, f"ingest never blocked in append: {raw_appends}"
+        assert entered.wait(10), "the consumer step never reached the metric pipeline"
         stop.set()
     finally:
         gate.set()
@@ -615,12 +600,42 @@ def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkey
     assert not run.is_alive()
     chain = reports[0]["chains"]["arbitrum_like"]
     assert chain["errors"] == []
-    assert chain["blocks_ingested"] == raw_appends["done"] < 1000
+    assert chain["blocks_ingested"] == chain["normalized_records"] == 5
     chain_dir = config.output_dir / "arbitrum_like"
+    for name in SERIES_FILES:
+        assert len(read_lines(chain_dir / name)) == 5
     for kind in MetricKind:
-        assert len(read_lines(chain_dir / f"{kind.value}.jsonl")) == chain["blocks_ingested"]
+        assert chain["samples"][kind.value] == 5
         windows = read_lines(chain_dir / f"{kind.value}_windows.jsonl")
         assert windows and json.loads(windows[-1])["partial"] is True
+
+
+def test_monitor_output_trails_a_slow_backlog_by_a_poll_interval(tmp_path):
+    """Each fetch takes at least 1 ms, as a network round trip does, and a
+    400-block backlog is shorter than one 500-block step. Ingest still
+    runs its consumer once a fetched block has waited the 20 ms poll
+    interval, so when the last block is fetched the lines of all but the
+    blocks of about the last 20 ms are on disk."""
+    scenario = constant_fee_scenario(block_count=400)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161, poll_interval_ms=20)]))
+    samples = config.output_dir / "arbitrum_like" / "gas_price_gwei.jsonl"
+    on_disk = []
+
+    class RoundTrip(LedgerRpcClient):
+        def fetch_block(self, number):
+            if number == 399:
+                on_disk.append(len(read_lines(samples)))
+            time.sleep(0.001)
+            return super().fetch_block(number)
+
+    report = run_monitor(config, max_blocks=400, start_number=0,
+                         client_factory=lambda p: RoundTrip(ledger, clock, p.chain))
+    assert report["chains"]["arbitrum_like"]["blocks_ingested"] == 400
+    assert len(read_lines(samples)) == 400
+    assert on_disk[0] >= 350
 
 
 def test_monitor_reports_a_chain_halted_by_an_invalid_header(tmp_path):
@@ -649,12 +664,15 @@ def test_monitor_reports_a_chain_halted_by_an_invalid_header(tmp_path):
 def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
     """A normalize consumer that dies closes its raw topic, so ingest stops
     short of max_blocks instead of fetching for nobody, and the report
-    keeps the counts reached."""
+    keeps the counts reached. Normalize dies in the consumer's first step,
+    which ingest runs after 500 blocks (the poll interval is too long to
+    end a step first); the next append raises."""
     scenario = constant_fee_scenario(block_count=5000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
-    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
-                                      topic_retention=100_000))
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161, poll_interval_ms=60_000)],
+        topic_retention=100_000))
     normalized_line = records.normalized_line
     calls = []
 
@@ -665,20 +683,10 @@ def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
         return normalized_line(record)
 
     monkeypatch.setattr(records, "normalized_line", disk_full_on_50th_call)
-
-    class NetworkPacedClient(LedgerRpcClient):
-        """Releases the interpreter lock on each fetch, as a fetch over the
-        network does; a fetch that never releases it can starve the
-        consumer's file writes until ingest is done."""
-
-        def fetch_block(self, number):
-            time.sleep(0.0001)
-            return super().fetch_block(number)
-
     report = run_monitor(config, max_blocks=5000, start_number=0,
-                         client_factory=lambda p: NetworkPacedClient(ledger, clock, p.chain))
+                         client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
     chain = report["chains"]["arbitrum_like"]
-    assert chain["blocks_ingested"] < 5000
+    assert chain["blocks_ingested"] == 500
     assert len(chain["errors"]) == 1
     assert chain["errors"][0].startswith("normalize: ")
     chain_dir = config.output_dir / "arbitrum_like"
@@ -691,8 +699,9 @@ def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
 
 
 def test_idle_monitor_does_not_spin(tmp_path, monkeypatch):
-    """With nothing new after the head, each consumer blocks on the log
-    instead of polling it on a timer."""
+    """With nothing new after the head, ingest runs its consumer only when
+    a block came since the last run: the log is not polled at every idle
+    pass of ingest."""
     arb = constant_fee_scenario(block_count=20)
     eth = adaptive_fee_scenario(block_count=20)
     ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
@@ -719,12 +728,12 @@ def test_idle_monitor_does_not_spin(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("fault", [None, "metric_sink", "normalize"])
-def test_each_chain_runs_an_ingest_and_a_consumer_thread(tmp_path, monkeypatch, fault):
-    """While a two-chain monitor runs, each chain has exactly its ingest
-    thread and its consumer thread: with no fault, once arbitrum_like's
-    metric sinks have failed at their first window, and before its
-    normalize fails at block 20. After the run, no thread is left (threads
-    of earlier tests may have ended meanwhile)."""
+def test_each_chain_runs_one_thread(tmp_path, monkeypatch, fault):
+    """While a two-chain monitor runs, each chain has exactly one thread,
+    its ingest, which also runs the chain's consumer: with no fault, once
+    arbitrum_like's metric sinks have failed at their first window, and
+    before its normalize fails at block 20. After the run, no thread is
+    left (threads of earlier tests may have ended meanwhile)."""
     arb = constant_fee_scenario(block_count=100)
     eth = adaptive_fee_scenario(block_count=100)
     ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
@@ -734,7 +743,7 @@ def test_each_chain_runs_an_ingest_and_a_consumer_thread(tmp_path, monkeypatch, 
         topic_retention=5, window_s=5))
     before = set(threading.enumerate())
     during = []
-    # both consumers meet at block 10, while retention 5 holds each ingest back
+    # both chains' consumer steps meet at block 10, each in its ingest thread
     meet = threading.Barrier(2, timeout=10, action=lambda: during.append(
         {thread.name for thread in set(threading.enumerate()) - before}))
     normalize = Normalizer.normalize
@@ -762,8 +771,7 @@ def test_each_chain_runs_an_ingest_and_a_consumer_thread(tmp_path, monkeypatch, 
     report = run_monitor(config, max_blocks=100, start_number=0,
                          client_factory=lambda p: LedgerRpcClient(
                              ledgers[p.chain.name], clock, p.chain))
-    assert during == [{f"{chain}-{role}" for chain in ledgers
-                       for role in ("ingest", "consumer")}]
+    assert during == [{f"{chain}-ingest" for chain in ledgers}]
     assert set(threading.enumerate()) <= before
     errors = {chain: entry["errors"] for chain, entry in report["chains"].items()}
     expected = {None: [], "metric_sink": ["gas_price_gwei: disk full",
@@ -869,29 +877,35 @@ def test_monitor_closes_only_the_clients_it_built(tmp_path, monkeypatch):
 
 
 def test_replay_of_recorded_monitor_run_matches(tmp_path):
-    """Replaying a monitor run's raw stream reproduces its series files."""
-    scenario = constant_fee_scenario(block_count=80)
-    ledger = generate_scenario(scenario)
-    clock = ManualClock(scenario.start_time_s + 10**6)
-    monitor_out = tmp_path / "live"
-    replay_out = tmp_path / "replayed"
-    networks = [network_entry("arbitrum_like", 42161, priority_policy="exclude")]
-    config = load_config(write_config(tmp_path, networks))
-    config = type(config)(networks=config.networks, output_dir=monitor_out,
-                          window_s=config.window_s,
-                          downsample_bucket_s=config.downsample_bucket_s,
-                          topic_retention=config.topic_retention)
-    run_monitor(config, max_blocks=80, duration_s=60, start_number=0,
-                client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
-    replay_config = type(config)(networks=config.networks, output_dir=replay_out,
-                                 window_s=config.window_s,
-                                 downsample_bucket_s=config.downsample_bucket_s,
-                                 topic_retention=config.topic_retention)
-    run_replay(monitor_out / "arbitrum_like" / "raw.jsonl", replay_config)
-    for name in ("gas_price_gwei.jsonl", "block_usage_ratio.jsonl", "normalized.jsonl"):
-        live = (monitor_out / "arbitrum_like" / name).read_bytes()
-        replayed = (replay_out / "arbitrum_like" / name).read_bytes()
-        assert live == replayed
+    """Replaying a two-chain monitor run's raw streams, concatenated,
+    reproduces every file it wrote, run_report.json included. 1,234 blocks
+    per chain is not a multiple of the 500-record step, so the last step
+    runs at the end of the run; retention 3 steps every 3 blocks."""
+    arb = constant_fee_scenario(block_count=1234)
+    eth = adaptive_fee_scenario(block_count=1234)
+    ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
+    clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
+    config = load_config(write_config(tmp_path, [
+        network_entry("arbitrum_like", 42161, priority_policy="exclude"),
+        network_entry("ethereum_like", 1),
+    ]))
+    for retention in (3, config.topic_retention):
+        monitor_out = tmp_path / f"live_{retention}"
+        report = run_monitor(
+            dataclasses.replace(config, output_dir=monitor_out, topic_retention=retention),
+            max_blocks=1234, start_number=0,
+            client_factory=lambda p: LedgerRpcClient(ledgers[p.chain.name], clock, p.chain))
+        assert all(entry["blocks_ingested"] == entry["normalized_records"] == 1234
+                   and entry["errors"] == [] for entry in report["chains"].values())
+        recorded = tmp_path / f"recorded_{retention}.jsonl"
+        recorded.write_bytes(b"".join((monitor_out / chain / "raw.jsonl").read_bytes()
+                                      for chain in ledgers))
+        replay_out = tmp_path / f"replayed_{retention}"
+        run_replay(recorded, dataclasses.replace(config, output_dir=replay_out,
+                                                 topic_retention=retention))
+        live = output_bytes(monitor_out)
+        assert len(live) == 1 + 7 * len(ledgers)  # run_report.json, six files and dead letters
+        assert live == output_bytes(replay_out)
 
 
 def sample_line(chain, number, ts, kind, value):

@@ -495,6 +495,20 @@ def test_full_scenario_ingest_is_complete_and_ordered():
     assert emitted == ledger_blocks
 
 
+def test_idle_runs_before_each_sleep():
+    """idle runs just before each sleep, a backoff's included, and not
+    after the last block: a caller can process what was emitted while the
+    chain has nothing new."""
+    trace = []
+    count = poll_chain(make_profile(), lambda header: trace.append(("emit", header.number)),
+                       client=ScriptedSource([0, 2], ledger(3), head_errors=1),
+                       stop=WaitRecorder(trace), max_blocks=3, start_number=0,
+                       idle=lambda: trace.append(("idle",)))
+    assert count == 3
+    assert trace == [("idle",), ("wait", 0.001), ("emit", 0), ("idle",), ("wait", 0.001),
+                     ("emit", 1), ("emit", 2)]
+
+
 def test_poll_chain_stops_on_event():
     source = ScriptedSource([5], ledger(10))
     stop = threading.Event()

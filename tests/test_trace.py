@@ -42,14 +42,13 @@ def test_traced_replay_reports_layer_metrics(tmp_path):
     )
     assert result.returncode == 0, result.stdout + result.stderr
     layers = json.loads(result.stdout.strip().splitlines()[-1])
-    # replay runs no ingest, and whether a consumer ever finds its topic empty
-    # depends on thread timing; every other layer's patch must have seen calls
+    # replay runs no ingest; every other layer's patch must have seen calls, and
+    # each consumer step ends on exactly one empty poll
     traced = {name: value for name, value in layers.items()
-              if name.split(".")[0] in ("streamlog", "records", "normalize", "metrics", "cep")
-              and name != "streamlog.empty_polls_per_block"}
+              if name.split(".")[0] in ("streamlog", "records", "normalize", "metrics", "cep")}
     assert sorted(traced) == sorted([
         "streamlog.append_us", "streamlog.poll_us", "streamlog.records_per_poll",
-        "streamlog.retained_peak", "records.encodes_per_block", "records.encode_us",
+        "streamlog.empty_polls_per_block", "streamlog.retained_peak", "records.encodes_per_block", "records.encode_us",
         "records.decodes_per_block", "records.decode_us", "normalize.normalize_us",
         "metrics.sample_us", "metrics.summarize_us", "cep.source_us_per_record",
         "cep.self_us_per_record",
