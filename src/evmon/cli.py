@@ -5,15 +5,15 @@ consumer of its raw topic: the normalize pipeline, whose sink pushes each
 normalized record into one metric pipeline per metric kind in the same
 thread. The consumer runs in the thread that feeds its topic, and no
 thread ever blocks on the log. A consumer runs on what its topic holds
-every min(500, topic_retention) headers. replay runs in the calling
-thread: its reader hands each header to its chain's consumer. monitor
-runs one thread per chain, its ingest, which hands over each block it
-fetches; it also runs the consumer before each sleep and once a held
-header has waited a poll interval. Each chain's files have one
-writer, which writes in offset order, so replay's outputs are
-byte-identical across runs. A metric pipeline whose file write fails is
-dropped; when normalize ends, the consumer closes its raw topic, which
-stops the chain's producer, and flushes the metric pipelines' windows.
+every 500 headers. replay runs in the calling thread: its reader hands
+each header to its chain's consumer. monitor runs one thread per chain,
+its ingest, which hands over each block it fetches; it also runs the
+consumer before each sleep and once a held header has waited a poll
+interval. Each chain's files have one writer, which writes in offset
+order, so replay's outputs are byte-identical across runs. A metric
+pipeline whose file write fails is dropped; when normalize ends, the
+consumer closes its raw topic, which stops the chain's producer, and
+flushes the metric pipelines' windows.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -72,17 +72,12 @@ class InputDataError(ValueError):
     """Input records are inconsistent with the configuration."""
 
 
-DEFAULT_RETENTION_RECORDS = 500
-
-
 @dataclass(frozen=True)
 class RunConfig:
     networks: tuple[ValidatedProfile, ...]
     output_dir: Path
     window_s: int = 300
     downsample_bucket_s: int = 300
-    # only caps a consumer's step: it runs every min(500, topic_retention) headers
-    topic_retention: int = DEFAULT_RETENTION_RECORDS
 
 
 def _config_int(obj: dict[str, Any], key: str, default: int | None, where: str = "") -> int:
@@ -174,10 +169,9 @@ def load_config(path: Path | str) -> RunConfig:
         window_s=_config_int(obj, "window_s", RunConfig.window_s),
         downsample_bucket_s=_config_int(obj, "downsample_bucket_s",
                                         RunConfig.downsample_bucket_s),
-        topic_retention=_config_int(obj, "topic_retention", RunConfig.topic_retention),
     )
-    if config.window_s <= 0 or config.downsample_bucket_s <= 0 or config.topic_retention <= 0:
-        raise ConfigParse("window_s, downsample_bucket_s and topic_retention must be positive")
+    if config.window_s <= 0 or config.downsample_bucket_s <= 0:
+        raise ConfigParse("window_s and downsample_bucket_s must be positive")
     return config
 
 
@@ -196,7 +190,7 @@ class _ChainOutcome:
 _PIPELINES = ("normalize", *(kind.value for kind in METRIC_KINDS))
 
 
-_POLL_BATCH = 500  # records per poll, and the most records a topic holds
+_STEP = 500  # headers per consumer step, and records per poll
 
 
 def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
@@ -283,17 +277,16 @@ class _ChainConsumer:
 
     def __init__(self, profile: ValidatedProfile, config: RunConfig, broker: StreamLog,
                  stack: ExitStack, live: bool) -> None:
-        self.chain = profile.chain.name
-        self.topic = f"raw.{self.chain}"
+        self.chain = profile.chain
+        self.topic = f"raw.{self.chain.name}"
         self.outcome = _ChainOutcome()
-        self._step = min(_POLL_BATCH, config.topic_retention)
         self._max_hold_s = profile.poll_interval_ms / 1000.0 if live else math.inf
         self._unread = 0  # records appended since the last run_held
         self._due = math.inf  # when the oldest of them has waited _max_hold_s
         self._broker = broker
         broker.create_topic(self.topic, groups=("normalize",))
         self._handle = broker.subscribe(self.topic, "normalize")
-        self._files = _open_chain_files(stack, config.output_dir / self.chain)
+        self._files = _open_chain_files(stack, config.output_dir / self.chain.name)
         self._normalize = cep.PipelineRun(_normalize_stages(profile, self._files, self._fan_out))
         # (name, run) of each metric pipeline still running. _failed binds a
         # new tuple, so a loop over the old one goes on undisturbed.
@@ -308,7 +301,7 @@ class _ChainConsumer:
         self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != name)
         self.outcome.reports[name] = report
         self.outcome.errors.append(f"{name}: {cause}")
-        log.error("%s: %s pipeline failed", self.chain, name, exc_info=cause)
+        log.error("%s: %s pipeline failed", self.chain.name, name, exc_info=cause)
 
     def _fan_out(self, record: NormalizedBlockRecord) -> None:
         for name, run in self._metric_runs:
@@ -324,22 +317,22 @@ class _ChainConsumer:
     def _held(self) -> Iterator[RawBlockHeader]:
         """The records the topic holds, the very objects appended,
         committing each batch; ends on the first empty poll."""
-        while batch := self._broker.poll(self._handle, _POLL_BATCH):
+        while batch := self._broker.poll(self._handle, _STEP):
             for _, header in batch:
                 yield header
             self._broker.commit(self._handle, batch[-1][0])
 
     def take(self, header: RawBlockHeader) -> None:
         """Append one header to the chain's topic and count it as ingested;
-        every min(500, topic_retention) of them, or once the oldest unread
-        one has waited the hold bound, run the consumer. Raises TopicClosed,
-        with the header not counted, once the consumer ended."""
+        every 500 of them, or once the oldest unread one has waited the hold
+        bound, run the consumer. Raises TopicClosed, with the header not
+        counted, once the consumer ended."""
         self._broker.append(self.topic, header)
         self.outcome.blocks_ingested += 1
         self._unread += 1
         if self._unread == 1:
             self._due = time.monotonic() + self._max_hold_s
-        if self._unread == self._step or time.monotonic() >= self._due:
+        if self._unread == _STEP or time.monotonic() >= self._due:
             self.run_held()
 
     def run_held(self) -> None:
@@ -457,11 +450,10 @@ def run_monitor(
 
     Each chain runs in one thread of its own, its ingest, so an endpoint
     failure degrades only that chain. Ingest appends each block it fetches
-    to the chain's raw topic and runs the chain's consumer every
-    min(500, topic_retention) blocks, once a fetched block has waited
-    poll_interval_ms, and before each sleep: during a backlog, a block's
-    output lines trail its fetch by at most one poll interval plus one
-    fetch. Stops when stop_event fires, duration_s elapses, or every chain
+    to the chain's raw topic and runs the chain's consumer every 500
+    blocks, once a fetched block has waited poll_interval_ms, and before
+    each sleep: during a backlog, a block's output lines trail its fetch
+    by at most one poll interval plus one fetch. Stops when stop_event fires, duration_s elapses, or every chain
     has emitted max_blocks blocks. Returns (and writes) the run report;
     shutdown flushes open windows as partial summaries. Without a
     client_factory each chain gets an RpcClient, closed when its ingest
@@ -520,13 +512,13 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
     the calling thread.
 
     The reader is a pipeline whose sink hands each header to its chain's
-    consumer, which appends it to the chain's raw topic and, every
-    min(500, topic_retention) headers, runs on what the topic holds. So
-    memory holds at most that many headers per chain. Outputs are a pure
-    function of (input bytes, config). A chain's blocks_ingested is its
-    number of input records. A record of an unconfigured chain, or a
-    malformed line, raises at that record, once every consumer has run
-    the records before it and ended.
+    consumer, which appends it to the chain's raw topic and, every 500
+    headers, runs on what the topic holds. So memory holds at most 500
+    headers per chain. Outputs are a pure function of (input bytes,
+    config). A chain's blocks_ingested is its number of input records. A
+    record of an unconfigured chain, one whose chain_id is not its
+    profile's, or a malformed line, raises at that record, once every
+    consumer has run the records before it and ended.
     """
     input_path = Path(input_path)
     if not input_path.is_file():  # fail before the output files are truncated
@@ -534,10 +526,15 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
 
     def drive(broker: StreamLog, consumers: dict[str, _ChainConsumer]) -> None:
         def route(header: RawBlockHeader) -> None:
-            consumer = consumers.get(header.chain.name)
+            chain = header.chain
+            consumer = consumers.get(chain.name)
             if consumer is None:
-                raise InputDataError(f"input contains chain {header.chain.name!r} "
+                raise InputDataError(f"input contains chain {chain.name!r} "
                                      "with no configured profile")
+            if chain is not consumer.chain and chain != consumer.chain:
+                raise InputDataError(f"input contains chain {chain.name!r} with chain_id "
+                                     f"{chain.chain_id}; its profile has chain_id "
+                                     f"{consumer.chain.chain_id}")
             try:
                 consumer.take(header)
             except TopicClosed:  # its normalize pipeline died; the record still counts

@@ -5,7 +5,8 @@ RawBlockHeader, NormalizedBlockRecord, MetricSample) are slotted
 dataclasses, not frozen ones: a frozen dataclass sets each field through
 object.__setattr__, which costs more than the rest of its construction.
 They check their fields when built and are not hashable. Nothing assigns
-to them after that, and they cross threads only through the StreamLog.
+to them after that, and none crosses threads: each is built and consumed
+in the one thread that runs its chain.
 Every other dataclass here is frozen.
 Fee amounts are integer wei internally; gwei is a display/export unit
 only, so exact arithmetic never touches floats.
@@ -72,12 +73,9 @@ class FeeQuantity:
 
     @property
     def gwei(self) -> float:
-        """Display value in gwei; round-trips through from_gwei to within 1 wei."""
+        """Display value in gwei: exact for whole gwei, and within 1 wei of
+        value_wei when scaled back by WEI_PER_GWEI and rounded."""
         return self.value_wei / WEI_PER_GWEI
-
-    @classmethod
-    def from_gwei(cls, gwei: float) -> FeeQuantity:
-        return cls(round(gwei * WEI_PER_GWEI))
 
 
 @dataclass(frozen=True)

@@ -118,7 +118,8 @@ def normalize_header(
     """
     if header.chain is not profile.chain and header.chain != profile.chain:
         raise ProfileMismatch(
-            f"header for {header.chain.name} normalized with profile for {profile.chain.name}"
+            f"header for {header.chain.name} (chain_id {header.chain.chain_id}) normalized "
+            f"with profile for {profile.chain.name} (chain_id {profile.chain.chain_id})"
         )
     limit, limit_flags = effective_gas_limit(header, profile)
     price, price_flags = effective_gas_price(header, profile, first_seen_base_fee)

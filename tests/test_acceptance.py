@@ -275,7 +275,6 @@ def test_acceptance_7_determinism(tmp_path):
             networks=base_config.networks, output_dir=out,
             window_s=base_config.window_s,
             downsample_bucket_s=base_config.downsample_bucket_s,
-            topic_retention=base_config.topic_retention,
         )
         run_replay(fixture, config)
         series = out / "ethereum_like" / "gas_price_gwei.jsonl"

@@ -14,6 +14,7 @@ from evmon import cli, metrics, records
 from evmon.cli import (
     ConfigParse,
     InputDataError,
+    RunConfig,
     load_config,
     main,
     run_monitor,
@@ -118,10 +119,9 @@ def test_malformed_config_shape_is_a_config_error(tmp_path, config):
     ({"limit_policy": {"type": "override", "effective_limit": 3.2e7}}, {}),
     ({}, {"window_s": 300.7}),
     ({}, {"downsample_bucket_s": "300"}),
-    ({}, {"topic_retention": True}),
 ], ids=["chain_id_bool", "chain_id_fraction", "poll_interval_fraction",
         "tolerance_string", "effective_limit_float", "window_fraction",
-        "bucket_string", "retention_bool"])
+        "bucket_string"])
 def test_config_integer_fields_take_only_json_integers(tmp_path, network, top):
     entry = network_entry("a", 1)
     entry.update(network)
@@ -129,6 +129,41 @@ def test_config_integer_fields_take_only_json_integers(tmp_path, network, top):
     with pytest.raises(ConfigParse, match="must be an integer"):
         load_config(path)
     assert main(["replay", "--input", "x", "--config", str(path)]) == 1
+
+
+def test_readme_config_example_loads(tmp_path, monkeypatch):
+    """The config example in README.md loads, and its top-level keys are
+    exactly the RunConfig fields, so it names no key the loader ignores."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    example = readme.split("### Config schema (JSON)", 1)[1].split("```json\n", 1)[1]
+    example = example.split("```", 1)[0]
+    path = tmp_path / "config.json"
+    path.write_text(example, encoding="utf-8")
+    monkeypatch.delenv("EVMON_OUTPUT_DIR", raising=False)
+    config = load_config(path)
+    assert set(json.loads(example)) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert [profile.chain.name for profile in config.networks] == [
+        "arbitrum_like", "ethereum_like"]
+    assert isinstance(config.networks[0].limit_policy, OverrideLimit)
+    assert (config.window_s, config.downsample_bucket_s, config.output_dir) == (
+        300, 300, Path("out"))
+
+
+def test_a_config_with_the_retired_topic_retention_replays_the_same(tmp_path):
+    """An older config's topic_retention is not read: such a config loads,
+    and its replay of the fixture is byte-identical to one without it."""
+    fixtures = Path(__file__).parent / "fixtures"
+    base = json.loads((fixtures / "replay_config.json").read_text(encoding="utf-8"))
+    assert "topic_retention" not in base
+    outputs = {}
+    for name, extra in (("plain", {}), ("retired", {"topic_retention": 100_000})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, **extra, "output_dir": str(tmp_path / name)}),
+                        encoding="utf-8")
+        run_replay(fixtures / "replay_fixture.jsonl", load_config(path))
+        outputs[name] = output_bytes(tmp_path / name)
+    assert outputs["retired"] == outputs["plain"]
+    assert "run_report.json" in outputs["plain"]
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
@@ -197,7 +232,6 @@ def test_replay_is_byte_deterministic(tmp_path):
         config = type(config)(
             networks=config.networks, output_dir=out,
             window_s=config.window_s, downsample_bucket_s=config.downsample_bucket_s,
-            topic_retention=config.topic_retention,
         )
         run_replay(input_path, config)
         return {
@@ -265,9 +299,10 @@ def test_replay_builds_one_flushed_window_per_window(tmp_path, monkeypatch):
 @pytest.mark.parametrize("switch_interval_s", [None, 1e-6])
 def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
                                                          switch_interval_s):
-    """Replay streams its input through topics of 3 records: consumers hold
-    the reader back, so no record is lost and every output file, including
-    run_report.json, equals a replay at the default retention."""
+    """Replay streams its input through topics of 3 records: consumers step
+    every 3 headers and hold the reader back, so no record is lost and
+    every output file, including run_report.json, equals a replay at the
+    default step."""
     fixtures = Path(__file__).parent / "fixtures"
     fixture = fixtures / "replay_fixture.jsonl"
     config = load_config(fixtures / "replay_config.json")
@@ -283,12 +318,12 @@ def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
         return offset
 
     monkeypatch.setattr(StreamLog, "append", counted_append)
+    monkeypatch.setattr(cli, "_STEP", 3)
     switch_interval = sys.getswitchinterval()
     if switch_interval_s is not None:
         sys.setswitchinterval(switch_interval_s)
     try:
-        run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "small",
-                                                topic_retention=3))
+        run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "small"))
     finally:
         sys.setswitchinterval(switch_interval)
     assert output_bytes(tmp_path / "small") == expected
@@ -297,12 +332,11 @@ def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
 
 
 def test_replay_at_default_retention_holds_the_reader_back(tmp_path, monkeypatch):
-    """With no topic_retention configured (DEFAULT_RETENTION_RECORDS,
-    500), the reader runs each chain's consumer every 500 appends, in
-    its own thread: a 3,000-block chain never has more than 500 records
-    held in its topic, and the replay starts no thread."""
+    """At the default step, 500, the reader runs each chain's consumer
+    every 500 appends, in its own thread: a 3,000-block chain never has
+    more than 500 records held in its topic, and the replay starts no
+    thread."""
     input_path, config_path = two_chain_fixture(tmp_path, blocks=3000)
-    assert "topic_retention" not in json.loads(config_path.read_text(encoding="utf-8"))
     append = StreamLog.append
     retained = collections.Counter()
 
@@ -479,14 +513,14 @@ def test_monitor_two_simnode_chains(tmp_path):
         assert report["chains"][chain]["blocks_ingested"] == 100
 
 
-def test_monitor_behind_retention_loses_nothing_silently(tmp_path):
-    """A 2,000-block backlog through retention 5: ingest runs its chain's
-    consumer every 5 blocks, so every block reaches every file."""
+def test_monitor_behind_retention_loses_nothing_silently(tmp_path, monkeypatch):
+    """A 2,000-block backlog through a 5-record step: ingest runs its
+    chain's consumer every 5 blocks, so every block reaches every file."""
+    monkeypatch.setattr(cli, "_STEP", 5)
     scenario = constant_fee_scenario(block_count=2000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
-    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
-                                      topic_retention=5))
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)]))
     report = run_monitor(config, max_blocks=2000, start_number=0,
                          client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
     chain = report["chains"]["arbitrum_like"]
@@ -495,15 +529,15 @@ def test_monitor_behind_retention_loses_nothing_silently(tmp_path):
         assert len(read_lines(config.output_dir / "arbitrum_like" / name)) == 2000
 
 
-def test_catchup_larger_than_retention_writes_every_block(tmp_path):
-    """Two chains catch up on 3,000 blocks each through retention 100."""
+def test_catchup_larger_than_retention_writes_every_block(tmp_path, monkeypatch):
+    """Two chains catch up on 3,000 blocks each through a 100-record step."""
+    monkeypatch.setattr(cli, "_STEP", 100)
     arb = constant_fee_scenario(block_count=3000)
     eth = adaptive_fee_scenario(block_count=3000)
     ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
     clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
     config = load_config(write_config(
-        tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)],
-        topic_retention=100))
+        tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)]))
     report = run_monitor(config, max_blocks=3000, start_number=0,
                          client_factory=lambda p: LedgerRpcClient(
                              ledgers[p.chain.name], clock, p.chain))
@@ -518,8 +552,9 @@ def test_catchup_larger_than_retention_writes_every_block(tmp_path):
 @pytest.mark.parametrize("dead", [(MetricKind.BLOCK_USAGE_RATIO,), tuple(MetricKind)],
                          ids=["one", "both"])
 def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, dead):
-    """A metric pipeline whose window sink raises is dropped, so at
-    retention 5 normalize, ingest and the other metric pipeline run on."""
+    """A metric pipeline whose window sink raises is dropped, so with a
+    5-record step normalize, ingest and the other metric pipeline run on."""
+    monkeypatch.setattr(cli, "_STEP", 5)
     window_summary_to_dict = records.window_summary_to_dict
 
     def disk_full_for_dead(summary):
@@ -531,8 +566,7 @@ def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, de
     scenario = constant_fee_scenario(block_count=1000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
-    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)],
-                                      topic_retention=5))
+    config = load_config(write_config(tmp_path, [network_entry("arbitrum_like", 42161)]))
     report = run_monitor(config, max_blocks=1000, start_number=0,
                          client_factory=lambda p: LedgerRpcClient(ledger, clock, p.chain))
     chain = report["chains"]["arbitrum_like"]
@@ -564,8 +598,8 @@ def test_duration_timer_does_not_outlive_the_run(tmp_path):
 
 
 def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkeypatch):
-    """At retention 5, ingest runs its consumer after every 5 blocks (the
-    poll interval is too long to end a step first), so a metric pipeline
+    """With a 5-record step, ingest runs its consumer after every 5 blocks
+    (the poll interval is too long to end a step first), so a metric pipeline
     that stalls in that step holds ingest back. Setting stop then ends the
     run once the stall clears: the step finishes its 5 records, ingest
     fetches no further block, and every window still open is written as
@@ -579,12 +613,12 @@ def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkey
         return block_usage_sample(record)
 
     monkeypatch.setattr(metrics, "block_usage_sample", stalled)
+    monkeypatch.setattr(cli, "_STEP", 5)
     scenario = constant_fee_scenario(block_count=1000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
     config = load_config(write_config(
-        tmp_path, [network_entry("arbitrum_like", 42161, poll_interval_ms=60_000)],
-        topic_retention=5))
+        tmp_path, [network_entry("arbitrum_like", 42161, poll_interval_ms=60_000)]))
     stop = threading.Event()
     reports = []
     run = threading.Thread(target=lambda: reports.append(run_monitor(
@@ -671,8 +705,7 @@ def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
     config = load_config(write_config(
-        tmp_path, [network_entry("arbitrum_like", 42161, poll_interval_ms=60_000)],
-        topic_retention=100_000))
+        tmp_path, [network_entry("arbitrum_like", 42161, poll_interval_ms=60_000)]))
     normalized_line = records.normalized_line
     calls = []
 
@@ -738,9 +771,10 @@ def test_each_chain_runs_one_thread(tmp_path, monkeypatch, fault):
     eth = adaptive_fee_scenario(block_count=100)
     ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
     clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
+    monkeypatch.setattr(cli, "_STEP", 5)
     config = load_config(write_config(
         tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)],
-        topic_retention=5, window_s=5))
+        window_s=5))
     before = set(threading.enumerate())
     during = []
     # both chains' consumer steps meet at block 10, each in its ingest thread
@@ -876,11 +910,12 @@ def test_monitor_closes_only_the_clients_it_built(tmp_path, monkeypatch):
     assert report["chains"]["chain_a"]["blocks_ingested"] == 20
 
 
-def test_replay_of_recorded_monitor_run_matches(tmp_path):
+def test_replay_of_recorded_monitor_run_matches(tmp_path, monkeypatch):
     """Replaying a two-chain monitor run's raw streams, concatenated,
-    reproduces every file it wrote, run_report.json included. 1,234 blocks
-    per chain is not a multiple of the 500-record step, so the last step
-    runs at the end of the run; retention 3 steps every 3 blocks."""
+    reproduces every file it wrote, run_report.json included, at a
+    3-record step and at the default step. 1,234 blocks per chain is not
+    a multiple of the 500-record step, so the last step runs at the end
+    of the run."""
     arb = constant_fee_scenario(block_count=1234)
     eth = adaptive_fee_scenario(block_count=1234)
     ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
@@ -889,20 +924,20 @@ def test_replay_of_recorded_monitor_run_matches(tmp_path):
         network_entry("arbitrum_like", 42161, priority_policy="exclude"),
         network_entry("ethereum_like", 1),
     ]))
-    for retention in (3, config.topic_retention):
-        monitor_out = tmp_path / f"live_{retention}"
+    for step in (3, cli._STEP):
+        monkeypatch.setattr(cli, "_STEP", step)
+        monitor_out = tmp_path / f"live_{step}"
         report = run_monitor(
-            dataclasses.replace(config, output_dir=monitor_out, topic_retention=retention),
+            dataclasses.replace(config, output_dir=monitor_out),
             max_blocks=1234, start_number=0,
             client_factory=lambda p: LedgerRpcClient(ledgers[p.chain.name], clock, p.chain))
         assert all(entry["blocks_ingested"] == entry["normalized_records"] == 1234
                    and entry["errors"] == [] for entry in report["chains"].values())
-        recorded = tmp_path / f"recorded_{retention}.jsonl"
+        recorded = tmp_path / f"recorded_{step}.jsonl"
         recorded.write_bytes(b"".join((monitor_out / chain / "raw.jsonl").read_bytes()
                                       for chain in ledgers))
-        replay_out = tmp_path / f"replayed_{retention}"
-        run_replay(recorded, dataclasses.replace(config, output_dir=replay_out,
-                                                 topic_retention=retention))
+        replay_out = tmp_path / f"replayed_{step}"
+        run_replay(recorded, dataclasses.replace(config, output_dir=replay_out))
         live = output_bytes(monitor_out)
         assert len(live) == 1 + 7 * len(ledgers)  # run_report.json, six files and dead letters
         assert live == output_bytes(replay_out)
@@ -1044,6 +1079,29 @@ def test_replay_of_a_value_that_is_not_a_json_integer_exits_2(tmp_path, capsys, 
     assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 2
     assert f"line 4: {key} must be an integer >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out" / "run_report.json").exists()
+
+
+def test_replay_of_a_chain_id_that_is_not_its_profiles_exits_2(tmp_path, capsys):
+    """A header named as a configured chain but carrying another chain_id
+    ends the replay at that record with both ids in the error, as a chain
+    with no profile does: it is not written to raw.jsonl and does not
+    become a dead letter."""
+    fixtures = Path(__file__).parent / "fixtures"
+    lines = read_lines(fixtures / "replay_fixture.jsonl")[:50]
+    assert all(json.loads(line)["chain"] == "arbitrum_like" for line in lines)
+    input_path = tmp_path / "renumbered.jsonl"
+    input_path.write_text("".join(
+        json.dumps({**json.loads(line), "chain_id": 7}) + "\n" for line in lines),
+        encoding="utf-8")
+    config = json.loads((fixtures / "replay_config.json").read_text(encoding="utf-8"))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({**config, "output_dir": str(tmp_path / "out")}),
+                           encoding="utf-8")
+    assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "'arbitrum_like' with chain_id 7" in err and "chain_id 42161" in err
+    assert not (tmp_path / "out" / "run_report.json").exists()
+    assert read_lines(tmp_path / "out" / "arbitrum_like" / "raw.jsonl") == []
 
 
 def test_replay_malformed_line_after_valid_records_exits_2(tmp_path):

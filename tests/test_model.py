@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import TEST_CHAIN, make_profile
 from evmon.model import (
+    WEI_PER_GWEI,
     ChainRef,
     FeeQuantity,
     GasQuantity,
@@ -129,14 +130,15 @@ def test_fee_display_in_gwei():
 
 @given(st.integers(min_value=0, max_value=10**6))
 def test_gwei_round_trip_lossless_for_whole_gwei(gwei_int):
-    fee = FeeQuantity(gwei_int * 10**9)
-    assert FeeQuantity.from_gwei(fee.gwei).value_wei == fee.value_wei
+    fee = FeeQuantity(gwei_int * WEI_PER_GWEI)
+    assert fee.gwei == gwei_int
+    assert round(fee.gwei * WEI_PER_GWEI) == fee.value_wei
 
 
 @given(st.integers(min_value=0, max_value=10**15))
 def test_gwei_round_trip_within_one_wei(wei):
     fee = FeeQuantity(wei)
-    assert abs(FeeQuantity.from_gwei(fee.gwei).value_wei - wei) <= 1
+    assert abs(round(fee.gwei * WEI_PER_GWEI) - wei) <= 1
 
 
 def test_metric_sample_rejects_nonfinite_and_negative():

@@ -111,7 +111,8 @@ def test_normalize_rollup_configuration_sets_both_flags():
 
 def test_normalize_rejects_profile_for_other_chain():
     profile = make_profile(chain=ChainRef("other", 10))
-    with pytest.raises(ProfileMismatch):
+    with pytest.raises(ProfileMismatch,
+                       match=r"testnet \(chain_id 777\).*other \(chain_id 10\)"):
         normalize_header(make_header(chain=TEST_CHAIN), profile)
 
 
