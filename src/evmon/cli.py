@@ -4,12 +4,12 @@ monitor and replay share one engine. Each configured chain has one
 consumer of its raw topic: the normalize pipeline, whose sink pushes each
 normalized record into one metric pipeline per metric kind in the same
 thread. The consumer runs in the thread that feeds its topic, and no
-thread ever blocks on the log. A consumer runs on what its topic holds
-every 500 headers. replay runs in the calling thread: its reader hands
-each header to its chain's consumer. monitor runs one thread per chain,
-its ingest, which hands over each block it fetches; it also runs the
-consumer before each sleep and once a held header has waited a poll
-interval. Each chain's files have one writer, which writes in offset
+thread ever blocks on the log. In both modes a consumer runs on what
+its topic holds every 500 headers. replay runs in the calling thread:
+its reader hands each header to its chain's consumer. monitor runs one
+thread per chain, its ingest, which hands over each block it fetches;
+ingest.poll_chain alone decides when else the consumer runs (its idle
+callback). Each chain's files have one writer, which writes in offset
 order, so replay's outputs are byte-identical across runs. A metric
 pipeline whose file write fails is dropped; when normalize ends, the
 consumer closes its raw topic, which stops the chain's producer, and
@@ -29,7 +29,6 @@ import os
 import signal
 import sys
 import threading
-import time
 from array import array
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -269,20 +268,17 @@ class _ChainConsumer:
     thread that drives it, writing the chain's six files. A pipeline that
     aborts is dropped and leaves its report and an error naming it.
 
-    Both modes drive it from the thread that feeds the chain: take for
-    each header, run_held when the feed has nothing new; end finishes it.
-    live bounds how long a header waits for its step to the chain's poll
-    interval, as monitor needs when each fetch is a network round trip.
+    Both modes drive it alike, from the thread that feeds the chain: take
+    for each header, which steps every 500; run_held when the feed
+    chooses (in monitor, poll_chain's idle); end finishes it.
     """
 
     def __init__(self, profile: ValidatedProfile, config: RunConfig, broker: StreamLog,
-                 stack: ExitStack, live: bool) -> None:
+                 stack: ExitStack) -> None:
         self.chain = profile.chain
         self.topic = f"raw.{self.chain.name}"
         self.outcome = _ChainOutcome()
-        self._max_hold_s = profile.poll_interval_ms / 1000.0 if live else math.inf
         self._unread = 0  # records appended since the last run_held
-        self._due = math.inf  # when the oldest of them has waited _max_hold_s
         self._broker = broker
         broker.create_topic(self.topic, groups=("normalize",))
         self._handle = broker.subscribe(self.topic, "normalize")
@@ -310,10 +306,6 @@ class _ChainConsumer:
             except cep.PipelineFailure as exc:
                 self._failed(name, exc.report, exc.cause)
 
-    def _flush(self) -> None:
-        for fh in self._files.values():
-            fh.flush()
-
     def _held(self) -> Iterator[RawBlockHeader]:
         """The records the topic holds, the very objects appended,
         committing each batch; ends on the first empty poll."""
@@ -324,15 +316,12 @@ class _ChainConsumer:
 
     def take(self, header: RawBlockHeader) -> None:
         """Append one header to the chain's topic and count it as ingested;
-        every 500 of them, or once the oldest unread one has waited the hold
-        bound, run the consumer. Raises TopicClosed, with the header not
-        counted, once the consumer ended."""
+        every 500 unread ones, run the consumer. Raises TopicClosed, with
+        the header not counted, once the consumer ended."""
         self._broker.append(self.topic, header)
         self.outcome.blocks_ingested += 1
         self._unread += 1
-        if self._unread == 1:
-            self._due = time.monotonic() + self._max_hold_s
-        if self._unread == _STEP or time.monotonic() >= self._due:
+        if self._unread == _STEP:
             self.run_held()
 
     def run_held(self) -> None:
@@ -346,7 +335,8 @@ class _ChainConsumer:
         try:
             for header in self._held():
                 push(header)
-            self._flush()
+            for fh in self._files.values():
+                fh.flush()
         except cep.PipelineFailure as exc:
             self.end(exc.cause)
         except OSError as exc:  # from a flush
@@ -373,19 +363,17 @@ class _ChainConsumer:
                 self._failed(name, exc.report, exc.cause)
 
 
-def _run(config: RunConfig, drive: Callable[[StreamLog, dict[str, _ChainConsumer]], None],
-         live: bool) -> dict[str, Any]:
-    """Build every chain's consumer (live as in _ChainConsumer), let drive
-    feed and run them, then run what each topic still holds, end them and
-    write and return the run report. If drive raises, each consumer still
-    runs what its topic holds and ends, and the error propagates with no
-    report written. drive ends any thread it starts."""
+def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) -> dict[str, Any]:
+    """Build every chain's consumer and let drive feed them. Then each
+    consumer runs what its topic still holds and ends, and the run report
+    is written and returned; if drive raised, its error propagates instead
+    of the report. drive ends any thread it starts."""
     broker = StreamLog()
     with ExitStack() as stack:
-        consumers = {profile.chain.name: _ChainConsumer(profile, config, broker, stack, live)
+        consumers = {profile.chain.name: _ChainConsumer(profile, config, broker, stack)
                      for profile in config.networks}
         try:
-            drive(broker, consumers)
+            drive(consumers)
         finally:
             for consumer in consumers.values():
                 consumer.run_held()
@@ -450,12 +438,13 @@ def run_monitor(
 
     Each chain runs in one thread of its own, its ingest, so an endpoint
     failure degrades only that chain. Ingest appends each block it fetches
-    to the chain's raw topic and runs the chain's consumer every 500
-    blocks, once a fetched block has waited poll_interval_ms, and before
-    each sleep: during a backlog, a block's output lines trail its fetch
-    by at most one poll interval plus one fetch. Stops when stop_event fires, duration_s elapses, or every chain
-    has emitted max_blocks blocks. Returns (and writes) the run report;
-    shutdown flushes open windows as partial summaries. Without a
+    to the chain's raw topic, and poll_chain's idle runs the consumer, so
+    during a backlog a block's output lines trail its fetch by at most one
+    poll interval plus one fetch. Stops when stop_event fires, duration_s
+    elapses, or every chain has emitted max_blocks blocks. Returns (and
+    writes) the run report; shutdown flushes open windows as partial
+    summaries. A chain thread that fails to start sets stop_event, which
+    ends the chains already started, and its error propagates. Without a
     client_factory each chain gets an RpcClient, closed when its ingest
     ends; clients from a client_factory stay the caller's to close.
     """
@@ -467,7 +456,7 @@ def run_monitor(
         timer.start()
     build_client = client_factory or (lambda profile: RpcClient(profile.rpc_url, profile.chain))
 
-    def drive(broker: StreamLog, consumers: dict[str, _ChainConsumer]) -> None:
+    def drive(consumers: dict[str, _ChainConsumer]) -> None:
         def ingest(profile: ValidatedProfile) -> None:
             consumer = consumers[profile.chain.name]
             client: BlockSource | None = None
@@ -494,14 +483,13 @@ def run_monitor(
                 thread.start()
                 started.append(thread)
         finally:
-            if len(started) < len(threads):  # end the threads that did start
-                for consumer in consumers.values():
-                    broker.close(consumer.topic)
+            if len(started) < len(threads):
+                stop.set()  # end the threads that did start
             for thread in started:
                 thread.join()
 
     try:
-        return _run(config, drive, live=True)
+        return _run(config, drive)
     finally:
         if timer is not None:
             timer.cancel()  # a run that ended otherwise must not set the caller's event
@@ -524,7 +512,7 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
     if not input_path.is_file():  # fail before the output files are truncated
         raise FileNotFoundError(f"no input file {input_path}")
 
-    def drive(broker: StreamLog, consumers: dict[str, _ChainConsumer]) -> None:
+    def drive(consumers: dict[str, _ChainConsumer]) -> None:
         def route(header: RawBlockHeader) -> None:
             chain = header.chain
             consumer = consumers.get(chain.name)
@@ -550,7 +538,7 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
             return
         raise error  # outside the handler, so it keeps its own type and chain
 
-    return _run(config, drive, live=False)
+    return _run(config, drive)
 
 
 def _load_series(input_path: Path) -> metrics.Series:

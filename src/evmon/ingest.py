@@ -19,6 +19,9 @@ One retry policy covers both calls, and nothing in it exits the process:
   failures and reset by an answer or a not-found, halts this chain's
   ingest, preferring data integrity over availability: poll_chain raises
   InvalidHeader("halted at block N: ...").
+
+poll_chain alone decides, through its idle callback, when its caller
+processes what it emitted.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import http.client
 import json
 import logging
 import threading
+import time
 from typing import Any, Callable, Protocol
 from urllib.parse import unquote, urlsplit
 
@@ -239,9 +243,9 @@ def poll_chain(
     or with None at the head observed at startup (monitoring, not archival
     backfill); emitted numbers then increase by exactly 1. emit and idle
     run in this thread, and an exception from either ends the loop. idle,
-    if given, is called before each sleep (poll interval or backoff), so
-    the caller can process what was emitted while the chain has nothing
-    new.
+    if given, is when the caller processes what was emitted: it runs
+    before each sleep (poll interval or backoff), and right after an emit
+    once a poll interval has passed since the last sleep or idle.
 
     Each pass makes one call: a head poll when no polled head is left to
     fetch up to, otherwise a fetch of the next block.
@@ -256,11 +260,14 @@ def poll_chain(
     emitted = 0
     next_number = start_number or 0  # with None, re-anchored at each head poll
     head: int | None = None  # the polled head still to fetch up to
+    run_idle = idle or (lambda: None)
+    idled_at = time.monotonic()  # when a sleep last ended or idle last returned
 
     def sleep(seconds: float) -> None:
-        if idle is not None:
-            idle()
+        nonlocal idled_at
+        run_idle()
         stop.wait(seconds)
+        idled_at = time.monotonic()
 
     while not stop.is_set() and (max_blocks is None or emitted < max_blocks):
         polling = head is None
@@ -300,6 +307,9 @@ def poll_chain(
             emit(header)
             emitted += 1
             next_number += 1
+            if time.monotonic() - idled_at >= poll_interval_s:
+                run_idle()
+                idled_at = time.monotonic()
             if next_number <= head or emitted == max_blocks:
                 continue
         head = None

@@ -421,39 +421,6 @@ class SimNodeServer(ThreadingHTTPServer):
         self.stop()
 
 
-def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
-    """JSON-friendly scenario form; the schema is documented in the README."""
-    if isinstance(scenario.regime, ConstantBaseFee):
-        regime: dict[str, Any] = {"type": "constant", "base_fee_wei": scenario.regime.base_fee_wei}
-    else:
-        regime = {
-            "type": "adaptive",
-            "initial_wei": scenario.regime.initial_wei,
-            "min_wei": scenario.regime.min_wei,
-            "adjust_denominator": scenario.regime.adjust_denominator,
-            "target_ratio": scenario.regime.target_ratio,
-        }
-    return {
-        "chain": {"name": scenario.chain.name, "chain_id": scenario.chain.chain_id},
-        "seed": scenario.seed,
-        "block_count": scenario.block_count,
-        "block_interval_s": scenario.block_interval_s,
-        "regime": regime,
-        "usage": {
-            "mean_ratio": scenario.usage_model.mean_ratio,
-            "jitter_ratio": scenario.usage_model.jitter_ratio,
-        },
-        "reported_limit": scenario.reported_limit.value,
-        "priority": None
-        if scenario.priority_model is None
-        else {
-            "mean_wei": scenario.priority_model.mean_wei,
-            "jitter_wei": scenario.priority_model.jitter_wei,
-        },
-        "start_time_s": scenario.start_time_s,
-    }
-
-
 def _int_field(obj: dict[str, Any], key: str, default: int | None = None) -> int:
     """obj[key] (or default when absent), which must be a JSON integer; a
     bool, a fraction or a string is an InvalidScenario, as in load_config."""

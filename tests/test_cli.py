@@ -166,6 +166,30 @@ def test_a_config_with_the_retired_topic_retention_replays_the_same(tmp_path):
     assert "run_report.json" in outputs["plain"]
 
 
+def test_replay_reads_no_clock(tmp_path, monkeypatch):
+    """Replay's outputs are a function of its input and config alone, and
+    it never reads the clock: with time.monotonic raising, every output
+    file and run_report.json are byte-equal to an unpatched replay's."""
+    fixtures = Path(__file__).parent / "fixtures"
+    base = json.loads((fixtures / "replay_config.json").read_text(encoding="utf-8"))
+
+    def replay_into(name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**base, "output_dir": str(tmp_path / name)}),
+                        encoding="utf-8")
+        run_replay(fixtures / "replay_fixture.jsonl", load_config(path))
+        return output_bytes(tmp_path / name)
+
+    plain = replay_into("plain")
+
+    def no_clock():
+        raise AssertionError("replay read the clock")
+
+    monkeypatch.setattr(time, "monotonic", no_clock)
+    assert replay_into("clockless") == plain
+    assert "run_report.json" in plain
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("EVMON_OUTPUT_DIR", str(tmp_path / "elsewhere"))
     path = write_config(tmp_path, [network_entry("a", 1)])
@@ -812,6 +836,52 @@ def test_each_chain_runs_one_thread(tmp_path, monkeypatch, fault):
                                           "block_usage_ratio: disk full"],
                 "normalize": ["normalize: disk full"]}[fault]
     assert errors == {"arbitrum_like": expected, "ethereum_like": []}
+
+
+def test_a_chain_thread_that_fails_to_start_stops_the_others(tmp_path, monkeypatch):
+    """When the second chain's ingest thread fails to start, run_monitor
+    sets the stop event, so the first chain ends although it has no new
+    block to hand its consumer; the error propagates, and no ingest thread
+    is left."""
+    arb = constant_fee_scenario(block_count=5)
+    eth = adaptive_fee_scenario(block_count=5)
+    ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
+    clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)]))
+    start = threading.Thread.start
+    ingest_starts = []
+
+    def second_ingest_fails_to_start(thread):
+        if thread.name.endswith("-ingest"):
+            ingest_starts.append(thread.name)
+            if len(ingest_starts) == 2:
+                raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", second_ingest_fails_to_start)
+    stop = threading.Event()
+    errors = []
+
+    def monitor():
+        try:
+            run_monitor(config, start_number=5, stop_event=stop,
+                        client_factory=lambda p: LedgerRpcClient(
+                            ledgers[p.chain.name], clock, p.chain))
+        except RuntimeError as exc:
+            errors.append(str(exc))
+
+    runner = threading.Thread(target=monitor, daemon=True)
+    runner.start()
+    try:
+        runner.join(timeout=10)
+        assert not runner.is_alive(), "run_monitor waits for a chain that never stops"
+        assert stop.is_set()
+    finally:
+        stop.set()
+        runner.join(timeout=10)
+    assert errors == ["can't start new thread"]
+    assert not [thread for thread in threading.enumerate() if thread.name.endswith("-ingest")]
 
 
 def test_monitor_partial_window_flagged(tmp_path):

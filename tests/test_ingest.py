@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
+from evmon import ingest
 from evmon.ingest import (
     BACKOFF_CAP_S,
     INVALID_HEADER_RETRIES,
@@ -495,10 +497,29 @@ def test_full_scenario_ingest_is_complete_and_ordered():
     assert emitted == ledger_blocks
 
 
-def test_idle_runs_before_each_sleep():
+class FakeClock:
+    """Stands in for ingest's time.monotonic: time moves only when a test
+    moves it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    fake = FakeClock()
+    monkeypatch.setattr(ingest, "time", types.SimpleNamespace(monotonic=fake))
+    return fake
+
+
+def test_idle_runs_before_each_sleep(clock):
     """idle runs just before each sleep, a backoff's included, and not
     after the last block: a caller can process what was emitted while the
-    chain has nothing new."""
+    chain has nothing new. The clock stands still, so no poll interval
+    passes between two emits."""
     trace = []
     count = poll_chain(make_profile(), lambda header: trace.append(("emit", header.number)),
                        client=ScriptedSource([0, 2], ledger(3), head_errors=1),
@@ -507,6 +528,32 @@ def test_idle_runs_before_each_sleep():
     assert count == 3
     assert trace == [("idle",), ("wait", 0.001), ("emit", 0), ("idle",), ("wait", 0.001),
                      ("emit", 1), ("emit", 2)]
+
+
+def test_idle_runs_during_a_backfill_once_per_poll_interval(clock):
+    """A 20-block backfill has no sleep, yet idle runs right after each
+    emit at which a poll interval has passed since the last idle: each
+    fetch takes 30 ms and the poll interval is 100 ms, so idle follows
+    every fourth emit, and no block waits for it more than one poll
+    interval plus one fetch."""
+
+    class SlowSource(ScriptedSource):
+        def fetch_block(self, number):
+            clock.now += 0.030
+            return super().fetch_block(number)
+
+    trace = []
+    count = poll_chain(make_profile(poll_interval_ms=100),
+                       lambda header: trace.append(("emit", header.number)),
+                       client=SlowSource([19], ledger(20)), stop=WaitRecorder(trace),
+                       max_blocks=20, start_number=0, idle=lambda: trace.append(("idle",)))
+    assert count == 20
+    expected = []
+    for number in range(20):
+        expected.append(("emit", number))
+        if number % 4 == 3:
+            expected.append(("idle",))
+    assert trace == expected
 
 
 def test_poll_chain_stops_on_event():

@@ -27,8 +27,41 @@ from evmon.simnode import (
     generate_scenario,
     next_base_fee,
     scenario_from_dict,
-    scenario_to_dict,
 )
+
+
+def scenario_to_dict(scenario):
+    """The full JSON form of a scenario, every optional key written out:
+    the oracle scenario_from_dict is checked against (schema in the README)."""
+    if isinstance(scenario.regime, ConstantBaseFee):
+        regime = {"type": "constant", "base_fee_wei": scenario.regime.base_fee_wei}
+    else:
+        regime = {
+            "type": "adaptive",
+            "initial_wei": scenario.regime.initial_wei,
+            "min_wei": scenario.regime.min_wei,
+            "adjust_denominator": scenario.regime.adjust_denominator,
+            "target_ratio": scenario.regime.target_ratio,
+        }
+    return {
+        "chain": {"name": scenario.chain.name, "chain_id": scenario.chain.chain_id},
+        "seed": scenario.seed,
+        "block_count": scenario.block_count,
+        "block_interval_s": scenario.block_interval_s,
+        "regime": regime,
+        "usage": {
+            "mean_ratio": scenario.usage_model.mean_ratio,
+            "jitter_ratio": scenario.usage_model.jitter_ratio,
+        },
+        "reported_limit": scenario.reported_limit.value,
+        "priority": None
+        if scenario.priority_model is None
+        else {
+            "mean_wei": scenario.priority_model.mean_wei,
+            "jitter_wei": scenario.priority_model.jitter_wei,
+        },
+        "start_time_s": scenario.start_time_s,
+    }
 
 
 def serialize(ledger):
