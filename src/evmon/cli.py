@@ -12,8 +12,8 @@ ingest.poll_chain alone decides when else the consumer runs (its idle
 callback). Each chain's files have one writer, which writes in offset
 order, so replay's outputs are byte-identical across runs. A metric
 pipeline whose file write fails is dropped; when normalize ends, the
-consumer closes its raw topic, which stops the chain's producer, and
-flushes the metric pipelines' windows.
+consumer refuses every later header, which stops the chain's producer,
+and flushes the metric pipelines' windows.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO, cast
 
 from evmon import cep, metrics, records
-from evmon.cep import RunReport
 from evmon.ingest import BlockSource, RpcClient, poll_chain
 from evmon.model import (
     ChainRef,
@@ -55,7 +54,7 @@ from evmon.model import (
 )
 from evmon.normalize import Normalizer
 from evmon.records import WindowSummary
-from evmon.streamlog import StreamLog, TopicClosed
+from evmon.streamlog import StreamLog
 
 log = logging.getLogger(__name__)
 
@@ -180,16 +179,15 @@ def load_config(path: Path | str) -> RunConfig:
 @dataclass
 class _ChainOutcome:
     blocks_ingested: int = 0
-    # by pipeline: "normalize" and each metric kind
-    reports: dict[str, RunReport] = field(default_factory=dict)
     full_run_values: dict[str, array] = field(default_factory=dict)
     errors: list[str] = field(default_factory=list)
 
 
-_PIPELINES = ("normalize", *(kind.value for kind in METRIC_KINDS))
-
-
 _STEP = 500  # headers per consumer step, and records per poll
+
+
+class _ConsumerEnded(Exception):
+    """A header offered to a chain's consumer after it ended."""
 
 
 def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
@@ -280,22 +278,23 @@ class _ChainConsumer:
         self.outcome = _ChainOutcome()
         self._unread = 0  # records appended since the last run_held
         self._broker = broker
-        broker.create_topic(self.topic, groups=("normalize",))
-        self._handle = broker.subscribe(self.topic, "normalize")
+        broker.create_topic(self.topic)
+        self._handle = broker.subscribe(self.topic)
         self._files = _open_chain_files(stack, config.output_dir / self.chain.name)
         self._normalize = cep.PipelineRun(_normalize_stages(profile, self._files, self._fan_out))
-        # (name, run) of each metric pipeline still running. _failed binds a
-        # new tuple, so a loop over the old one goes on undisturbed.
-        self._metric_runs: tuple[tuple[str, cep.PipelineRun], ...] = ()
+        # every pipeline by name, normalize first: each run holds its report
+        self.runs = {"normalize": self._normalize}
         for kind in METRIC_KINDS:
             self.outcome.full_run_values[kind.value] = collector = array("d")
-            self._metric_runs += ((kind.value, cep.PipelineRun(
-                _metric_stages(profile.chain, kind, config.window_s, self._files, collector))),)
+            self.runs[kind.value] = cep.PipelineRun(
+                _metric_stages(profile.chain, kind, config.window_s, self._files, collector))
+        # (name, run) of each metric pipeline still running. _failed binds a
+        # new tuple, so a loop over the old one goes on undisturbed.
+        self._metric_runs = tuple(self.runs.items())[1:]
         self._ended = False
 
-    def _failed(self, name: str, report: RunReport, cause: BaseException) -> None:
+    def _failed(self, name: str, cause: BaseException) -> None:
         self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != name)
-        self.outcome.reports[name] = report
         self.outcome.errors.append(f"{name}: {cause}")
         log.error("%s: %s pipeline failed", self.chain.name, name, exc_info=cause)
 
@@ -304,7 +303,7 @@ class _ChainConsumer:
             try:
                 run.push(record)
             except cep.PipelineFailure as exc:
-                self._failed(name, exc.report, exc.cause)
+                self._failed(name, exc.cause)
 
     def _held(self) -> Iterator[RawBlockHeader]:
         """The records the topic holds, the very objects appended,
@@ -316,8 +315,10 @@ class _ChainConsumer:
 
     def take(self, header: RawBlockHeader) -> None:
         """Append one header to the chain's topic and count it as ingested;
-        every 500 unread ones, run the consumer. Raises TopicClosed, with
-        the header not counted, once the consumer ended."""
+        every 500 unread ones, run the consumer. Raises _ConsumerEnded,
+        with the header not counted, once the consumer ended."""
+        if self._ended:
+            raise _ConsumerEnded(self.chain.name)
         self._broker.append(self.topic, header)
         self.outcome.blocks_ingested += 1
         self._unread += 1
@@ -343,24 +344,23 @@ class _ChainConsumer:
             self.end(exc)
 
     def end(self, error: BaseException | None = None) -> None:
-        """Close the topic, which stops its producer, and finish every
-        pipeline still running, so open windows are written as partial;
-        record their reports. error is why normalize stopped early, if it
-        did. Does nothing once ended."""
+        """Refuse every later header, which stops the producer, and finish
+        every pipeline still running, so open windows are written as
+        partial. error is why normalize stopped early, if it did. Does
+        nothing once ended."""
         if self._ended:
             return
         self._ended = True
-        self._broker.close(self.topic)
         runs = self._metric_runs
         if error is None:
             runs = (("normalize", self._normalize), *runs)
         else:
-            self._failed("normalize", self._normalize.report, error)
+            self._failed("normalize", error)
         for name, run in runs:
             try:
-                self.outcome.reports[name] = run.finish()
+                run.finish()
             except cep.PipelineFailure as exc:
-                self._failed(name, exc.report, exc.cause)
+                self._failed(name, exc.cause)
 
 
 def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) -> dict[str, Any]:
@@ -379,25 +379,26 @@ def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) 
                 consumer.run_held()
                 consumer.end()
 
-    outcomes = {chain: consumer.outcome for chain, consumer in consumers.items()}
-    for chain, outcome in outcomes.items():
+    for chain, consumer in consumers.items():
         with open(config.output_dir / chain / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
-            for name in _PIPELINES:
-                for dead in outcome.reports[name].dead_letters:
+            for name, run in consumer.runs.items():
+                for dead in run.report.dead_letters:
                     fh.write(records.to_line({"pipeline": name, "stage": dead.stage_index,
                                               "reason": dead.reason}))
-    return _write_report(config, outcomes)
+    return _write_report(config, consumers)
 
 
-def _write_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict[str, Any]:
+def _write_report(config: RunConfig, consumers: dict[str, _ChainConsumer]) -> dict[str, Any]:
     chains: dict[str, Any] = {}
-    for chain, outcome in outcomes.items():
-        norm = outcome.reports["normalize"]
+    for chain, consumer in consumers.items():
+        outcome = consumer.outcome
+        reports = {name: run.report for name, run in consumer.runs.items()}
+        norm = reports["normalize"]
         samples = {}
         windows = {}
         full_run: dict[str, Any] = {}
         for kind in METRIC_KINDS:
-            report = outcome.reports[kind.value]
+            report = reports[kind.value]
             samples[kind.value] = report.stage_out[1]  # the samples tap wrote
             windows[kind.value] = report.records_out
             values = outcome.full_run_values[kind.value]
@@ -410,7 +411,7 @@ def _write_report(config: RunConfig, outcomes: dict[str, _ChainOutcome]) -> dict
             "normalized_records": norm.records_out,
             "samples": samples,
             "windows": windows,
-            "dead_letters": sum(len(r.dead_letters) for r in outcome.reports.values()),
+            "dead_letters": sum(len(r.dead_letters) for r in reports.values()),
             "full_run_stats": full_run,
             "errors": outcome.errors,
         }
@@ -465,8 +466,8 @@ def run_monitor(
                 poll_chain(profile, consumer.take, client=client, stop=stop,
                            max_blocks=max_blocks, start_number=start_number,
                            idle=consumer.run_held)
-            except TopicClosed:
-                pass  # normalize ended and closed the raw topic
+            except _ConsumerEnded:
+                pass  # normalize ended, so the chain stops
             except Exception as exc:  # noqa: BLE001 - isolate this chain
                 consumer.outcome.errors.append(f"ingest: {exc}")
                 log.exception("%s: ingest failed", profile.chain.name)
@@ -525,7 +526,7 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
                                      f"{consumer.chain.chain_id}")
             try:
                 consumer.take(header)
-            except TopicClosed:  # its normalize pipeline died; the record still counts
+            except _ConsumerEnded:  # its normalize pipeline died; the record still counts
                 consumer.outcome.blocks_ingested += 1
 
         try:
@@ -639,7 +640,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     plot = sub.add_parser("plot", help="downsample a series to CSV + SVG")
     plot.add_argument("--input", required=True, help="metric sample JSONL")
-    plot.add_argument("--bucket", type=int, default=300, help="bucket width in seconds")
+    plot.add_argument("--bucket", default=300,
+                      type=_number_flag(int, "a positive integer", lambda n: n > 0),
+                      help="bucket width in seconds")
     plot.add_argument("--out", required=True, help="output SVG path")
     return parser
 

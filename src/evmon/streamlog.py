@@ -1,24 +1,19 @@
-"""Embedded append-only log with consumer-group offsets.
+"""Embedded append-only log with one committed offset per topic.
 
-Stands in for an external message broker: temporary retention plus fan-out
-to parallel consumers. Each topic is a single ordered partition; offsets
-start at 0 and increase by exactly 1 per append. A topic's consumer groups
-are declared when it is created and are independent, so every group
-observes every record (broadcast across groups), while a group's committed
-offset survives its handles and drives resume-after-kill delivery.
+Stands in for an external message broker: temporary retention between a
+topic's producer and its one consumer. Each topic is a single ordered
+partition; offsets start at 0 and increase by exactly 1 per append. The
+topic's committed offset survives its handles and drives
+resume-after-kill delivery.
 
-One retention rule: a topic keeps a record until every group it was
-created with has committed it. A topic's groups are fixed at creation,
-and it needs at least one. The log sets no bound of its own: a producer
-that also drives its topic's consumers, as evmon's do, bounds what the
-topic holds by how often it runs them.
+One retention rule: a topic keeps a record until it is committed. The
+log sets no bound of its own: a producer that also drives its topic's
+consumer, as evmon's do, bounds what the topic holds by how often it
+runs it.
 
-Payloads are any Python objects, handed to every consumer as they were
+Payloads are any Python objects, handed to the consumer as they were
 appended, never copied or serialized. A poll slices only the batch it
-returns, and nothing ever blocks: a caught-up poll returns empty. close
-ends a topic's stream: every later append raises TopicClosed, and the
-records held stay readable. It is how a consumer that ends early stops
-its producer.
+returns, and nothing ever blocks: a caught-up poll returns empty.
 
 Each topic has its own lock, held only for the length of one call. A
 ConsumerHandle belongs to a single owner thread.
@@ -35,66 +30,47 @@ class TopicMissing(KeyError):
     """The named topic has not been created."""
 
 
-class TopicClosed(Exception):
-    """An append to a topic that is closed."""
-
-
 class CommitRegression(Exception):
-    """A commit tried to move a group's offset backwards."""
+    """A commit tried to move a topic's offset backwards."""
 
 
 @dataclass
 class ConsumerHandle:
-    """One consumer's read position within a topic, scoped to a group.
+    """One consumer's read position within a topic.
 
-    position is the next offset to read and advances on poll; the group's
+    position is the next offset to read and advances on poll; the topic's
     committed offset only moves via commit. Not thread-safe: one owner.
     """
 
     topic: str
-    group: str
     position: int
-    last_polled: int | None = None
 
 
 class _Topic:
-    """payloads[i] holds offset base + i, for every offset from the slowest
-    group's commit + 1 to the end, so len(payloads) is that group's
-    uncommitted count. commit cuts the committed prefix off, so an
-    append costs O(1) and a poll O(batch). Every field is guarded by lock."""
+    """payloads[i] holds offset committed + 1 + i, for every offset after
+    the commit, so len(payloads) is the uncommitted count. commit cuts the
+    committed prefix off, so an append costs O(1) and a poll O(batch).
+    Every field is guarded by lock."""
 
-    def __init__(self, groups: tuple[str, ...]) -> None:
-        self.groups = frozenset(groups)
+    def __init__(self) -> None:
         self.payloads: list[Any] = []
-        self.base = 0
-        self.next_offset = 0
-        self.committed: dict[str, int] = {}
-        self.closed = False
+        self.committed = -1
         self.lock = threading.Lock()
-
-    def trim(self) -> None:
-        """Drop every record all groups have committed."""
-        low = min(self.committed.get(g, -1) + 1 for g in self.groups)
-        if low > self.base:
-            del self.payloads[: low - self.base]
-            self.base = low
 
 
 class StreamLog:
-    """In-process broker: named topics and consumer groups."""
+    """In-process broker: named topics, each with one committed offset."""
 
     def __init__(self) -> None:
         self._topics: dict[str, _Topic] = {}
         self._lock = threading.Lock()  # topic creation only; each topic has its own
 
-    def create_topic(self, name: str, groups: tuple[str, ...]) -> None:
-        """Create a topic read by the given consumer groups, and only by them."""
-        if not groups:
-            raise ValueError(f"topic {name!r} needs at least one consumer group")
+    def create_topic(self, name: str) -> None:
+        """Create an empty topic, with nothing committed."""
         with self._lock:
             if name in self._topics:
                 raise ValueError(f"topic {name!r} already exists")
-            self._topics[name] = _Topic(groups)
+            self._topics[name] = _Topic()
 
     def _topic(self, name: str) -> _Topic:
         try:
@@ -103,74 +79,55 @@ class StreamLog:
             raise TopicMissing(name) from None
 
     def append(self, topic: str, payload: Any) -> int:
-        """Append one record; returns its assigned offset. Raises
-        TopicClosed once the topic is closed."""
+        """Append one record; returns its assigned offset."""
         t = self._topic(topic)
         with t.lock:
-            if t.closed:
-                raise TopicClosed(topic)
             t.payloads.append(payload)
-            t.next_offset += 1
-            return t.next_offset - 1
+            return t.committed + len(t.payloads)
 
-    def close(self, topic: str) -> None:
-        """Mark the end of the topic's stream: later appends raise.
-        Idempotent; the records held stay readable."""
+    def subscribe(self, topic: str) -> ConsumerHandle:
+        """A new handle right after the topic's last commit: offset 0 for a
+        topic never committed."""
         t = self._topic(topic)
         with t.lock:
-            t.closed = True
-
-    def subscribe(self, topic: str, group: str) -> ConsumerHandle:
-        """A new handle for one of the topic's groups, right after the
-        group's last commit: offset 0 for a group that never committed."""
-        t = self._topic(topic)
-        with t.lock:
-            if group not in t.groups:
-                raise ValueError(f"{topic}: {group!r} is not a group of this topic")
-            return ConsumerHandle(topic=topic, group=group,
-                                  position=t.committed.get(group, -1) + 1)
+            return ConsumerHandle(topic=topic, position=t.committed + 1)
 
     def poll(self, handle: ConsumerHandle, max_records: int) -> list[tuple[int, Any]]:
         """Up to max_records (offset, payload) pairs from the handle's
         position, in offset order; advances the read position, not the
         commit. Empty when caught up. Raises ValueError when the records
-        at the position were released: its group committed past it through
-        another handle.
+        at the position were released: the topic was committed past it
+        through another handle.
         """
         if max_records <= 0:
             raise ValueError("max_records must be positive")
         t = self._topic(handle.topic)
         with t.lock:
-            start = handle.position - t.base
+            start = handle.position - t.committed - 1
             if start < 0:
-                raise ValueError(f"{handle.topic}/{handle.group}: position "
-                                 f"{handle.position} precedes the oldest record held, {t.base}")
+                raise ValueError(f"{handle.topic}: position {handle.position} "
+                                 f"precedes the oldest record held, {t.committed + 1}")
             out = list(enumerate(t.payloads[start : start + max_records], handle.position))
-            if out:
-                handle.position += len(out)
-                handle.last_polled = handle.position - 1
+            handle.position += len(out)
             return out
 
     def commit(self, handle: ConsumerHandle, offset: int) -> None:
-        """Mark the group's progress, releasing what every group has
-        committed; subscribe delivers offset+1 next."""
-        if handle.last_polled is None or offset > handle.last_polled:
-            raise ValueError(
-                f"cannot commit {offset}: beyond last polled offset {handle.last_polled}"
-            )
+        """Mark the topic's progress, releasing every record up to offset;
+        subscribe delivers offset+1 next. offset must precede the handle's
+        position."""
+        if offset >= handle.position:
+            raise ValueError(f"cannot commit {offset}: the handle has read only "
+                             f"up to {handle.position - 1}")
         t = self._topic(handle.topic)
         with t.lock:
-            current = t.committed.get(handle.group)
-            if current is not None and offset < current:
-                raise CommitRegression(
-                    f"{handle.topic}/{handle.group}: commit {offset} behind {current}"
-                )
-            t.committed[handle.group] = offset
-            t.trim()
+            if offset < t.committed:
+                raise CommitRegression(f"{handle.topic}: commit {offset} behind {t.committed}")
+            del t.payloads[: offset - t.committed]
+            t.committed = offset
 
     def earliest_offset(self, topic: str) -> int:
         """The offset of the oldest record the topic holds (the next offset
         when it holds none)."""
         t = self._topic(topic)
         with t.lock:
-            return t.base
+            return t.committed + 1

@@ -7,6 +7,7 @@ metadata: identical input always renders byte-identical SVG.
 from __future__ import annotations
 
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 WIDTH = 800
 HEIGHT = 400
@@ -26,7 +27,8 @@ def render_line_chart(
     x_label: str = "time (s)",
     y_label: str = "value",
 ) -> str:
-    """Render (x, y) points as a single polyline with min/max axis labels."""
+    """Render (x, y) points as a single polyline with min/max axis labels.
+    The title and labels are text, escaped for XML."""
     if not points:
         raise ValueError("cannot plot an empty series")
     xs = [p[0] for p in points]
@@ -64,10 +66,10 @@ def render_line_chart(
         f'<text x="{MARGIN_LEFT - 6}" y="{MARGIN_TOP + 10}" font-size="11" '
         f'text-anchor="end">{_fmt(y_max)}</text>',
         f'<text x="{WIDTH // 2}" y="{HEIGHT - 6}" font-size="12" '
-        f'text-anchor="middle">{x_label}</text>',
-        f'<text x="{WIDTH // 2}" y="18" font-size="13" text-anchor="middle">{title}</text>',
+        f'text-anchor="middle">{escape(x_label)}</text>',
+        f'<text x="{WIDTH // 2}" y="18" font-size="13" text-anchor="middle">{escape(title)}</text>',
         f'<text x="14" y="{MARGIN_TOP + plot_h // 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {MARGIN_TOP + plot_h // 2})">{y_label}</text>',
+        f'transform="rotate(-90 14 {MARGIN_TOP + plot_h // 2})">{escape(y_label)}</text>',
         "</svg>",
     ]
     return "\n".join(parts) + "\n"

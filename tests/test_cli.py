@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -771,7 +772,7 @@ def test_idle_monitor_does_not_spin(tmp_path, monkeypatch):
     def counted_poll(self, handle, max_records):
         batch = poll(self, handle, max_records)
         if not batch:
-            empty_polls[handle.topic, handle.group] += 1
+            empty_polls[handle.topic] += 1
         return batch
 
     monkeypatch.setattr(StreamLog, "poll", counted_poll)
@@ -1070,6 +1071,20 @@ def test_plot_single_bucket(tmp_path):
     assert (tmp_path / "plot.svg").read_text(encoding="utf-8").startswith("<svg")
 
 
+def test_plot_escapes_the_chain_name_in_its_svg(tmp_path):
+    """A chain name with XML metacharacters still gives a well-formed SVG,
+    whose title reads the name as it is."""
+    chain = ChainRef("a<b&c", 1)
+    path = tmp_path / "series.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(sample_line(chain, 0, 0, MetricKind.GAS_PRICE_GWEI, 1.0))
+        fh.write(sample_line(chain, 1, 30, MetricKind.GAS_PRICE_GWEI, 3.0))
+    run_plot(path, 60, tmp_path / "plot.svg")
+    root = ElementTree.parse(tmp_path / "plot.svg").getroot()
+    texts = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert "a<b&c gas_price_gwei (bucket mean, 60s)" in texts
+
+
 def test_plot_is_deterministic(tmp_path):
     chain = ChainRef("c", 1)
     path = tmp_path / "series.jsonl"
@@ -1126,6 +1141,17 @@ def test_main_exit_codes(tmp_path):
         with pytest.raises(SystemExit) as exited:
             main(["monitor", "--config", str(config), "--duration-s", "0.2", flag, value])
         assert exited.value.code == 2, (flag, value)
+
+
+def test_plot_bucket_must_be_positive_before_the_input_is_read(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    for value in ("0", "-5", "1.5"):
+        with pytest.raises(SystemExit) as exited:
+            main(["plot", "--input", str(missing), "--bucket", value,
+                  "--out", str(tmp_path / "plot.svg")])
+        assert exited.value.code == 2, value
+        assert f"--bucket: must be a positive integer, got '{value}'" in capsys.readouterr().err
+    assert not (tmp_path / "plot.csv").exists()
 
 
 def test_monitor_restores_the_signal_handlers_it_replaced(tmp_path):

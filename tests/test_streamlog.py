@@ -8,19 +8,18 @@ import pytest
 from evmon.streamlog import (
     CommitRegression,
     StreamLog,
-    TopicClosed,
     TopicMissing,
 )
 
 
-def fresh(groups=("g",)):
+def fresh():
     broker = StreamLog()
-    broker.create_topic("t", groups=groups)
+    broker.create_topic("t")
     return broker
 
 
-def consume_and_commit(broker, group, max_records):
-    handle = broker.subscribe("t", group)
+def consume_and_commit(broker, max_records):
+    handle = broker.subscribe("t")
     batch = broker.poll(handle, max_records)
     broker.commit(handle, batch[-1][0])
     return handle
@@ -42,55 +41,31 @@ def test_append_to_missing_topic():
         broker.append("nope", b"x")
 
 
-def test_earliest_offset_follows_the_slowest_commit():
-    broker = fresh(groups=("slow", "fast"))
+def test_earliest_offset_follows_the_commit():
+    broker = fresh()
     for i in range(1_000):
         broker.append("t", b"%d" % i)
-    consume_and_commit(broker, "fast", 600)
-    assert broker.earliest_offset("t") == 0  # "slow" has committed nothing
-    consume_and_commit(broker, "slow", 250)
+    assert broker.earliest_offset("t") == 0  # nothing committed yet
+    consume_and_commit(broker, 250)
     assert broker.earliest_offset("t") == 250
-    consume_and_commit(broker, "slow", 500)
-    assert broker.earliest_offset("t") == 600  # now "fast" is the slowest
-    handle = broker.subscribe("t", "fast")
+    consume_and_commit(broker, 350)
+    assert broker.earliest_offset("t") == 600
+    handle = broker.subscribe("t")
     assert [o for o, _ in broker.poll(handle, 2_000)] == list(range(600, 1_000))
-
-
-def test_subscribe_an_undeclared_group_raises():
-    broker = fresh(groups=("g",))
-    broker.append("t", 0)
-    with pytest.raises(ValueError, match="'other'"):
-        broker.subscribe("t", "other")
-
-
-def test_a_topic_needs_a_consumer_group():
-    broker = StreamLog()
-    with pytest.raises(ValueError, match="at least one consumer group"):
-        broker.create_topic("t", groups=())
-    with pytest.raises(TopicMissing):
-        broker.append("t", 0)
-
-
-def test_two_groups_both_see_everything():
-    broker = fresh(groups=("g1", "g2"))
-    payloads = [b"%d" % i for i in range(5)]
-    for p in payloads:
-        broker.append("t", p)
-    for group in ("g1", "g2"):
-        handle = broker.subscribe("t", group)
-        got = [payload for _, payload in broker.poll(handle, 10)]
-        assert got == payloads
+    broker.commit(handle, 999)
+    assert broker.earliest_offset("t") == 1_000
+    assert broker.append("t", b"x") == 1_000
 
 
 def test_poll_at_a_released_position_raises_instead_of_skipping():
-    """A handle whose group committed past it through another handle reads
-    nothing wrong: its poll raises."""
+    """A handle whose topic was committed past it through another handle
+    reads nothing wrong: its poll raises."""
     broker = fresh()
     for i in range(10):
         broker.append("t", i)
-    stale = broker.subscribe("t", "g")
+    stale = broker.subscribe("t")
     assert [o for o, _ in broker.poll(stale, 2)] == [0, 1]
-    consume_and_commit(broker, "g", 5)
+    consume_and_commit(broker, 5)
     with pytest.raises(ValueError, match="precedes"):
         broker.poll(stale, 10)
 
@@ -99,14 +74,14 @@ def test_poll_hands_back_the_appended_object():
     broker = fresh()
     record = {"number": 7}
     broker.append("t", record)
-    [(offset, payload)] = broker.poll(broker.subscribe("t", "g"), 10)
+    [(offset, payload)] = broker.poll(broker.subscribe("t"), 10)
     assert offset == 0
     assert payload is record
 
 
 def test_poll_caught_up_returns_empty():
     broker = fresh()
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     assert broker.poll(handle, 10) == []
 
 
@@ -114,14 +89,14 @@ def test_poll_respects_max_and_order():
     broker = fresh()
     for i in range(5):
         broker.append("t", b"%d" % i)
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     assert [o for o, _ in broker.poll(handle, 2)] == [0, 1]
     assert [o for o, _ in broker.poll(handle, 2)] == [2, 3]
 
 
 def test_interleaved_append_poll_sees_each_once():
     broker = fresh()
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     seen = []
     for i in range(1000):
         broker.append("t", b"%d" % i)
@@ -135,10 +110,10 @@ def test_commit_resume_continues_after_committed():
     broker = fresh()
     for i in range(20):
         broker.append("t", b"%d" % i)
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     broker.poll(handle, 11)
     broker.commit(handle, 10)
-    resumed = broker.subscribe("t", "g")
+    resumed = broker.subscribe("t")
     assert [o for o, _ in broker.poll(resumed, 1)] == [11]
 
 
@@ -146,7 +121,7 @@ def test_commit_regression_rejected():
     broker = fresh()
     for i in range(20):
         broker.append("t", b"%d" % i)
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     broker.poll(handle, 15)
     broker.commit(handle, 10)
     with pytest.raises(CommitRegression):
@@ -156,7 +131,7 @@ def test_commit_regression_rejected():
 def test_commit_beyond_poll_rejected():
     broker = fresh()
     broker.append("t", b"x")
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     with pytest.raises(ValueError):
         broker.commit(handle, 0)
     broker.poll(handle, 1)
@@ -168,7 +143,7 @@ def test_delivered_offsets_strictly_increase_per_consumer():
     broker = fresh()
     for i in range(500):
         broker.append("t", b"%d" % i)
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     delivered = []
     while True:
         batch = broker.poll(handle, 7)
@@ -190,7 +165,7 @@ def test_kill_resume_cycles_deliver_everything():
     delivered = set()
     committed = -1
     for _ in range(30):
-        handle = broker.subscribe("t", "g")
+        handle = broker.subscribe("t")
         polled = []
         for _ in range(rng.randint(1, 5)):
             polled += [o for o, _ in broker.poll(handle, rng.randint(1, 200))]
@@ -201,7 +176,7 @@ def test_kill_resume_cycles_deliver_everything():
             broker.commit(handle, commit_to)
             committed = commit_to
         # handle dropped here = consumer killed with uncommitted progress
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     while True:
         batch = broker.poll(handle, 500)
         if not batch:
@@ -222,7 +197,7 @@ def test_concurrent_appends_are_gapless():
         t.start()
     for t in threads:
         t.join()
-    handle = broker.subscribe("t", "g")
+    handle = broker.subscribe("t")
     offsets = []
     while True:
         batch = broker.poll(handle, 200)
@@ -232,86 +207,63 @@ def test_concurrent_appends_are_gapless():
     assert offsets == list(range(2_000))
 
 
-def test_append_after_close_raises():
-    """An append after close raises; the records held stay readable."""
-    broker = fresh()
-    for i in range(3):
-        broker.append("t", i)
-    broker.close("t")
-    broker.close("t")  # idempotent
-    with pytest.raises(TopicClosed):
-        broker.append("t", 3)
-    assert broker.earliest_offset("t") == 0
-    handle = broker.subscribe("t", "g")
-    assert [o for o, _ in broker.poll(handle, 2)] == [0, 1]
-    assert [o for o, _ in broker.poll(handle, 2)] == [2]
-    assert broker.poll(handle, 2) == []
-
-
 def test_poll_matches_reference_model_across_compactions():
-    """Two groups polling batches of varying size and committing random
-    offsets between bursts of appends: every batch agrees with a plain list
-    of everything appended, and the earliest offset is the lowest commit
-    + 1."""
-    groups = ("g0", "g1")
-    broker = fresh(groups=groups)
-    handles = {g: broker.subscribe("t", g) for g in groups}
-    committed = dict.fromkeys(groups, -1)
+    """One consumer polling batches of varying size, committing random
+    offsets and now and then resubscribing, between bursts of appends:
+    every batch agrees with a plain list of everything appended, a new
+    handle starts right after the commit, and the earliest offset is the
+    commit + 1."""
+    broker = fresh()
+    handle = broker.subscribe("t")
+    committed = -1
     rng = random.Random(5)
     appended = []
     while len(appended) < 1_000:
         for _ in range(rng.randint(0, 3)):
             assert broker.append("t", ("p", len(appended))) == len(appended)
             appended.append(("p", len(appended)))
-        group = rng.choice(groups)
-        handle = handles[group]
         position, max_records = handle.position, rng.randint(1, 5)
         end = min(position + max_records, len(appended))
         assert broker.poll(handle, max_records) == [(o, appended[o]) for o in range(position, end)]
-        if handle.last_polled is not None and rng.random() < 0.7:
-            offset = rng.randint(committed[group], handle.last_polled)
-            if offset >= 0:
-                broker.commit(handle, offset)
-                committed[group] = offset
-        assert broker.earliest_offset("t") == min(committed.values()) + 1
+        if handle.position > committed + 1 and rng.random() < 0.7:
+            committed = rng.randint(committed, handle.position - 1)
+            broker.commit(handle, committed)
+        if rng.random() < 0.1:  # the consumer is killed with uncommitted progress
+            handle = broker.subscribe("t")
+            assert handle.position == committed + 1
+        assert broker.earliest_offset("t") == committed + 1
     assert broker.earliest_offset("t") > 0
 
 
 def test_groups_polling_in_other_threads_see_every_record_once():
-    """Four groups poll and commit in random batch sizes, each in a thread
-    of its own, while a producer appends 2,000 records under fast thread
-    switching: each group sees every record once, in order, and once all
-    have committed the topic holds nothing."""
-    groups = [f"g{n}" for n in range(4)]
-    broker = fresh(groups=groups)
+    """One consumer polls and commits in random batch sizes, in a thread of
+    its own, while a producer appends 2,000 records under fast thread
+    switching: it sees every record once, in order, and once it has
+    committed the last the topic holds nothing."""
+    broker = fresh()
     total = 2_000
-    seen = {}
+    seen = []
 
-    def consume(group, seed):
-        rng = random.Random(seed)
-        handle = broker.subscribe("t", group)
-        offsets = []
+    def consume():
+        rng = random.Random(0)
+        handle = broker.subscribe("t")
         deadline = time.monotonic() + 30
-        while len(offsets) < total and time.monotonic() < deadline:
+        while len(seen) < total and time.monotonic() < deadline:
             batch = broker.poll(handle, rng.randint(1, 8))
             if batch:
-                offsets += [o for o, _ in batch]
+                seen.extend(o for o, _ in batch)
                 broker.commit(handle, batch[-1][0])
-        seen[group] = offsets
 
     switch_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        consumers = [threading.Thread(target=consume, args=(g, n), daemon=True)
-                     for n, g in enumerate(groups)]
-        for t in consumers:
-            t.start()
+        consumer = threading.Thread(target=consume, daemon=True)
+        consumer.start()
         for i in range(total):
             broker.append("t", i)
-        for t in consumers:
-            t.join(timeout=60)
+        consumer.join(timeout=60)
     finally:
         sys.setswitchinterval(switch_interval)
-    assert not any(t.is_alive() for t in consumers)
-    assert seen == {g: list(range(total)) for g in groups}
+    assert not consumer.is_alive()
+    assert seen == list(range(total))
     assert broker.earliest_offset("t") == total
