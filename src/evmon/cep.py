@@ -12,8 +12,8 @@ since upstream ingest guarantees per-chain order, lateness indicates an
 upstream defect and such records go to the dead-letter diagnostics rather
 than terminating the stream, as do records (or windows) a stage function
 fails on. An exception from the source or the sink, or an OSError from any
-stage function (a failed write), aborts the run, and the PipelineFailure
-it raises carries the counts so far.
+stage function (a failed write), aborts the run: the original exception
+propagates, and the run's report holds the counts reached.
 
 The engine is push-driven: a PipelineRun carries each record through
 every stage in the caller's thread, and run_pipeline feeds one from a
@@ -96,15 +96,6 @@ class RunReport:
         return self.stage_out[-1] if self.stage_out else 0
 
 
-class PipelineFailure(Exception):
-    """The source or the sink raised; the run aborts with the report so far."""
-
-    def __init__(self, cause: BaseException, report: RunReport) -> None:
-        super().__init__(f"pipeline aborted: {cause}")
-        self.cause = cause
-        self.report = report
-
-
 Push = Callable[[Any], None]
 
 
@@ -167,9 +158,9 @@ def _window(width_s: int, index: int, report: RunReport,
 class PipelineRun:
     """A stage tuple driven by push: each record passes every stage before
     push returns; finish() flushes open windows as partial and returns the
-    report. A sink exception, or an OSError from a stage function, raises
-    PipelineFailure with the report so far; any other failure of a map or
-    window aggregate is per record, into dead letters."""
+    report. A sink exception, or an OSError from a stage function, aborts:
+    it propagates as it is, and report holds the counts reached. Any other
+    failure of a map or window aggregate is per record, a dead letter."""
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         if not stages or not isinstance(stages[-1], Sink):
@@ -194,29 +185,19 @@ class PipelineRun:
 
     def push(self, record: Any) -> None:
         self.report.records_in += 1
-        try:
-            self._push(record)
-        except Exception as exc:  # noqa: BLE001 - abort contract
-            raise PipelineFailure(exc, self.report) from exc
+        self._push(record)
 
     def finish(self) -> RunReport:
-        try:
-            for flush in self._flushes:
-                flush()
-        except Exception as exc:  # noqa: BLE001 - abort contract
-            raise PipelineFailure(exc, self.report) from exc
+        for flush in self._flushes:
+            flush()
         return self.report
 
 
 def run_pipeline(pipeline: Pipeline) -> RunReport:
-    """A PipelineRun fed from the source until exhaustion, then finished;
-    an exception from the source aborts the run like one from the sink."""
+    """A PipelineRun fed from the source until exhaustion, then finished,
+    returning its report. An exception from the source aborts the run like
+    one from the sink: it propagates as it is, and no report is returned."""
     run = PipelineRun(pipeline.stages)
-    try:
-        for record in pipeline.source:
-            run.push(record)
-    except PipelineFailure:
-        raise
-    except Exception as exc:  # noqa: BLE001 - abort contract
-        raise PipelineFailure(exc, run.report) from exc
+    for record in pipeline.source:
+        run.push(record)
     return run.finish()

@@ -31,7 +31,7 @@ import sys
 import threading
 from array import array
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO, cast
 
@@ -176,13 +176,6 @@ def load_config(path: Path | str) -> RunConfig:
 # --- the pipeline engine -----------------------------------------------------
 
 
-@dataclass
-class _ChainOutcome:
-    blocks_ingested: int = 0
-    full_run_values: dict[str, array] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
-
-
 _STEP = 500  # headers per consumer step, and records per poll
 
 
@@ -275,7 +268,9 @@ class _ChainConsumer:
                  stack: ExitStack) -> None:
         self.chain = profile.chain
         self.topic = f"raw.{self.chain.name}"
-        self.outcome = _ChainOutcome()
+        self.blocks_ingested = 0
+        self.errors: list[str] = []
+        self.full_run_values: dict[str, array] = {}  # each metric kind's samples
         self._unread = 0  # records appended since the last run_held
         self._broker = broker
         broker.create_topic(self.topic)
@@ -285,7 +280,7 @@ class _ChainConsumer:
         # every pipeline by name, normalize first: each run holds its report
         self.runs = {"normalize": self._normalize}
         for kind in METRIC_KINDS:
-            self.outcome.full_run_values[kind.value] = collector = array("d")
+            self.full_run_values[kind.value] = collector = array("d")
             self.runs[kind.value] = cep.PipelineRun(
                 _metric_stages(profile.chain, kind, config.window_s, self._files, collector))
         # (name, run) of each metric pipeline still running. _failed binds a
@@ -293,17 +288,17 @@ class _ChainConsumer:
         self._metric_runs = tuple(self.runs.items())[1:]
         self._ended = False
 
-    def _failed(self, name: str, cause: BaseException) -> None:
+    def _failed(self, name: str, exc: BaseException) -> None:
         self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != name)
-        self.outcome.errors.append(f"{name}: {cause}")
-        log.error("%s: %s pipeline failed", self.chain.name, name, exc_info=cause)
+        self.errors.append(f"{name}: {exc}")
+        log.error("%s: %s pipeline failed", self.chain.name, name, exc_info=exc)
 
     def _fan_out(self, record: NormalizedBlockRecord) -> None:
         for name, run in self._metric_runs:
             try:
                 run.push(record)
-            except cep.PipelineFailure as exc:
-                self._failed(name, exc.cause)
+            except Exception as exc:  # noqa: BLE001 - drop only this pipeline
+                self._failed(name, exc)
 
     def _held(self) -> Iterator[RawBlockHeader]:
         """The records the topic holds, the very objects appended,
@@ -320,7 +315,7 @@ class _ChainConsumer:
         if self._ended:
             raise _ConsumerEnded(self.chain.name)
         self._broker.append(self.topic, header)
-        self.outcome.blocks_ingested += 1
+        self.blocks_ingested += 1
         self._unread += 1
         if self._unread == _STEP:
             self.run_held()
@@ -338,9 +333,7 @@ class _ChainConsumer:
                 push(header)
             for fh in self._files.values():
                 fh.flush()
-        except cep.PipelineFailure as exc:
-            self.end(exc.cause)
-        except OSError as exc:  # from a flush
+        except Exception as exc:  # noqa: BLE001 - from normalize or a flush
             self.end(exc)
 
     def end(self, error: BaseException | None = None) -> None:
@@ -359,8 +352,8 @@ class _ChainConsumer:
         for name, run in runs:
             try:
                 run.finish()
-            except cep.PipelineFailure as exc:
-                self._failed(name, exc.cause)
+            except Exception as exc:  # noqa: BLE001 - drop only this pipeline
+                self._failed(name, exc)
 
 
 def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) -> dict[str, Any]:
@@ -391,29 +384,19 @@ def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) 
 def _write_report(config: RunConfig, consumers: dict[str, _ChainConsumer]) -> dict[str, Any]:
     chains: dict[str, Any] = {}
     for chain, consumer in consumers.items():
-        outcome = consumer.outcome
         reports = {name: run.report for name, run in consumer.runs.items()}
         norm = reports["normalize"]
-        samples = {}
-        windows = {}
-        full_run: dict[str, Any] = {}
-        for kind in METRIC_KINDS:
-            report = reports[kind.value]
-            samples[kind.value] = report.stage_out[1]  # the samples tap wrote
-            windows[kind.value] = report.records_out
-            values = outcome.full_run_values[kind.value]
-            full_run[kind.value] = (
-                records.stats_to_dict(metrics.summarize(values)) if values else None
-            )
+        metric = {kind.value: reports[kind.value] for kind in METRIC_KINDS}
         chains[chain] = {
-            "blocks_ingested": outcome.blocks_ingested,
+            "blocks_ingested": consumer.blocks_ingested,
             "raw_records": norm.stage_out[0],  # the lines tap_raw wrote
             "normalized_records": norm.records_out,
-            "samples": samples,
-            "windows": windows,
+            "samples": {k: r.stage_out[1] for k, r in metric.items()},  # the samples tap wrote
+            "windows": {k: r.records_out for k, r in metric.items()},
             "dead_letters": sum(len(r.dead_letters) for r in reports.values()),
-            "full_run_stats": full_run,
-            "errors": outcome.errors,
+            "full_run_stats": {k: records.stats_to_dict(metrics.summarize(v)) if v else None
+                               for k, v in consumer.full_run_values.items()},
+            "errors": consumer.errors,
         }
     report = {
         "window_s": config.window_s,
@@ -469,7 +452,7 @@ def run_monitor(
             except _ConsumerEnded:
                 pass  # normalize ended, so the chain stops
             except Exception as exc:  # noqa: BLE001 - isolate this chain
-                consumer.outcome.errors.append(f"ingest: {exc}")
+                consumer.errors.append(f"ingest: {exc}")
                 log.exception("%s: ingest failed", profile.chain.name)
             finally:
                 if client_factory is None and client is not None:
@@ -527,19 +510,21 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
             try:
                 consumer.take(header)
             except _ConsumerEnded:  # its normalize pipeline died; the record still counts
-                consumer.outcome.blocks_ingested += 1
+                consumer.blocks_ingested += 1
 
-        try:
-            cep.run_pipeline(cep.Pipeline(
-                source=records.read_jsonl(input_path, records.header_from_dict),
-                stages=(cep.Sink(route),)))
-        except cep.PipelineFailure as exc:
-            error = exc.cause
-        else:
-            return
-        raise error  # outside the handler, so it keeps its own type and chain
+        cep.run_pipeline(cep.Pipeline(
+            source=records.read_jsonl(input_path, records.header_from_dict),
+            stages=(cep.Sink(route),)))
 
     return _run(config, drive)
+
+
+def _refuse_overwrite(**paths: Path) -> None:
+    """Raise ValueError if two of the named paths are one file."""
+    seen: dict[Path, str] = {}
+    for role, path in paths.items():
+        if (other := seen.setdefault(path.resolve(), role)) != role:
+            raise ValueError(f"the {role} path {path} is also the {other} path")
 
 
 def _load_series(input_path: Path) -> metrics.Series:
@@ -550,11 +535,13 @@ def _load_series(input_path: Path) -> metrics.Series:
 
 
 def run_stats(input_path: Path | str, out_path: Path | str | None = None) -> SummaryStats:
-    """Whole-series summary statistics for one metric JSONL file."""
+    """Whole-series summary statistics for one metric JSONL file; out_path
+    (default: the input's, suffix .stats.json) may not be the input."""
     input_path = Path(input_path)
+    out = Path(out_path) if out_path is not None else input_path.with_suffix(".stats.json")
+    _refuse_overwrite(input=input_path, output=out)
     series = _load_series(input_path)
     stats = metrics.summarize(series.values())
-    out = Path(out_path) if out_path is not None else input_path.with_suffix(".stats.json")
     payload = {"chain": series.chain.name, "kind": series.kind.value,
                **records.stats_to_dict(stats)}
     out.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -570,15 +557,17 @@ def run_plot(
     """Downsample one metric JSONL file to CSV buckets plus an SVG chart.
 
     The CSV lands next to the SVG (same stem, .csv); both renderings are
-    deterministic functions of the input bytes and bucket width.
+    deterministic functions of the input bytes and bucket width. Neither
+    may be the input, nor each other (an out_path ending in .csv).
     """
     from evmon.svgplot import render_line_chart
 
     input_path = Path(input_path)
     out_path = Path(out_path)
+    csv_path = out_path.with_suffix(".csv")
+    _refuse_overwrite(input=input_path, CSV=csv_path, SVG=out_path)
     series = _load_series(input_path)
     buckets = metrics.downsample(series.samples, bucket_s)
-    csv_path = out_path.with_suffix(".csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("bucket_start,mean,count\n")
         for bucket in buckets:

@@ -721,11 +721,11 @@ def test_monitor_reports_a_chain_halted_by_an_invalid_header(tmp_path):
 
 
 def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
-    """A normalize consumer that dies closes its raw topic, so ingest stops
-    short of max_blocks instead of fetching for nobody, and the report
-    keeps the counts reached. Normalize dies in the consumer's first step,
-    which ingest runs after 500 blocks (the poll interval is too long to
-    end a step first); the next append raises."""
+    """A normalize consumer that dies refuses every later header, so ingest
+    stops short of max_blocks instead of fetching for nobody, and the
+    report keeps the counts reached. Normalize dies in the consumer's first
+    step, which ingest runs after 500 blocks (the poll interval is too long
+    to end a step first); the next header it hands over is refused."""
     scenario = constant_fee_scenario(block_count=5000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -1055,6 +1055,29 @@ def test_stats_empty_series(tmp_path):
     path.write_text("", encoding="utf-8")
     with pytest.raises(EmptySeries):
         run_stats(path)
+
+
+@pytest.mark.parametrize("command,input_name,out_name,clash", [
+    ("stats", "series.jsonl", "series.jsonl", "the output path"),
+    ("stats", "series.jsonl", "sub/../series.jsonl", "the output path"),
+    ("plot", "series.jsonl", "series.jsonl", "the SVG path"),
+    ("plot", "series.csv", "series.svg", "the CSV path"),
+    ("plot", "series.jsonl", "chart.csv", "the SVG path"),
+], ids=["stats-input", "stats-input-respelled", "plot-svg-input", "plot-csv-input",
+        "plot-csv-svg"])
+def test_stats_and_plot_refuse_to_overwrite_a_path_they_use(tmp_path, capsys, command,
+                                                            input_name, out_name, clash):
+    """No output path may be the input, nor plot's CSV its SVG: the command
+    exits 2 naming the clash, before it writes anything."""
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / input_name
+    path.write_text(sample_line(ChainRef("c", 1), 0, 0, MetricKind.GAS_PRICE_GWEI, 1.0),
+                    encoding="utf-8")
+    before = path.read_bytes()
+    assert main([command, "--input", str(path), "--out", str(tmp_path / out_name)]) == 2
+    assert clash in capsys.readouterr().err
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["sub", input_name])
 
 
 def test_plot_single_bucket(tmp_path):
