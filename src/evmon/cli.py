@@ -44,13 +44,9 @@ from evmon.model import (
     MetricKind,
     NetworkProfile,
     NormalizedBlockRecord,
-    OverrideLimit,
     PriorityPolicy,
     RawBlockHeader,
-    ReportedLimit,
     SummaryStats,
-    ValidatedProfile,
-    validate_profile,
 )
 from evmon.normalize import Normalizer
 from evmon.records import WindowSummary
@@ -72,10 +68,25 @@ class InputDataError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    networks: tuple[ValidatedProfile, ...]
+    """Every instance is valid, one made by dataclasses.replace included:
+    construction raises ConfigParse for no networks, a repeated chain name,
+    or a window_s or downsample_bucket_s that is not positive."""
+
+    networks: tuple[NetworkProfile, ...]
     output_dir: Path
     window_s: int = 300
     downsample_bucket_s: int = 300
+
+    def __post_init__(self) -> None:
+        if not self.networks:
+            raise ConfigParse("config needs a non-empty networks list")
+        seen_names = set()
+        for profile in self.networks:
+            if profile.chain.name in seen_names:
+                raise ConfigParse(f"duplicate chain name {profile.chain.name!r}")
+            seen_names.add(profile.chain.name)
+        if self.window_s <= 0 or self.downsample_bucket_s <= 0:
+            raise ConfigParse("window_s and downsample_bucket_s must be positive")
 
 
 def _config_int(obj: dict[str, Any], key: str, default: int | None, where: str = "") -> int:
@@ -105,12 +116,12 @@ def _profile_from_dict(obj: Any) -> NetworkProfile:
     if not isinstance(limit_obj, dict):
         raise ConfigParse(f"network {name!r}: limit_policy must be an object, got {limit_obj!r}")
     if limit_obj.get("type") == "reported":
-        limit_policy: ReportedLimit | OverrideLimit = ReportedLimit()
+        limit_override: GasQuantity | None = None
     elif limit_obj.get("type") == "override":
         effective_limit = _config_int(limit_obj, "effective_limit", None,
                                       f"network {name!r}: limit_policy.")
         try:
-            limit_policy = OverrideLimit(GasQuantity(effective_limit))
+            limit_override = GasQuantity(effective_limit)
         except ValueError as exc:
             raise ConfigParse(f"network {name!r}: bad override limit ({exc})") from exc
     else:
@@ -124,7 +135,7 @@ def _profile_from_dict(obj: Any) -> NetworkProfile:
         chain=records.chain_ref(obj["name"], _config_int(obj, "chain_id", None, where)),
         rpc_url=obj["rpc_url"],
         poll_interval_ms=_config_int(obj, "poll_interval_ms", 1000, where),
-        limit_policy=limit_policy,
+        limit_override=limit_override,
         priority_policy=priority,
         constant_base_fee_expected=constant_base_fee,
         base_fee_tolerance_wei=_config_int(obj, "base_fee_tolerance_wei", 0, where),
@@ -134,9 +145,10 @@ def _profile_from_dict(obj: Any) -> NetworkProfile:
 def load_config(path: Path | str) -> RunConfig:
     """Parse and validate a run configuration file (JSON).
 
-    Every network profile passes validate_profile; InvalidProfile
-    propagates with the network name in its message. The output directory
-    can be overridden with the EVMON_OUTPUT_DIR environment variable.
+    A network entry that builds no valid NetworkProfile raises
+    InvalidProfile with the network name in its message. The output
+    directory can be overridden with the EVMON_OUTPUT_DIR environment
+    variable.
     """
     path = Path(path)
     try:
@@ -148,29 +160,19 @@ def load_config(path: Path | str) -> RunConfig:
     if not isinstance(obj, dict):
         raise ConfigParse(f"{path}: the config must be a JSON object")
     networks_obj = obj.get("networks")
-    if not isinstance(networks_obj, list) or not networks_obj:
+    if not isinstance(networks_obj, list):
         raise ConfigParse("config needs a non-empty networks list")
-    profiles = []
-    seen_names = set()
-    for entry in networks_obj:
-        profile = _profile_from_dict(entry)
-        if profile.chain.name in seen_names:
-            raise ConfigParse(f"duplicate chain name {profile.chain.name!r}")
-        seen_names.add(profile.chain.name)
-        profiles.append(validate_profile(profile))
+    profiles = tuple(_profile_from_dict(entry) for entry in networks_obj)
     output_dir = os.environ.get(OUTPUT_DIR_ENV) or obj.get("output_dir", "out")
     if not isinstance(output_dir, str):
         raise ConfigParse(f"output_dir must be a string, got {output_dir!r}")
-    config = RunConfig(
-        networks=tuple(profiles),
+    return RunConfig(
+        networks=profiles,
         output_dir=Path(output_dir),
         window_s=_config_int(obj, "window_s", RunConfig.window_s),
         downsample_bucket_s=_config_int(obj, "downsample_bucket_s",
                                         RunConfig.downsample_bucket_s),
     )
-    if config.window_s <= 0 or config.downsample_bucket_s <= 0:
-        raise ConfigParse("window_s and downsample_bucket_s must be positive")
-    return config
 
 
 # --- the pipeline engine -----------------------------------------------------
@@ -183,7 +185,7 @@ class _ConsumerEnded(Exception):
     """A header offered to a chain's consumer after it ended."""
 
 
-def _normalize_stages(profile: ValidatedProfile, files: dict[str, TextIO],
+def _normalize_stages(profile: NetworkProfile, files: dict[str, TextIO],
                       fan_out: Callable[[NormalizedBlockRecord], None]) -> tuple[cep.Stage, ...]:
     normalizer = Normalizer(profile)
     raw_file, norm_file = files["raw.jsonl"], files["normalized.jsonl"]
@@ -264,7 +266,7 @@ class _ChainConsumer:
     chooses (in monitor, poll_chain's idle); end finishes it.
     """
 
-    def __init__(self, profile: ValidatedProfile, config: RunConfig, broker: StreamLog,
+    def __init__(self, profile: NetworkProfile, config: RunConfig, broker: StreamLog,
                  stack: ExitStack) -> None:
         self.chain = profile.chain
         self.topic = f"raw.{self.chain.name}"
@@ -415,7 +417,7 @@ def run_monitor(
     max_blocks: int | None = None,
     duration_s: float | None = None,
     stop_event: threading.Event | None = None,
-    client_factory: Callable[[ValidatedProfile], BlockSource] | None = None,
+    client_factory: Callable[[NetworkProfile], BlockSource] | None = None,
     start_number: int | None = None,
 ) -> dict[str, Any]:
     """Monitor all configured chains until stopped.
@@ -441,7 +443,7 @@ def run_monitor(
     build_client = client_factory or (lambda profile: RpcClient(profile.rpc_url, profile.chain))
 
     def drive(consumers: dict[str, _ChainConsumer]) -> None:
-        def ingest(profile: ValidatedProfile) -> None:
+        def ingest(profile: NetworkProfile) -> None:
             consumer = consumers[profile.chain.name]
             client: BlockSource | None = None
             try:

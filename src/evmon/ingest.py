@@ -39,8 +39,8 @@ from evmon.model import (
     ChainRef,
     FeeQuantity,
     GasQuantity,
+    NetworkProfile,
     RawBlockHeader,
-    ValidatedProfile,
 )
 
 log = logging.getLogger(__name__)
@@ -226,7 +226,7 @@ class RpcClient:
 
 
 def poll_chain(
-    profile: ValidatedProfile,
+    profile: NetworkProfile,
     emit: Callable[[RawBlockHeader], None],
     *,
     client: BlockSource,

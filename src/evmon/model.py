@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from urllib.parse import urlsplit
 
@@ -78,26 +78,6 @@ class FeeQuantity:
         return self.value_wei / WEI_PER_GWEI
 
 
-@dataclass(frozen=True)
-class ReportedLimit:
-    """Use the block gas limit exactly as the node reports it."""
-
-
-@dataclass(frozen=True)
-class OverrideLimit:
-    """Cap the reported gas limit at an operator-configured effective value.
-
-    Meant for chains that advertise inflated limits. The effective limit is
-    min(reported, override), so an honestly reported lower limit is never
-    inflated upward.
-    """
-
-    effective_limit: GasQuantity
-
-
-LimitPolicy = ReportedLimit | OverrideLimit
-
-
 class PriorityPolicy(Enum):
     """Whether the priority fee counts toward the effective gas price.
 
@@ -118,28 +98,6 @@ class Flag(Enum):
     USAGE_EXCEEDS_EFFECTIVE_LIMIT = "usage_exceeds_effective_limit"
 
 
-@dataclass(frozen=True)
-class NetworkProfile:
-    """Per-chain configuration encoding that chain's reporting semantics."""
-
-    chain: ChainRef
-    rpc_url: str
-    poll_interval_ms: int = 1000
-    limit_policy: LimitPolicy = ReportedLimit()
-    priority_policy: PriorityPolicy = PriorityPolicy.INCLUDE
-    constant_base_fee_expected: bool = False
-    base_fee_tolerance_wei: int = 0
-
-
-@dataclass(frozen=True)
-class ValidatedProfile(NetworkProfile):
-    """A NetworkProfile that passed validate_profile.
-
-    Downstream modules accept only this type, so an unvalidated profile
-    cannot reach them. Construct via validate_profile.
-    """
-
-
 def _is_http_endpoint(url: str) -> bool:
     # http.client refuses whitespace and control characters, and urlsplit
     # drops tab, CR and LF, which would connect to another host
@@ -153,38 +111,53 @@ def _is_http_endpoint(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
-def validate_profile(profile: NetworkProfile) -> ValidatedProfile:
-    """Check every profile invariant and return the profile marked valid.
+@dataclass(frozen=True)
+class NetworkProfile:
+    """Per-chain configuration encoding that chain's reporting semantics.
 
-    Raises InvalidProfile for an empty or non-ASCII chain name, a
-    non-positive chain id or poll interval, a zero override limit, a
-    negative base-fee tolerance, or an endpoint that is not an http or
+    limit_override None trusts the block gas limit the node reports. A cap
+    is meant for chains that advertise inflated limits: the effective
+    limit is min(reported, override), so an honestly reported lower limit
+    is never inflated upward.
+
+    Every instance is valid, one made by dataclasses.replace included:
+    construction raises InvalidProfile for an empty or non-ASCII chain
+    name, a non-positive chain id or poll interval, a zero override limit,
+    a negative base-fee tolerance, or an endpoint that is not an http or
     https URL naming a host (with a numeric port, if any) and free of
     whitespace and control characters.
     """
-    chain = profile.chain
-    if not chain.name or not re.fullmatch(r"[A-Za-z0-9_\-]+", chain.name):
-        raise InvalidProfile(
-            f"chain name must be a nonempty ASCII identifier ([A-Za-z0-9_-]), got {chain.name!r}"
-        )
-    if chain.chain_id <= 0:
-        raise InvalidProfile(f"{chain.name}: chain_id must be positive, got {chain.chain_id}")
-    if not _is_http_endpoint(profile.rpc_url):
-        raise InvalidProfile(f"{chain.name}: malformed endpoint {profile.rpc_url!r}; "
-                             "expected http:// or https:// and a host")
-    if profile.poll_interval_ms <= 0:
-        raise InvalidProfile(
-            f"{chain.name}: poll_interval_ms must be positive, got {profile.poll_interval_ms}"
-        )
-    if isinstance(profile.limit_policy, OverrideLimit):
-        if profile.limit_policy.effective_limit.value <= 0:
+
+    chain: ChainRef
+    rpc_url: str
+    poll_interval_ms: int = 1000
+    limit_override: GasQuantity | None = None
+    priority_policy: PriorityPolicy = PriorityPolicy.INCLUDE
+    constant_base_fee_expected: bool = False
+    base_fee_tolerance_wei: int = 0
+
+    def __post_init__(self) -> None:
+        chain = self.chain
+        if not chain.name or not re.fullmatch(r"[A-Za-z0-9_\-]+", chain.name):
+            raise InvalidProfile(
+                f"chain name must be a nonempty ASCII identifier ([A-Za-z0-9_-]), got {chain.name!r}"
+            )
+        if chain.chain_id <= 0:
+            raise InvalidProfile(f"{chain.name}: chain_id must be positive, got {chain.chain_id}")
+        if not _is_http_endpoint(self.rpc_url):
+            raise InvalidProfile(f"{chain.name}: malformed endpoint {self.rpc_url!r}; "
+                                 "expected http:// or https:// and a host")
+        if self.poll_interval_ms <= 0:
+            raise InvalidProfile(
+                f"{chain.name}: poll_interval_ms must be positive, got {self.poll_interval_ms}"
+            )
+        if self.limit_override is not None and self.limit_override.value <= 0:
             raise InvalidProfile(f"{chain.name}: override effective limit must be > 0 gas")
-    if profile.base_fee_tolerance_wei < 0:
-        raise InvalidProfile(
-            f"{chain.name}: base_fee_tolerance_wei must be non-negative, "
-            f"got {profile.base_fee_tolerance_wei}"
-        )
-    return ValidatedProfile(**{f.name: getattr(profile, f.name) for f in fields(profile)})
+        if self.base_fee_tolerance_wei < 0:
+            raise InvalidProfile(
+                f"{chain.name}: base_fee_tolerance_wei must be non-negative, "
+                f"got {self.base_fee_tolerance_wei}"
+            )
 
 
 @dataclass(slots=True)

@@ -22,12 +22,10 @@ from evmon.model import (
     FeeQuantity,
     Flag,
     GasQuantity,
+    NetworkProfile,
     NormalizedBlockRecord,
-    OverrideLimit,
     PriorityPolicy,
     RawBlockHeader,
-    ReportedLimit,
-    ValidatedProfile,
 )
 
 
@@ -52,31 +50,28 @@ _UNIONS = {
 
 
 def effective_gas_limit(
-    header: RawBlockHeader, profile: ValidatedProfile
+    header: RawBlockHeader, profile: NetworkProfile
 ) -> tuple[GasQuantity, frozenset[Flag]]:
-    """Effective block capacity under the profile's limit policy.
+    """Effective block capacity under the profile's limit override.
 
-    Reported policy keeps the reported limit. Override policy takes
-    min(reported, override) and marks the record LimitOverridden. When
+    Without an override the reported limit stands. With one, the limit is
+    min(reported, override) and the record is marked LimitOverridden. When
     gas_used exceeds the effective limit the record is additionally marked
     UsageExceedsEffectiveLimit; the value itself is never clamped. The
-    limit returned is the header's own or the policy's, never a copy.
+    limit returned is the header's own or the override's, never a copy.
     """
-    policy = profile.limit_policy
-    if isinstance(policy, ReportedLimit):
+    cap = profile.limit_override
+    if cap is None:
         effective, flags, exceeded = header.gas_limit, _NO_FLAGS, _EXCEEDS
-    elif isinstance(policy, OverrideLimit):
-        cap = policy.effective_limit
+    else:
         effective = header.gas_limit if header.gas_limit.value <= cap.value else cap
         flags, exceeded = _OVERRIDDEN, _OVERRIDDEN_EXCEEDS
-    else:
-        raise TypeError(f"unknown limit policy {policy!r}")
     return effective, exceeded if header.gas_used.value > effective.value else flags
 
 
 def effective_gas_price(
     header: RawBlockHeader,
-    profile: ValidatedProfile,
+    profile: NetworkProfile,
     first_seen_base_fee: FeeQuantity | None = None,
 ) -> tuple[FeeQuantity, frozenset[Flag]]:
     """Effective per-gas price under the profile's priority policy.
@@ -108,7 +103,7 @@ def effective_gas_price(
 
 def normalize_header(
     header: RawBlockHeader,
-    profile: ValidatedProfile,
+    profile: NetworkProfile,
     first_seen_base_fee: FeeQuantity | None = None,
 ) -> NormalizedBlockRecord:
     """Compose the limit and price normalizations into one record.
@@ -134,7 +129,7 @@ class Normalizer:
     instance to a single pipeline thread.
     """
 
-    def __init__(self, profile: ValidatedProfile) -> None:
+    def __init__(self, profile: NetworkProfile) -> None:
         self.profile = profile
         self._first_base_fee: FeeQuantity | None = None
 

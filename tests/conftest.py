@@ -10,13 +10,9 @@ from evmon.model import (
     ChainRef,
     FeeQuantity,
     GasQuantity,
-    LimitPolicy,
     NetworkProfile,
     PriorityPolicy,
     RawBlockHeader,
-    ReportedLimit,
-    ValidatedProfile,
-    validate_profile,
 )
 from evmon.simnode import (
     AdaptiveBaseFee,
@@ -43,22 +39,20 @@ def hang_guard():
 
 def make_profile(
     chain: ChainRef = TEST_CHAIN,
-    limit_policy: LimitPolicy = ReportedLimit(),
+    limit_override: GasQuantity | None = None,
     priority_policy: PriorityPolicy = PriorityPolicy.INCLUDE,
     constant_base_fee_expected: bool = False,
     base_fee_tolerance_wei: int = 0,
     poll_interval_ms: int = 1,
-) -> ValidatedProfile:
-    return validate_profile(
-        NetworkProfile(
-            chain=chain,
-            rpc_url="http://127.0.0.1:0",
-            poll_interval_ms=poll_interval_ms,
-            limit_policy=limit_policy,
-            priority_policy=priority_policy,
-            constant_base_fee_expected=constant_base_fee_expected,
-            base_fee_tolerance_wei=base_fee_tolerance_wei,
-        )
+) -> NetworkProfile:
+    return NetworkProfile(
+        chain=chain,
+        rpc_url="http://127.0.0.1:0",
+        poll_interval_ms=poll_interval_ms,
+        limit_override=limit_override,
+        priority_policy=priority_policy,
+        constant_base_fee_expected=constant_base_fee_expected,
+        base_fee_tolerance_wei=base_fee_tolerance_wei,
     )
 
 

@@ -21,7 +21,6 @@ from evmon.model import (
     FeeQuantity,
     Flag,
     GasQuantity,
-    OverrideLimit,
     PriorityPolicy,
     RawBlockHeader,
 )
@@ -81,7 +80,7 @@ def test_acceptance_2_constant_fee_reproduction(tmp_path):
     config = RunConfig(
         networks=(make_profile(
             chain=scenario.chain,
-            limit_policy=OverrideLimit(GasQuantity(32_000_000)),
+            limit_override=GasQuantity(32_000_000),
             priority_policy=PriorityPolicy.EXCLUDE,
             constant_base_fee_expected=True,
         ),),
@@ -204,7 +203,7 @@ def test_acceptance_5_ratio_bounds():
 
     # generated usage averages ~22.5M gas; force the effective limit below it
     override_profile = make_profile(
-        chain=scenario.chain, limit_policy=OverrideLimit(GasQuantity(10_000_000))
+        chain=scenario.chain, limit_override=GasQuantity(10_000_000)
     )
     normalizer = Normalizer(override_profile)
     flagged = 0

@@ -24,7 +24,7 @@ from evmon.cli import (
     run_stats,
 )
 from evmon.ingest import InvalidHeader, RpcClient
-from evmon.model import InvalidProfile, MetricKind, OverrideLimit, PriorityPolicy
+from evmon.model import GasQuantity, InvalidProfile, MetricKind, PriorityPolicy
 from evmon.normalize import Normalizer
 from evmon.records import header_to_dict, sample_to_dict, to_line
 from evmon.simnode import LedgerRpcClient, ManualClock, SimNodeServer, generate_scenario
@@ -62,7 +62,8 @@ def test_load_config_four_networks(tmp_path):
     config = load_config(path)
     assert len(config.networks) == 4
     arb = config.networks[0]
-    assert isinstance(arb.limit_policy, OverrideLimit)
+    assert arb.limit_override == GasQuantity(32_000_000)
+    assert config.networks[1].limit_override is None
     assert arb.priority_policy is PriorityPolicy.EXCLUDE
     assert config.window_s == 300
 
@@ -71,6 +72,22 @@ def test_load_config_rejects_duplicate_names(tmp_path):
     path = write_config(tmp_path, [network_entry("same", 1), network_entry("same", 2)])
     with pytest.raises(ConfigParse, match="duplicate"):
         load_config(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda config: {"window_s": 0}, "window_s and downsample_bucket_s must be positive"),
+    (lambda config: {"downsample_bucket_s": -300},
+     "window_s and downsample_bucket_s must be positive"),
+    (lambda config: {"networks": ()}, "config needs a non-empty networks list"),
+    (lambda config: {"networks": config.networks * 2}, "duplicate chain name 'a'"),
+], ids=["window_zero", "bucket_negative", "no_networks", "duplicate_name"])
+def test_a_replaced_run_config_is_checked_again(tmp_path, change, message):
+    """RunConfig checks itself when built, so a config made by
+    dataclasses.replace cannot reach the engine with a bad window or two
+    chains on one topic."""
+    config = load_config(write_config(tmp_path, [network_entry("a", 1)]))
+    with pytest.raises(ConfigParse, match=message):
+        dataclasses.replace(config, **change(config))
 
 
 def test_load_config_names_network_missing_rpc_url(tmp_path):
@@ -102,8 +119,10 @@ def test_load_config_rejects_an_endpoint_that_is_not_http(tmp_path):
     {"networks": [network_entry("a", 1, rpc_url=5)]},
     {"networks": [network_entry("a", 1, constant_base_fee_expected="false")]},
     {"networks": [network_entry("a", 1)], "output_dir": 5},
+    {"networks": [network_entry("a", 1, limit_policy={"type": "override",
+                                                      "effective_limit": -1})]},
 ], ids=["top_level_list", "network_int", "limit_policy_string", "name_int", "rpc_url_int",
-        "constant_base_fee_string", "output_dir_int"])
+        "constant_base_fee_string", "output_dir_int", "override_negative"])
 def test_malformed_config_shape_is_a_config_error(tmp_path, config):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
@@ -145,7 +164,7 @@ def test_readme_config_example_loads(tmp_path, monkeypatch):
     assert set(json.loads(example)) == {f.name for f in dataclasses.fields(RunConfig)}
     assert [profile.chain.name for profile in config.networks] == [
         "arbitrum_like", "ethereum_like"]
-    assert isinstance(config.networks[0].limit_policy, OverrideLimit)
+    assert config.networks[0].limit_override == GasQuantity(32_000_000)
     assert (config.window_s, config.downsample_bucket_s, config.output_dir) == (
         300, 300, Path("out"))
 
@@ -914,7 +933,7 @@ def test_monitor_isolates_dead_endpoint(tmp_path):
                 network_entry("dead_chain", 999, rpc_url="http://127.0.0.1:1"),
             ],
         ))
-        report = run_monitor(config, max_blocks=40, duration_s=5, start_number=0)
+        report = run_monitor(config, max_blocks=40, duration_s=1, start_number=0)
     assert report["chains"]["arbitrum_like"]["blocks_ingested"] == 40
     assert len(read_lines(config.output_dir / "arbitrum_like" / "raw.jsonl")) == 40
     assert report["chains"]["dead_chain"]["blocks_ingested"] == 0

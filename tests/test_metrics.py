@@ -131,9 +131,9 @@ def test_block_usage_sample_ratio():
 
 
 def test_block_usage_sample_against_override_limit():
-    from evmon.model import GasQuantity, OverrideLimit
+    from evmon.model import GasQuantity
 
-    profile = make_profile(limit_policy=OverrideLimit(GasQuantity(32_000_000)))
+    profile = make_profile(limit_override=GasQuantity(32_000_000))
     record = normalize_header(
         make_header(gas_used=640_000, gas_limit=1_125_000_000), profile
     )

@@ -18,27 +18,21 @@ from evmon.model import (
     MetricKind,
     MetricSample,
     NetworkProfile,
-    OverrideLimit,
     PriorityPolicy,
-    ReportedLimit,
     SummaryStats,
-    ValidatedProfile,
-    validate_profile,
 )
 
 
 def test_validate_rejects_zero_override_limit():
     with pytest.raises(ValueError):
-        # the zero is rejected by GasQuantity construction already; a
-        # profile can never carry Override(0)
-        OverrideLimit(GasQuantity(-1))
-    profile = NetworkProfile(
-        chain=TEST_CHAIN,
-        rpc_url="http://node:8545",
-        limit_policy=OverrideLimit(GasQuantity(0)),
-    )
+        # a negative cap is rejected by GasQuantity construction already
+        GasQuantity(-1)
     with pytest.raises(InvalidProfile):
-        validate_profile(profile)
+        NetworkProfile(
+            chain=TEST_CHAIN,
+            rpc_url="http://node:8545",
+            limit_override=GasQuantity(0),
+        )
 
 
 def test_validate_accepts_plain_profile():
@@ -46,40 +40,55 @@ def test_validate_accepts_plain_profile():
         chain=TEST_CHAIN,
         rpc_url="http://node:8545",
         poll_interval_ms=1000,
-        limit_policy=ReportedLimit(),
+        limit_override=None,
         priority_policy=PriorityPolicy.INCLUDE,
     )
-    validated = validate_profile(profile)
-    assert isinstance(validated, ValidatedProfile)
-    assert validated.chain == TEST_CHAIN
+    assert profile.limit_override is None
+    assert profile.chain == TEST_CHAIN
 
 
-def test_validate_profile_keeps_every_field():
-    profile = NetworkProfile(
-        chain=ChainRef("rollup", 42161),
-        rpc_url="http://node:8545",
-        poll_interval_ms=250,
-        limit_policy=OverrideLimit(GasQuantity(32_000_000)),
-        priority_policy=PriorityPolicy.EXCLUDE,
-        constant_base_fee_expected=True,
-        base_fee_tolerance_wei=7,
-    )
-    validated = validate_profile(profile)
+def test_construction_and_replace_keep_every_field():
+    kwargs = {
+        "chain": ChainRef("rollup", 42161),
+        "rpc_url": "http://node:8545",
+        "poll_interval_ms": 250,
+        "limit_override": GasQuantity(32_000_000),
+        "priority_policy": PriorityPolicy.EXCLUDE,
+        "constant_base_fee_expected": True,
+        "base_fee_tolerance_wei": 7,
+    }
+    assert set(kwargs) == {field.name for field in dataclasses.fields(NetworkProfile)}
+    profile = NetworkProfile(**kwargs)
+    replaced = dataclasses.replace(profile)
     for field in dataclasses.fields(NetworkProfile):
         # a default left in place would not show a field that was dropped
-        assert getattr(profile, field.name) != field.default
-        assert getattr(validated, field.name) == getattr(profile, field.name)
+        assert kwargs[field.name] != field.default
+        assert getattr(profile, field.name) == getattr(replaced, field.name) == kwargs[field.name]
+
+
+@pytest.mark.parametrize("change", [
+    {"poll_interval_ms": -5},
+    {"chain": ChainRef("../escape", 1)},
+    {"limit_override": GasQuantity(0)},
+    {"base_fee_tolerance_wei": -1},
+    {"rpc_url": "ws://node:8546"},
+], ids=["poll_interval_negative", "chain_name_escapes", "override_zero", "tolerance_negative",
+        "endpoint_not_http"])
+def test_a_replaced_profile_is_checked_again(change):
+    """A profile made by dataclasses.replace is checked like any other,
+    so a chain name that would write outside output_dir never builds."""
+    with pytest.raises(InvalidProfile):
+        dataclasses.replace(make_profile(), **change)
 
 
 def test_validate_accepts_override_exclude_combination():
     # rollup-style: enforced limit below the reported one, priority refunded
-    validated = make_profile(
-        limit_policy=OverrideLimit(GasQuantity(32_000_000)),
+    profile = make_profile(
+        limit_override=GasQuantity(32_000_000),
         priority_policy=PriorityPolicy.EXCLUDE,
     )
-    assert isinstance(validated.limit_policy, OverrideLimit)
-    assert validated.limit_policy.effective_limit.value == 32_000_000
-    assert validated.priority_policy is PriorityPolicy.EXCLUDE
+    assert profile.limit_override == GasQuantity(32_000_000)
+    assert profile.priority_policy is PriorityPolicy.EXCLUDE
 
 
 @pytest.mark.parametrize(
@@ -106,15 +115,14 @@ def test_validate_accepts_override_exclude_combination():
     ],
 )
 def test_validate_rejects_bad_fields(chain, rpc_url, poll_ms):
-    profile = NetworkProfile(chain=chain, rpc_url=rpc_url, poll_interval_ms=poll_ms)
     with pytest.raises(InvalidProfile):
-        validate_profile(profile)
+        NetworkProfile(chain=chain, rpc_url=rpc_url, poll_interval_ms=poll_ms)
 
 
 @pytest.mark.parametrize("rpc_url", ["http://node:8545", "HTTPS://user:pw@node.example/rpc?key=1",
                                      "http://[::1]:8545"])
 def test_validate_accepts_http_endpoints(rpc_url):
-    validate_profile(NetworkProfile(chain=ChainRef("ok", 1), rpc_url=rpc_url))
+    NetworkProfile(chain=ChainRef("ok", 1), rpc_url=rpc_url)
 
 
 def test_gas_quantity_rejects_negative():

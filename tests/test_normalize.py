@@ -9,9 +9,7 @@ from evmon.model import (
     Flag,
     GasQuantity,
     NormalizedBlockRecord,
-    OverrideLimit,
     PriorityPolicy,
-    ReportedLimit,
 )
 from evmon.records import normalized_line
 from evmon.normalize import (
@@ -30,7 +28,7 @@ def test_reported_policy_keeps_limit_without_flags():
 
 
 def test_override_policy_caps_inflated_limit():
-    profile = make_profile(limit_policy=OverrideLimit(GasQuantity(32_000_000)))
+    profile = make_profile(limit_override=GasQuantity(32_000_000))
     header = make_header(gas_used=640_000, gas_limit=1_125_000_000)
     limit, flags = effective_gas_limit(header, profile)
     assert limit.value == 32_000_000
@@ -38,14 +36,14 @@ def test_override_policy_caps_inflated_limit():
 
 
 def test_override_never_inflates_honest_limit():
-    profile = make_profile(limit_policy=OverrideLimit(GasQuantity(32_000_000)))
+    profile = make_profile(limit_override=GasQuantity(32_000_000))
     header = make_header(gas_used=1_000_000, gas_limit=30_000_000)
     limit, _ = effective_gas_limit(header, profile)
     assert limit.value == 30_000_000
 
 
 def test_usage_above_effective_limit_is_flagged_not_clamped():
-    profile = make_profile(limit_policy=OverrideLimit(GasQuantity(32_000_000)))
+    profile = make_profile(limit_override=GasQuantity(32_000_000))
     header = make_header(gas_used=40_000_000, gas_limit=1_125_000_000)
     limit, flags = effective_gas_limit(header, profile)
     assert limit.value == 32_000_000
@@ -101,7 +99,7 @@ def test_normalize_pass_through_configuration():
 
 def test_normalize_rollup_configuration_sets_both_flags():
     profile = make_profile(
-        limit_policy=OverrideLimit(GasQuantity(32_000_000)),
+        limit_override=GasQuantity(32_000_000),
         priority_policy=PriorityPolicy.EXCLUDE,
     )
     record = normalize_header(make_header(gas_limit=1_125_000_000), profile)
@@ -147,7 +145,7 @@ def test_exclude_price_independent_of_priority(base, tips):
     override=st.integers(min_value=1, max_value=10**10),
 )
 def test_effective_limit_never_exceeds_reported(reported, override):
-    profile = make_profile(limit_policy=OverrideLimit(GasQuantity(override)))
+    profile = make_profile(limit_override=GasQuantity(override))
     header = make_header(gas_used=0, gas_limit=reported)
     limit, _ = effective_gas_limit(header, profile)
     assert limit.value <= reported
@@ -167,7 +165,7 @@ def test_flags_present_iff_policies_active():
     rollup = normalize_header(
         make_header(gas_limit=10_000_000),
         make_profile(
-            limit_policy=OverrideLimit(GasQuantity(32_000_000)),
+            limit_override=GasQuantity(32_000_000),
             priority_policy=PriorityPolicy.EXCLUDE,
         ),
     )
@@ -181,11 +179,11 @@ def test_flags_present_iff_policies_active():
 
 def reference_effective_gas_limit(header, profile):
     flags = set()
-    policy = profile.limit_policy
-    if isinstance(policy, ReportedLimit):
+    cap = profile.limit_override
+    if cap is None:
         effective = header.gas_limit
     else:
-        effective = GasQuantity(min(header.gas_limit.value, policy.effective_limit.value))
+        effective = GasQuantity(min(header.gas_limit.value, cap.value))
         flags.add(Flag.LIMIT_OVERRIDDEN)
     if header.gas_used.value > effective.value:
         flags.add(Flag.USAGE_EXCEEDS_EFFECTIVE_LIMIT)
@@ -233,7 +231,7 @@ def policy_cases(draw):
         st.integers(min_value=limit, max_value=2 * limit),
     ))
     profile = make_profile(
-        limit_policy=ReportedLimit() if cap is None else OverrideLimit(GasQuantity(cap)),
+        limit_override=None if cap is None else GasQuantity(cap),
         priority_policy=draw(st.sampled_from(PriorityPolicy)),
         constant_base_fee_expected=draw(st.booleans()),
         base_fee_tolerance_wei=draw(st.integers(min_value=0, max_value=10**6)),
