@@ -28,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from evmon.cli import load_config, run_replay
+from evmon.cli import _number_flag, load_config, run_replay
 from evmon.records import header_line
 from evmon.simnode import generate_scenario, scenario_from_dict
 
@@ -69,8 +69,9 @@ def run(hours: int):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--hours", type=int, default=SCENARIO_HOURS,
-                        help="virtual hours per chain")
+    parser.add_argument("--hours", default=SCENARIO_HOURS,
+                        type=_number_flag(int, "a positive integer", lambda n: n > 0),
+                        help="virtual hours per chain (a positive integer)")
     parser.add_argument("--csv", default=None, help="optional CSV output path")
     args = parser.parse_args()
 

@@ -11,8 +11,9 @@ window's fn. Records whose timestamp falls behind the watermark are late;
 since upstream ingest guarantees per-chain order, lateness indicates an
 upstream defect and such records go to the dead-letter diagnostics rather
 than terminating the stream, as do records (or windows) a stage function
-fails on. An exception from the source or the sink, or an OSError from any
-stage function (a failed write), aborts the run: the original exception
+fails on. An exception from the source or the sink, or an OSError (a
+failed write) or a BaseException that is no Exception (KeyboardInterrupt)
+from any stage function, aborts the run: the original exception
 propagates, and the run's report holds the counts reached.
 
 The engine is push-driven: a PipelineRun carries each record through
@@ -85,15 +86,39 @@ class DeadLetter:
 
 @dataclass
 class RunReport:
-    """Exact record accounting for one pipeline run."""
+    """Exact record accounting for one pipeline run.
+
+    Besides records_in, only the rare events are counted as they happen:
+    a dead letter, an abort (an exception that leaves a stage function or
+    the sink, and propagates) and a window a window stage emits. stage_out,
+    the records each stage passed on, is derived from those, so a record
+    crossing a Map costs no increment: a Map or the Sink passes what it
+    received less its dead letters and aborts, and a window stage passes
+    the windows it emitted. The counts are exact under aborts: a record
+    that aborts at a stage counts at every stage before it and at none
+    from it on.
+    """
 
     records_in: int = 0
-    stage_out: list[int] = field(default_factory=list)
     dead_letters: list[DeadLetter] = field(default_factory=list)
+    aborts: list[int] = field(default_factory=list)  # per stage
+    windows_out: list[int | None] = field(default_factory=list)  # None: not a window stage
+
+    @property
+    def stage_out(self) -> list[int]:
+        dead = [0] * len(self.aborts)
+        for letter in self.dead_letters:
+            dead[letter.stage_index] += 1
+        out, passed = [], self.records_in
+        for emitted, failed, aborted in zip(self.windows_out, dead, self.aborts):
+            passed = passed - failed - aborted if emitted is None else emitted
+            out.append(passed)
+        return out
 
     @property
     def records_out(self) -> int:
-        return self.stage_out[-1] if self.stage_out else 0
+        out = self.stage_out
+        return out[-1] if out else 0
 
 
 Push = Callable[[Any], None]
@@ -101,33 +126,46 @@ Push = Callable[[Any], None]
 
 def _map(fn: Callable[[Any], Any], index: int, report: RunReport, downstream: Push) -> Push:
     """Push fn(record) downstream; a record fn fails on becomes a dead letter,
-    except for an OSError (a failed write), which aborts the run."""
+    except for an OSError (a failed write) or a BaseException that is no
+    Exception, which count as an abort and propagate."""
+    dead_letters, aborts = report.dead_letters, report.aborts
 
     def push(record: Any) -> None:
         try:
             value = fn(record)
         except OSError:
+            aborts[index] += 1
             raise
         except Exception as exc:  # noqa: BLE001 - per-record isolation is the contract
-            report.dead_letters.append(DeadLetter(index, record, f"map: {exc}"))
+            dead_letters.append(DeadLetter(index, record, f"map: {exc}"))
             return
-        report.stage_out[index] += 1
+        except BaseException:
+            aborts[index] += 1
+            raise
         downstream(value)
 
     return push
 
 
-def _window(width_s: int, index: int, report: RunReport,
-            emit: Push) -> tuple[Push, Callable[[], None]]:
-    """A window stage's push and end-of-stream flush, which emit closed windows.
+def _window(width_s: int, fn: Callable[[FlushedWindow], Any], index: int, report: RunReport,
+            downstream: Push) -> tuple[Push, Callable[[], None]]:
+    """A window stage's push and end-of-stream flush, which pass fn of each
+    closed window downstream, as a Map of the windows would.
 
     The stream has one watermark and at most one open window. A record
     below the open window's end joins it; one at or past the end closes
     it and opens [floor(ts / width) * width, +width).
     """
+    windows_out = report.windows_out
     watermark: float = -math.inf
     start, end = 0, -math.inf
     members: list = []  # the open window's records; empty when none is open
+
+    def counted(value: Any) -> None:
+        windows_out[index] += 1
+        downstream(value)
+
+    emit = _map(fn, index, report, counted)
 
     def push(record: Any) -> None:
         nonlocal watermark, start, end, members
@@ -158,34 +196,49 @@ def _window(width_s: int, index: int, report: RunReport,
 class PipelineRun:
     """A stage tuple driven by push: each record passes every stage before
     push returns; finish() flushes open windows as partial and returns the
-    report. A sink exception, or an OSError from a stage function, aborts:
-    it propagates as it is, and report holds the counts reached. Any other
-    failure of a map or window aggregate is per record, a dead letter."""
+    report. An exception from the sink, or an OSError or a BaseException
+    that is no Exception from a stage function, aborts: it propagates as it
+    is, and report holds the counts reached. Any other failure of a map or
+    window aggregate is per record, a dead letter.
+
+    push is a plain function bound at construction, the stage closures
+    chained: it counts the record in and calls the first stage, and a Map
+    stage runs its fn and then the next stage, with no count of its own.
+    """
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
         if not stages or not isinstance(stages[-1], Sink):
             raise ValueError("pipeline must end in a Sink")
         if sum(isinstance(s, Sink) for s in stages) != 1:
             raise ValueError("pipeline must contain exactly one Sink, the terminal stage")
-        self.report = report = RunReport(stage_out=[0] * len(stages))
+        self.report = report = RunReport(
+            aborts=[0] * len(stages),
+            windows_out=[0 if isinstance(s, TumblingWindow) else None for s in stages])
         sink_index = len(stages) - 1
-        consume = stages[sink_index].consume
+        consume, aborts = stages[sink_index].consume, report.aborts
 
-        def push(record: Any) -> None:
-            consume(record)
-            report.stage_out[sink_index] += 1
+        def sink(record: Any) -> None:
+            try:
+                consume(record)
+            except BaseException:
+                aborts[sink_index] += 1
+                raise
 
         self._flushes: list[Callable[[], None]] = []
+        first = sink
         for i in reversed(range(sink_index)):
-            push = _map(stages[i].fn, i, report, push)
-            if isinstance(stages[i], TumblingWindow):
-                push, flush = _window(stages[i].width_s, i, report, push)
+            stage = stages[i]
+            if isinstance(stage, TumblingWindow):
+                first, flush = _window(stage.width_s, stage.fn, i, report, first)
                 self._flushes.insert(0, flush)  # upstream windows flush first
-        self._push = push
+            else:
+                first = _map(stage.fn, i, report, first)
 
-    def push(self, record: Any) -> None:
-        self.report.records_in += 1
-        self._push(record)
+        def push(record: Any) -> None:
+            report.records_in += 1
+            first(record)
+
+        self.push = push
 
     def finish(self) -> RunReport:
         for flush in self._flushes:

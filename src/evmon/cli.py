@@ -187,24 +187,33 @@ class _ConsumerEnded(Exception):
 
 def _normalize_stages(profile: NetworkProfile, files: dict[str, TextIO],
                       fan_out: Callable[[NormalizedBlockRecord], None]) -> tuple[cep.Stage, ...]:
-    normalizer = Normalizer(profile)
-    raw_file, norm_file = files["raw.jsonl"], files["normalized.jsonl"]
+    """tap_raw, normalize, publish. The writers and the writes are bound
+    here, once: whoever replaces a records writer (a test, the tracer) does
+    so before the run builds its pipelines."""
+    write_raw, write_normalized = files["raw.jsonl"].write, files["normalized.jsonl"].write
+    header_line, normalized_line = records.header_line, records.normalized_line
+    raw_line = ""  # the line tap_raw wrote for the header in flight
 
     def tap_raw(header: RawBlockHeader) -> RawBlockHeader:
-        raw_file.write(records.header_line(header))
+        nonlocal raw_line
+        raw_line = header_line(header)
+        write_raw(raw_line)
         return header
 
     def publish(record: NormalizedBlockRecord) -> None:
-        # write first: a record whose line failed must not reach the metrics
-        norm_file.write(records.normalized_line(record))
+        # write first: a record whose line failed must not reach the metrics.
+        # Each record reaches publish in the push that tapped its header.
+        write_normalized(normalized_line(record, raw_line))
         fan_out(record)
 
-    return (cep.Map(tap_raw), cep.Map(normalizer.normalize), cep.Sink(publish))
+    return (cep.Map(tap_raw), cep.Map(Normalizer(profile).normalize), cep.Sink(publish))
 
 
 def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict[str, TextIO],
                    collector: array) -> tuple[cep.Stage, ...]:
-    sample_file, window_file = files[f"{kind.value}.jsonl"], files[f"{kind.value}_windows.jsonl"]
+    write_sample = files[f"{kind.value}.jsonl"].write
+    window_file = files[f"{kind.value}_windows.jsonl"]
+    sample_line, collect = records.sample_line, collector.append
     make_sample = (
         metrics.gas_price_sample
         if kind is MetricKind.GAS_PRICE_GWEI
@@ -212,8 +221,8 @@ def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict
     )
 
     def tap(sample: Any) -> Any:
-        sample_file.write(records.sample_line(sample))
-        collector.append(sample.value)
+        write_sample(sample_line(sample))
+        collect(sample.value)
         return sample
 
     def aggregate(window: cep.FlushedWindow) -> WindowSummary:

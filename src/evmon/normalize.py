@@ -124,9 +124,10 @@ def normalize_header(
 class Normalizer:
     """Streaming wrapper holding one chain's first-seen base fee reference.
 
-    The reference is established by the first header of the run (not
-    configured), so fixture scenarios need no magic constants. Confine an
-    instance to a single pipeline thread.
+    The reference is established by the first header of the run that
+    normalizes (not configured), so fixture scenarios need no magic
+    constants; a header rejected with ProfileMismatch sets nothing. Confine
+    an instance to a single pipeline thread.
     """
 
     def __init__(self, profile: NetworkProfile) -> None:
@@ -134,6 +135,7 @@ class Normalizer:
         self._first_base_fee: FeeQuantity | None = None
 
     def normalize(self, header: RawBlockHeader) -> NormalizedBlockRecord:
+        record = normalize_header(header, self.profile, self._first_base_fee)
         if self._first_base_fee is None:
             self._first_base_fee = header.base_fee_per_gas
-        return normalize_header(header, self.profile, self._first_base_fee)
+        return record

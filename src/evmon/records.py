@@ -14,9 +14,11 @@ dict, byte for byte. The rarer window summaries and dead letters are
 written with to_line.
 
 A normalized record carries its header as reported, so its line is the
-header's fields followed by eff_limit, eff_price_wei and flags. Only
-_block_fields, header_to_dict and header_from_dict encode or decode the
-header fields, for raw and normalized lines alike.
+header's line extended by eff_limit, eff_price_wei and flags:
+normalized_line takes the header's line, already written to raw.jsonl,
+so each header is formatted once. Only _block_fields, header_to_dict and
+header_from_dict encode or decode the header fields, for raw and
+normalized lines alike.
 
 Decoding is strict: an integer field must be a JSON integer >= 0 and a
 float field a JSON number; a bool, a fraction or a string there is a
@@ -64,17 +66,19 @@ def to_line(obj: dict[str, Any]) -> str:
     return _encode(obj) + "\n"
 
 
-# One entry per chain written; a run writes lines only for its configured chains.
-_chain_prefixes: dict[ChainRef, str] = {}
+class _Prefixes(dict):
+    """'{"chain":<name>,"chain_id":<id>,' by chain, each encoded by json
+    once, when first looked up; one entry per chain written, and a run
+    writes lines only for its configured chains. A hit is a dict lookup,
+    with no function of its own to call."""
+
+    def __missing__(self, chain: ChainRef) -> str:
+        fields = _encode({"chain": chain.name, "chain_id": chain.chain_id})
+        prefix = self[chain] = fields[:-1] + ","
+        return prefix
 
 
-def _prefix(chain: ChainRef) -> str:
-    """'{"chain":<name>,"chain_id":<id>,' for chain, encoded by json once."""
-    prefix = _chain_prefixes.get(chain)
-    if prefix is None:
-        prefix = _encode({"chain": chain.name, "chain_id": chain.chain_id})[:-1] + ","
-        _chain_prefixes[chain] = prefix
-    return prefix
+_prefixes = _Prefixes()
 
 
 _FLAG_LISTS = {
@@ -88,7 +92,7 @@ _KINDS = {kind: _encode(kind.value) for kind in MetricKind}
 def _block_fields(header: RawBlockHeader) -> str:
     """The header fields that open raw and normalized lines, unclosed."""
     priority = header.priority_fee_observed
-    return (f'{_prefix(header.chain)}"number":{header.number},"ts":{header.timestamp},'
+    return (f'{_prefixes[header.chain]}"number":{header.number},"ts":{header.timestamp},'
             f'"gas_used":{header.gas_used.value},"gas_limit":{header.gas_limit.value},'
             f'"base_fee_wei":{header.base_fee_per_gas.value_wei},'
             f'"priority_fee_wei":{"null" if priority is None else priority.value_wei}')
@@ -99,9 +103,11 @@ def header_line(header: RawBlockHeader) -> str:
     return f"{_block_fields(header)}}}\n"
 
 
-def normalized_line(record: NormalizedBlockRecord) -> str:
-    """to_line(normalized_to_dict(record)), without the dict."""
-    return (f'{_block_fields(record.header)},"eff_limit":{record.effective_gas_limit.value},'
+def normalized_line(record: NormalizedBlockRecord, raw_line: str) -> str:
+    """to_line(normalized_to_dict(record)), without the dict, given
+    raw_line, header_line(record.header): its fields are extended, not
+    formatted again."""
+    return (f'{raw_line[:-2]},"eff_limit":{record.effective_gas_limit.value},'
             f'"eff_price_wei":{record.effective_gas_price.value_wei},'
             f'"flags":{_FLAG_LISTS[record.flags]}}}\n')
 
@@ -109,7 +115,7 @@ def normalized_line(record: NormalizedBlockRecord) -> str:
 def sample_line(sample: MetricSample) -> str:
     """to_line(sample_to_dict(sample)), without the dict. A finite float's
     repr is what json writes for it."""
-    return (f'{_prefix(sample.chain)}"number":{sample.block_number},"ts":{sample.timestamp},'
+    return (f'{_prefixes[sample.chain]}"number":{sample.block_number},"ts":{sample.timestamp},'
             f'"kind":{_KINDS[sample.kind]},"value":{sample.value!r}}}\n')
 
 

@@ -13,6 +13,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from conftest import adaptive_fee_scenario, constant_fee_scenario, make_profile
 from evmon.cli import RunConfig, load_config, run_monitor, run_plot, run_replay, run_stats
@@ -135,6 +136,19 @@ def test_acceptance_3_volatility_ordering(tmp_path):
     assert elapsed < 30.0, f"volatility ordering took {elapsed:.1f}s"
     passed(3, f"mainnet-style IQRs strictly dominate all three rollup-style chains "
               f"on both metrics ({elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("hours", ["0", "-1"])
+def test_volatility_experiment_rejects_hours_below_one(hours):
+    """--hours below 1 is a usage error (exit 2), not a traceback from the
+    scenario it would build."""
+    result = subprocess.run(
+        [sys.executable, "scripts/volatility_experiment.py", "--hours", hours],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert f"argument --hours: must be a positive integer, got '{hours}'" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_acceptance_4_conservation_end_to_end(tmp_path):

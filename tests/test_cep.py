@@ -1,7 +1,7 @@
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
@@ -167,6 +167,7 @@ def test_stage_oserror_aborts_with_report(stage, records_in):
         for record in headers(5):
             run.push(record)
     assert run.report.records_in == records_in
+    assert run.report.stage_out == [0, 0]
     assert run.report.dead_letters == []
 
 
@@ -259,69 +260,132 @@ class Event:
     seq: int
 
 
-def reference_run(events, width, map_fails, aggregate_fails):
+class _Stop(Exception):
+    """The reference model's abort: the run stops where it is raised."""
+
+
+def reference_run(events, width, map_fails, aggregate_fails, abort=None):
     """The engine's contract for (Map, TumblingWindow, Sink) as one plain
-    loop over lists: (sink outputs, stage_out, dead letters)."""
+    loop over lists: (sink outputs, records_in, stage_out, dead letters,
+    whether the run aborted). abort is None or (where, n): the n-th call
+    (from 0) of the map, the window aggregate or the sink raises, which
+    ends the run with every count reached."""
     out, stage_out, dead = [], [0, 0, 0], []
+    records_in = 0
+    calls = dict.fromkeys(("map", "aggregate", "sink"), 0)
     open_window, watermark = None, None
 
+    def call(where):
+        n, calls[where] = calls[where], calls[where] + 1
+        if abort == (where, n):
+            raise _Stop
+
     def aggregate(start, members, partial):
+        call("aggregate")
         if start // width in aggregate_fails:
             window = FlushedWindow(start, start + width, tuple(members), partial)
             dead.append((1, f"map: window {start}", window))
         else:
             stage_out[1] += 1
+            call("sink")
             out.append((start, [e.seq for e in members], partial))
             stage_out[2] += 1
 
-    for event in events:
-        if event.seq in map_fails:
-            dead.append((0, f"map: event {event.seq}", event))
-            continue
-        stage_out[0] += 1
-        ts = event.timestamp
-        if watermark is not None and ts < watermark:
-            dead.append((1, f"late: ts {ts} behind watermark {watermark}", event))
-            continue
-        watermark = ts
-        start = ts - ts % width
-        if open_window is not None and open_window[0] < start:
-            aggregate(*open_window, False)
-            open_window = None
-        if open_window is None:
-            open_window = (start, [])
-        open_window[1].append(event)
-    if open_window is not None:
-        aggregate(*open_window, True)
-    return out, stage_out, dead
+    try:
+        for event in events:
+            records_in += 1
+            call("map")
+            if event.seq in map_fails:
+                dead.append((0, f"map: event {event.seq}", event))
+                continue
+            stage_out[0] += 1
+            ts = event.timestamp
+            if watermark is not None and ts < watermark:
+                dead.append((1, f"late: ts {ts} behind watermark {watermark}", event))
+                continue
+            watermark = ts
+            start = ts - ts % width
+            if open_window is not None and open_window[0] < start:
+                aggregate(*open_window, False)
+                open_window = None
+            if open_window is None:
+                open_window = (start, [])
+            open_window[1].append(event)
+        if open_window is not None:
+            aggregate(*open_window, True)
+    except _Stop:
+        return out, records_in, stage_out, dead, True
+    return out, records_in, stage_out, dead, False
 
 
-@settings(max_examples=200, deadline=None)
+# where an abort is raised, and what: an OSError (a failed write) from any
+# stage function or the sink, or a KeyboardInterrupt from the map
+ABORTS = [("map", OSError), ("aggregate", OSError), ("sink", OSError),
+          ("map", KeyboardInterrupt)]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     stamps=st.lists(st.integers(0, 300), max_size=60),
     width=st.integers(1, 90),
     map_fails=st.sets(st.integers(0, 59), max_size=10),
     aggregate_fails=st.sets(st.integers(0, 300), max_size=10),
+    abort=st.none() | st.tuples(st.sampled_from(ABORTS), st.integers(0, 20)),
 )
-def test_push_engine_matches_reference_model(stamps, width, map_fails, aggregate_fails):
+@example(stamps=[0, 30, 61, 200], width=60, map_fails={1}, aggregate_fails=set(),
+         abort=(("map", KeyboardInterrupt), 2))
+@example(stamps=[0, 30, 61, 200], width=60, map_fails=set(), aggregate_fails=set(),
+         abort=(("map", OSError), 1))
+@example(stamps=[0, 30, 61, 200], width=60, map_fails=set(), aggregate_fails={0},
+         abort=(("aggregate", OSError), 1))
+@example(stamps=[0, 30, 61, 200], width=60, map_fails=set(), aggregate_fails=set(),
+         abort=(("sink", OSError), 1))
+@example(stamps=[0, 30, 61, 200], width=60, map_fails=set(), aggregate_fails=set(),
+         abort=(("sink", OSError), 2))
+def test_push_engine_matches_reference_model(stamps, width, map_fails, aggregate_fails, abort):
+    """Outputs, records_in, stage_out and dead letters equal the model's,
+    also when a stage aborts the run at a drawn call."""
     events = [Event(ts, seq) for seq, ts in enumerate(stamps)]
+    (where, error), at = abort if abort is not None else ((None, None), None)
+    calls = dict.fromkeys(("map", "aggregate", "sink"), 0)
+
+    def call(stage):
+        n, calls[stage] = calls[stage], calls[stage] + 1
+        if (stage, n) == (where, at):
+            raise error(f"abort at {stage} call {n}")
 
     def check(event):
+        call("map")
         if event.seq in map_fails:
             raise RuntimeError(f"event {event.seq}")
         return event
 
     def aggregate(window):
+        call("aggregate")
         if window.start // width in aggregate_fails:
             raise RuntimeError(f"window {window.start}")
         return (window.start, [e.seq for e in window.records], window.partial)
 
     out = []
-    report = run_pipeline(Pipeline(source=events, stages=(
-        Map(check), TumblingWindow(width, aggregate), collecting_sink(out))))
-    expected_out, expected_stage_out, expected_dead = reference_run(
-        events, width, map_fails, aggregate_fails)
+
+    def sink(value):
+        call("sink")
+        out.append(value)
+
+    run = PipelineRun((Map(check), TumblingWindow(width, aggregate), Sink(sink)))
+    aborted = False
+    try:
+        for event in events:
+            run.push(event)
+        run.finish()
+    except (OSError, KeyboardInterrupt) as exc:
+        assert type(exc) is error
+        aborted = True
+    expected_out, records_in, stage_out, expected_dead, expected_aborted = reference_run(
+        events, width, map_fails, aggregate_fails, None if abort is None else (where, at))
+    assert aborted == expected_aborted
     assert out == expected_out
-    assert report.records_in == len(events)
-    assert report.stage_out == expected_stage_out
-    assert [(d.stage_index, d.reason, d.record) for d in report.dead_letters] == expected_dead
+    assert run.report.records_in == records_in
+    assert run.report.stage_out == stage_out
+    assert run.report.records_out == stage_out[-1]
+    assert [(d.stage_index, d.reason, d.record) for d in run.report.dead_letters] == expected_dead

@@ -1,4 +1,5 @@
 import collections
+import cProfile
 import dataclasses
 import json
 import signal
@@ -288,7 +289,8 @@ def test_replay_is_byte_deterministic(tmp_path):
 
 def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
     """The broker carries the records themselves: replay decodes no
-    normalized record, encodes each header once (for raw.jsonl) and writes
+    normalized record, encodes each header once (for raw.jsonl), formats
+    its fields once (the normalized line extends the raw one) and writes
     the same bytes."""
     fixtures = Path(__file__).parent / "fixtures"
     fixture = fixtures / "replay_fixture.jsonl"
@@ -314,10 +316,42 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
         encoded.append(header)
         return header_line(header)
 
+    formatted = []
+    block_fields = records._block_fields
+
+    def counting_fields(header):
+        formatted.append(header)
+        return block_fields(header)
+
     monkeypatch.setattr(records, "normalized_from_dict", refuse)
     monkeypatch.setattr(records, "header_line", counting)
+    monkeypatch.setattr(records, "_block_fields", counting_fields)
     assert run_into("patched") == expected
     assert len(encoded) == len(read_lines(fixture))
+    assert len(formatted) == len(read_lines(fixture))
+
+
+# Calls that cProfile counts (Python and C functions) per block of a warm
+# replay of tests/fixtures/replay_fixture.jsonl, on CPython 3.11
+REPLAY_CALLS_PER_BLOCK = 86.6
+
+
+def test_replay_makes_a_bounded_number_of_calls_per_block(tmp_path):
+    """A deterministic guard on the work per block: the calls cProfile
+    counts over a whole replay, per block, stay within 3% of the figure
+    the per-block path makes today. A second formatting of each header,
+    or a method call per pipeline hop, exceeds it."""
+    fixtures = Path(__file__).parent / "fixtures"
+    fixture = fixtures / "replay_fixture.jsonl"
+    config = load_config(fixtures / "replay_config.json")
+    # warm: the chain prefixes and interned chains are built once per process
+    run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "warm"))
+    profile = cProfile.Profile()
+    profile.runcall(run_replay, fixture, dataclasses.replace(config, output_dir=tmp_path / "out"))
+    # summed per code object: pstats keys by (file, line, name), under which
+    # the __init__ of every dataclass is one entry
+    per_block = sum(entry.callcount for entry in profile.getstats()) / len(read_lines(fixture))
+    assert per_block <= REPLAY_CALLS_PER_BLOCK * 1.03, per_block
 
 
 def test_replay_builds_one_flushed_window_per_window(tmp_path, monkeypatch):
@@ -415,13 +449,13 @@ def test_replay_report_survives_an_aborted_pipeline(tmp_path, monkeypatch):
     normalized_line = records.normalized_line
     calls = []
 
-    def disk_full_on_50th_arbitrum_record(record):
+    def disk_full_on_50th_arbitrum_record(record, *args):
         # counted per chain, so the fault pins arbitrum_like's 50th record
         if record.header.chain.name == "arbitrum_like":
             calls.append(record)
             if len(calls) == 50:
                 raise OSError("disk full")
-        return normalized_line(record)
+        return normalized_line(record, *args)
 
     monkeypatch.setattr(records, "normalized_line", disk_full_on_50th_arbitrum_record)
     run_replay(fixtures / "replay_fixture.jsonl", config)
@@ -753,11 +787,11 @@ def test_monitor_normalize_failure_stops_its_ingest(tmp_path, monkeypatch):
     normalized_line = records.normalized_line
     calls = []
 
-    def disk_full_on_50th_call(record):
+    def disk_full_on_50th_call(record, *args):
         calls.append(record)
         if len(calls) == 50:
             raise OSError("disk full")
-        return normalized_line(record)
+        return normalized_line(record, *args)
 
     monkeypatch.setattr(records, "normalized_line", disk_full_on_50th_call)
     report = run_monitor(config, max_blocks=5000, start_number=0,
@@ -837,13 +871,13 @@ def test_each_chain_runs_one_thread(tmp_path, monkeypatch, fault):
     if failing is not None:
         original = getattr(*failing)
 
-        def disk_full_on_arbitrum_block_20(record):
+        def disk_full_on_arbitrum_block_20(record, *args):
             # a window summary names its chain; a normalized record, its header
             chain = record.chain if fault == "metric_sink" else record.header.chain
             if chain.name == "arbitrum_like" and (
                     fault == "metric_sink" or record.header.number == 20):
                 raise OSError("disk full")
-            return original(record)
+            return original(record, *args)
 
         monkeypatch.setattr(*failing, disk_full_on_arbitrum_block_20)
     report = run_monitor(config, max_blocks=100, start_number=0,

@@ -11,7 +11,7 @@ from evmon.model import (
     NormalizedBlockRecord,
     PriorityPolicy,
 )
-from evmon.records import normalized_line
+from evmon.records import header_line, normalized_line
 from evmon.normalize import (
     Normalizer,
     ProfileMismatch,
@@ -123,6 +123,18 @@ def test_normalizer_uses_first_seen_base_fee():
     # back at the reference: no deviation
     third = normalizer.normalize(make_header(number=2, base_fee_wei=7 * 10**9))
     assert Flag.BASE_FEE_DEVIATION not in third.flags
+
+
+def test_a_rejected_header_sets_no_base_fee_reference():
+    """A header of another chain, rejected with ProfileMismatch, does not
+    become the reference: the chain's first real header does."""
+    normalizer = Normalizer(make_profile(constant_base_fee_expected=True))
+    with pytest.raises(ProfileMismatch):
+        normalizer.normalize(make_header(chain=ChainRef("other", 10), base_fee_wei=5))
+    first = normalizer.normalize(make_header(number=0, base_fee_wei=10 * 10**9))
+    assert Flag.BASE_FEE_DEVIATION not in first.flags
+    second = normalizer.normalize(make_header(number=1, base_fee_wei=11 * 10**9))
+    assert Flag.BASE_FEE_DEVIATION in second.flags
 
 
 @given(
@@ -242,6 +254,10 @@ def policy_cases(draw):
     return header, profile, first
 
 
+def line_of(record):
+    return normalized_line(record, header_line(record.header))
+
+
 @given(policy_cases())
 def test_normalize_matches_the_set_building_reference(case):
     header, profile, first = case
@@ -251,7 +267,7 @@ def test_normalize_matches_the_set_building_reference(case):
     record = normalize_header(header, profile, first)
     expected = reference_normalize_header(header, profile, first)
     assert record == expected
-    assert normalized_line(record) == normalized_line(expected)
+    assert line_of(record) == line_of(expected)
 
 
 @given(st.lists(policy_cases(), min_size=1, max_size=5))
@@ -261,5 +277,4 @@ def test_normalizer_matches_the_reference_over_a_stream(cases):
     first = cases[0][0].base_fee_per_gas
     for header, _, _ in cases:
         record = normalizer.normalize(header)
-        assert normalized_line(record) == normalized_line(
-            reference_normalize_header(header, profile, first))
+        assert line_of(record) == line_of(reference_normalize_header(header, profile, first))
