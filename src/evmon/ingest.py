@@ -72,14 +72,13 @@ def parse_quantity(hex_string: str) -> int:
     """
     if not isinstance(hex_string, str) or not hex_string.startswith("0x"):
         raise MalformedQuantity(f"missing 0x prefix: {hex_string!r}")
-    digits = hex_string[2:]
-    if not digits:
+    if len(hex_string) == 2:
         raise MalformedQuantity(f"empty hex digits: {hex_string!r}")
     # int() alone would also take a sign, underscores, whitespace and non-ASCII digits
-    if not (digits.isascii() and digits.isalnum()):
+    if not (hex_string.isascii() and hex_string.isalnum()):
         raise MalformedQuantity(f"non-hex characters: {hex_string!r}")
     try:
-        return int(digits, 16)
+        return int(hex_string, 16)
     except ValueError:
         raise MalformedQuantity(f"non-hex characters: {hex_string!r}") from None
 
@@ -91,6 +90,17 @@ def encode_quantity(value: int) -> str:
     return hex(value)
 
 
+_REQUIRED_FIELDS = ("number", "timestamp", "gasUsed", "gasLimit", "baseFeePerGas")
+
+
+def _field_quantity(key: str, value: Any) -> int:
+    """parse_quantity's verdict on a field that is not canonical hex."""
+    try:
+        return parse_quantity(value)
+    except MalformedQuantity as exc:
+        raise InvalidHeader(f"field {key}: {exc}") from None
+
+
 def decode_block_fields(chain: ChainRef, obj: dict[str, Any]) -> RawBlockHeader:
     """Decode an eth_getBlockByNumber result object into a header.
 
@@ -99,27 +109,41 @@ def decode_block_fields(chain: ChainRef, obj: dict[str, Any]) -> RawBlockHeader:
     an error, not a legacy block). The optional priorityFeeObserved
     extension carries a block-level priority-fee estimate where the source
     provides one. Validates gas_used <= gas_limit.
+
+    A field in canonical form (0x and minimal lowercase digits, as nodes
+    send it) is decoded inline, with no function call of its own; any
+    other value goes to parse_quantity, so a field is accepted, or refused
+    with the same text, exactly as parse_quantity alone decides.
     """
     if not isinstance(obj, dict):
         raise InvalidHeader(f"block object is {type(obj).__name__}, not an object")
     fields = {}
-    for key in ("number", "timestamp", "gasUsed", "gasLimit", "baseFeePerGas"):
-        if key not in obj or obj[key] is None:
+    for key in _REQUIRED_FIELDS:
+        value = obj[key] if key in obj else None
+        if value is None:
             raise InvalidHeader(f"missing field {key}")
         try:
-            fields[key] = parse_quantity(obj[key])
-        except MalformedQuantity as exc:
-            raise InvalidHeader(f"field {key}: {exc}") from None
+            quantity = int(value, 16)
+        except (TypeError, ValueError):
+            quantity = None
+        # int() also takes 0X, a sign, '_', whitespace and non-ASCII digits:
+        # only the canonical form is taken here
+        if quantity is None or f"0x{quantity:x}" != value:
+            quantity = _field_quantity(key, value)
+        fields[key] = quantity
     if fields["gasUsed"] > fields["gasLimit"]:
         raise InvalidHeader(
             f"gas_used {fields['gasUsed']} exceeds gas_limit {fields['gasLimit']}"
         )
-    priority = None
-    if obj.get("priorityFeeObserved") is not None:
+    priority = obj["priorityFeeObserved"] if "priorityFeeObserved" in obj else None
+    if priority is not None:
         try:
-            priority = FeeQuantity(parse_quantity(obj["priorityFeeObserved"]))
-        except MalformedQuantity as exc:
-            raise InvalidHeader(f"field priorityFeeObserved: {exc}") from None
+            tip = int(priority, 16)
+        except (TypeError, ValueError):
+            tip = None
+        if tip is None or f"0x{tip:x}" != priority:
+            tip = _field_quantity("priorityFeeObserved", priority)
+        priority = FeeQuantity(tip)
     return RawBlockHeader(chain, fields["number"], fields["timestamp"],
                           GasQuantity(fields["gasUsed"]), GasQuantity(fields["gasLimit"]),
                           FeeQuantity(fields["baseFeePerGas"]), priority)

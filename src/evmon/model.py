@@ -4,10 +4,20 @@ The values built for every block (GasQuantity, FeeQuantity,
 RawBlockHeader, NormalizedBlockRecord, MetricSample) are slotted
 dataclasses, not frozen ones: a frozen dataclass sets each field through
 object.__setattr__, which costs more than the rest of its construction.
-They check their fields when built and are not hashable. Nothing assigns
-to them after that, and none crosses threads: each is built and consumed
-in the one thread that runs its chain.
-Every other dataclass here is frozen.
+They are not hashable. Nothing assigns to them after construction, and
+none crosses threads: each is built and consumed in the one thread that
+runs its chain.
+
+A value is checked once, when it is built. GasQuantity and FeeQuantity
+refuse a negative amount and MetricSample a negative or non-finite
+value, each in its own __init__, so building one is a single Python
+call. RawBlockHeader checks nothing itself: ingest's decoder and the
+record decoders check what they read (gas_used <= gas_limit included)
+before they build one. NetworkProfile and SummaryStats check their
+fields after construction, in __post_init__.
+
+ChainRef is a NamedTuple, so hashing it, per dict lookup by chain, runs
+in C. Every other dataclass here is frozen.
 Fee amounts are integer wei internally; gwei is a display/export unit
 only, so exact arithmetic never touches floats.
 """
@@ -18,6 +28,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 from urllib.parse import urlsplit
 
 WEI_PER_GWEI = 10**9
@@ -27,49 +38,41 @@ class InvalidProfile(ValueError):
     """A NetworkProfile failed validation."""
 
 
-@dataclass(frozen=True)
-class ChainRef:
+class ChainRef(NamedTuple):
     """One monitored network: a short name plus its EVM chain id.
 
     Every record carries its chain, and the line writers key a dict by
-    it, so the hash is computed once, at construction. A str hashes
-    differently in each process, so a pickle carries only the two fields
-    and the loading process hashes them anew.
+    it. As a NamedTuple it hashes and compares in C, as the tuple
+    (name, chain_id) does, and equals that plain tuple. Its hash is not
+    stored, so a pickle loaded in another process hashes it anew.
     """
 
     name: str
     chain_id: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.chain_id)))
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined, no-any-return]
-
-    def __reduce__(self) -> tuple[type[ChainRef], tuple[str, int]]:
-        return type(self), (self.name, self.chain_id)
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class GasQuantity:
     """An amount of gas units."""
 
     value: int
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError(f"gas quantity must be non-negative, got {self.value}")
+    def __init__(self, value: int) -> None:
+        if value < 0:
+            raise ValueError(f"gas quantity must be non-negative, got {value}")
+        self.value = value
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class FeeQuantity:
     """A per-gas fee in integer wei."""
 
     value_wei: int
 
-    def __post_init__(self) -> None:
-        if self.value_wei < 0:
-            raise ValueError(f"fee must be non-negative wei, got {self.value_wei}")
+    def __init__(self, value_wei: int) -> None:
+        if value_wei < 0:
+            raise ValueError(f"fee must be non-negative wei, got {value_wei}")
+        self.value_wei = value_wei
 
     @property
     def gwei(self) -> float:
@@ -204,7 +207,7 @@ class MetricKind(Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class MetricSample:
     """The unit flowing through the metric pipelines: one value per block."""
 
@@ -214,9 +217,15 @@ class MetricSample:
     kind: MetricKind
     value: float
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value < 0:
-            raise ValueError(f"metric value must be finite and >= 0, got {self.value}")
+    def __init__(self, chain: ChainRef, block_number: int, timestamp: int, kind: MetricKind,
+                 value: float) -> None:
+        if not 0 <= value < math.inf:  # NaN fails every comparison
+            raise ValueError(f"metric value must be finite and >= 0, got {value}")
+        self.chain = chain
+        self.block_number = block_number
+        self.timestamp = timestamp
+        self.kind = kind
+        self.value = value
 
 
 @dataclass(frozen=True)

@@ -195,18 +195,24 @@ def generate_scenario(scenario: Scenario) -> list[RawBlockHeader]:
 def encode_header_wire(header: RawBlockHeader) -> dict[str, str]:
     """The JSON-RPC block object for a header, all quantities 0x-hex.
 
-    priorityFeeObserved is a non-standard extension field real nodes omit;
-    ingest reads it only when present.
+    Each quantity is formatted as encode_quantity formats it, and a
+    negative number or timestamp is refused as it refuses one (gas and fee
+    amounts cannot be negative). priorityFeeObserved is a non-standard
+    extension field real nodes omit; ingest reads it only when present.
     """
+    number, timestamp = header.number, header.timestamp
+    if number < 0 or timestamp < 0:
+        raise ValueError(f"quantities are non-negative, got number {number}, "
+                         f"timestamp {timestamp}")
     obj = {
-        "number": encode_quantity(header.number),
-        "timestamp": encode_quantity(header.timestamp),
-        "gasUsed": encode_quantity(header.gas_used.value),
-        "gasLimit": encode_quantity(header.gas_limit.value),
-        "baseFeePerGas": encode_quantity(header.base_fee_per_gas.value_wei),
+        "number": f"{number:#x}",
+        "timestamp": f"{timestamp:#x}",
+        "gasUsed": f"{header.gas_used.value:#x}",
+        "gasLimit": f"{header.gas_limit.value:#x}",
+        "baseFeePerGas": f"{header.base_fee_per_gas.value_wei:#x}",
     }
     if header.priority_fee_observed is not None:
-        obj["priorityFeeObserved"] = encode_quantity(header.priority_fee_observed.value_wei)
+        obj["priorityFeeObserved"] = f"{header.priority_fee_observed.value_wei:#x}"
     return obj
 
 
@@ -245,25 +251,39 @@ class ScaledClock:
 
 
 class _Ledger:
-    """Immutable ledger plus clock-gated head lookup."""
+    """Immutable ledger plus clock-gated head lookup.
+
+    Block n is headers[n], and its timestamps must not decrease from one
+    block to the next (construction raises ValueError otherwise), as a
+    generated scenario's never do: the head is then found by bisecting
+    the timestamps, and a block is visible exactly when its own timestamp
+    has passed.
+    """
 
     def __init__(self, headers: list[RawBlockHeader], clock: Clock) -> None:
         if not headers:
             raise ValueError("ledger must contain at least one block")
+        timestamps = [header.timestamp for header in headers]
+        for number in range(1, len(timestamps)):
+            if timestamps[number] < timestamps[number - 1]:
+                raise ValueError(f"ledger timestamps decrease at block {number}: "
+                                 f"{timestamps[number - 1]} then {timestamps[number]}")
         self.headers = headers
         self.clock = clock
+        self._timestamps = timestamps
+        self._count = len(headers)
 
     def head_number(self) -> int:
         """Highest block whose timestamp <= the clock; genesis is always
         visible (a node has its genesis from the start)."""
-        visible = bisect.bisect_right(self.headers, self.clock.now(),
-                                      key=lambda header: header.timestamp)
-        return max(visible - 1, 0)
+        return max(bisect.bisect_right(self._timestamps, self.clock.now()) - 1, 0)
 
     def block_at(self, number: int) -> RawBlockHeader | None:
-        if number < 0 or number > self.head_number():
-            return None
-        return self.headers[number]
+        """Block number if it is at or below the head, else None."""
+        if number == 0 or (0 < number < self._count
+                           and self._timestamps[number] <= self.clock.now()):
+            return self.headers[number]
+        return None
 
 
 class LedgerRpcClient:

@@ -333,7 +333,7 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
 
 # Calls that cProfile counts (Python and C functions) per block of a warm
 # replay of tests/fixtures/replay_fixture.jsonl, on CPython 3.11
-REPLAY_CALLS_PER_BLOCK = 86.6
+REPLAY_CALLS_PER_BLOCK = 75.1
 
 
 def test_replay_makes_a_bounded_number_of_calls_per_block(tmp_path):

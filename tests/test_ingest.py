@@ -1,5 +1,6 @@
 import base64
 import contextlib
+import cProfile
 import json
 import logging
 import os
@@ -31,7 +32,9 @@ from evmon.ingest import (
     poll_chain,
 )
 from evmon.ingest import log as ingest_log
+from evmon.model import FeeQuantity, GasQuantity, RawBlockHeader
 from evmon.simnode import (
+    LedgerRpcClient,
     ManualClock,
     ScaledClock,
     SimNodeServer,
@@ -48,8 +51,11 @@ def test_parse_quantity_known_value():
     assert parse_quantity("0x1c9c380") == 30_000_000
 
 
-@pytest.mark.parametrize("bad", ["12ab", "0x", "", "0xzz", "0x1g", "x1", "0x-1", "0x+a",
-                                 "0x1_0", "0x 1", "0x1 ", "0x\u0661"])
+MALFORMED_QUANTITIES = ["12ab", "0x", "", "0xzz", "0x1g", "x1", "0x-1", "0x+a", "0x1_0", "0x 1",
+                        "0x1 ", "0x\u0661", "0X1", " 0x1", "0x0x1"]
+
+
+@pytest.mark.parametrize("bad", MALFORMED_QUANTITIES)
 def test_parse_quantity_rejects_malformed(bad):
     with pytest.raises(MalformedQuantity):
         parse_quantity(bad)
@@ -89,6 +95,89 @@ def test_decode_rejects_gas_used_above_limit():
     obj["gasLimit"] = encode_quantity(30_000_000)
     with pytest.raises(InvalidHeader):
         decode_block_fields(TEST_CHAIN, obj)
+
+
+QUANTITY_FIELDS = ("number", "timestamp", "gasUsed", "gasLimit", "baseFeePerGas")
+
+
+def reference_decode(chain, obj):
+    """decode_block_fields with parse_quantity called on every field: the
+    decoder's definition, which its inline test must not change."""
+    if not isinstance(obj, dict):
+        raise InvalidHeader(f"block object is {type(obj).__name__}, not an object")
+    fields = {}
+    for key in QUANTITY_FIELDS:
+        if key not in obj or obj[key] is None:
+            raise InvalidHeader(f"missing field {key}")
+        try:
+            fields[key] = parse_quantity(obj[key])
+        except MalformedQuantity as exc:
+            raise InvalidHeader(f"field {key}: {exc}") from None
+    if fields["gasUsed"] > fields["gasLimit"]:
+        raise InvalidHeader(
+            f"gas_used {fields['gasUsed']} exceeds gas_limit {fields['gasLimit']}"
+        )
+    priority = None
+    if obj.get("priorityFeeObserved") is not None:
+        try:
+            priority = FeeQuantity(parse_quantity(obj["priorityFeeObserved"]))
+        except MalformedQuantity as exc:
+            raise InvalidHeader(f"field priorityFeeObserved: {exc}") from None
+    return RawBlockHeader(chain, fields["number"], fields["timestamp"],
+                          GasQuantity(fields["gasUsed"]), GasQuantity(fields["gasLimit"]),
+                          FeeQuantity(fields["baseFeePerGas"]), priority)
+
+
+# canonical, and valid but not canonical: leading zeros or upper-case digits
+valid_hex = st.builds(
+    lambda value, zeros, upper: "0x" + "0" * zeros + format(value, "X" if upper else "x"),
+    st.integers(min_value=0, max_value=2**256), st.integers(0, 2), st.booleans())
+any_field = st.one_of(
+    valid_hex,
+    st.sampled_from(MALFORMED_QUANTITIES),
+    st.text(max_size=6),
+    st.integers(min_value=-2, max_value=2**64),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@st.composite
+def wire_blocks(draw):
+    """A valid block object, with or without priorityFeeObserved, of which
+    a few fields are then dropped or replaced by any value."""
+    obj = {key: draw(valid_hex) for key in QUANTITY_FIELDS}
+    if draw(st.booleans()):
+        obj["priorityFeeObserved"] = draw(valid_hex)
+    keys = st.sampled_from(QUANTITY_FIELDS + ("priorityFeeObserved",))
+    for key in draw(st.lists(keys, max_size=3, unique=True)):
+        if draw(st.booleans()):
+            obj.pop(key, None)
+        else:
+            obj[key] = draw(any_field)
+    return obj
+
+
+def decoded_or_error(decode, obj):
+    try:
+        return decode(TEST_CHAIN, obj)
+    except InvalidHeader as exc:
+        return f"InvalidHeader: {exc}"
+
+
+@settings(max_examples=400)
+@given(st.one_of(wire_blocks(), any_field))
+@example({**wire(make_header()), "gasUsed": "0x0x1"})
+@example({**wire(make_header()), "number": " 0x1"})
+@example({**wire(make_header()), "timestamp": "0X1"})
+@example({**wire(make_header()), "gasLimit": True})
+@example({**wire(make_header(priority_fee_wei=1)), "priorityFeeObserved": "0x-1"})
+@example({**wire(make_header(gas_used=2, gas_limit=1)), "priorityFeeObserved": 5})
+def test_decode_block_fields_matches_the_reference(obj):
+    """The inline decode returns the header the per-field parse_quantity
+    decode returns, or refuses the block with the same text."""
+    assert decoded_or_error(decode_block_fields, obj) == decoded_or_error(reference_decode, obj)
 
 
 class ScriptedSource:
@@ -495,6 +584,30 @@ def test_full_scenario_ingest_is_complete_and_ordered():
     assert count == 1000
     assert [h.number for h in emitted] == list(range(1000))
     assert emitted == ledger_blocks
+
+
+# Calls that cProfile counts (Python and C functions) per block of poll_chain
+# fetching a 400-block backlog from a LedgerRpcClient, on CPython 3.11
+INGEST_CALLS_PER_BLOCK = 15.1
+
+
+def test_ingest_makes_a_bounded_number_of_calls_per_block():
+    """A deterministic guard on the work per fetched block, from the head
+    lookup through the wire encode and decode to the emit: the calls
+    cProfile counts stay within 3% of the figure the path makes today. A
+    function call per quantity, or a key function per bisect step,
+    exceeds it."""
+    scenario = constant_fee_scenario(block_count=400)
+    ledger_blocks = generate_scenario(scenario)
+    client = LedgerRpcClient(ledger_blocks, ManualClock(float(2**62)), scenario.chain)
+    emitted = []
+    profile = cProfile.Profile()
+    count = profile.runcall(poll_chain, make_profile(chain=scenario.chain), emitted.append,
+                            client=client, start_number=0, max_blocks=400)
+    assert count == 400 and emitted == ledger_blocks
+    # summed per code object, as test_replay_makes_a_bounded_number_of_calls_per_block does
+    per_block = sum(entry.callcount for entry in profile.getstats()) / count
+    assert per_block <= INGEST_CALLS_PER_BLOCK * 1.03, per_block
 
 
 class FakeClock:

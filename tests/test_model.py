@@ -194,3 +194,29 @@ def test_a_pickled_chain_ref_hashes_anew_where_it_is_loaded():
     found, loaded_hash = run(_LOOK_UP_CHAIN, 2, run(_PICKLE_CHAIN, 1)).decode().split()
     assert found == "found"
     assert loaded_hash != run("print(hash(('arbitrum_like', 42161)))", 1).decode().strip()
+
+
+def test_a_chain_ref_is_the_tuple_of_its_fields():
+    """ChainRef hashes and compares as the tuple (name, chain_id), in C:
+    each dict lookup by chain makes no Python call."""
+    chain = ChainRef("arbitrum_like", 42161)
+    assert chain == ("arbitrum_like", 42161)
+    assert hash(chain) == hash(("arbitrum_like", 42161))
+    assert type(chain).__hash__ is tuple.__hash__
+    assert (chain.name, chain.chain_id) == ("arbitrum_like", 42161)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GasQuantity(value=-1),
+    lambda: dataclasses.replace(GasQuantity(1), value=-1),
+    lambda: FeeQuantity(value_wei=-1),
+    lambda: dataclasses.replace(FeeQuantity(1), value_wei=-1),
+    lambda: MetricSample(chain=TEST_CHAIN, block_number=0, timestamp=0,
+                         kind=MetricKind.BLOCK_USAGE_RATIO, value=float("nan")),
+    lambda: dataclasses.replace(
+        MetricSample(TEST_CHAIN, 0, 0, MetricKind.BLOCK_USAGE_RATIO, 0.5), value=-0.5),
+], ids=["gas_keyword", "gas_replace", "fee_keyword", "fee_replace", "sample_keyword",
+        "sample_replace"])
+def test_a_value_is_checked_however_it_is_built(build):
+    with pytest.raises(ValueError):
+        build()

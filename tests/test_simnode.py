@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import adaptive_fee_scenario, constant_fee_scenario
+from conftest import TEST_CHAIN, adaptive_fee_scenario, constant_fee_scenario, make_header
 from evmon.cli import load_config
-from evmon.ingest import decode_block_fields
+from evmon.ingest import BlockNotFound, decode_block_fields, encode_quantity
 from evmon.records import header_to_dict, to_line
 from evmon.simnode import (
     AdaptiveBaseFee,
@@ -387,3 +387,51 @@ def test_ledger_head_follows_the_clock(offset_s, head):
                              ManualClock(scenario.start_time_s + offset_s), scenario.chain)
     assert client.head_number() == head
     assert client.fetch_block(head).number == head
+
+
+def test_ledger_refuses_decreasing_timestamps():
+    """The head is found by bisecting the timestamps, so a ledger whose
+    timestamps decrease is refused when it is built, by the in-process
+    client and the server alike; equal timestamps are accepted."""
+    headers = [make_header(number=n, timestamp=ts) for n, ts in enumerate([10, 12, 11])]
+    with pytest.raises(ValueError, match="decrease at block 2"):
+        LedgerRpcClient(headers, ManualClock(0), TEST_CHAIN)
+    with pytest.raises(ValueError, match="decrease at block 2"):
+        SimNodeServer(headers, ManualClock(0))
+    tied = [make_header(number=n, timestamp=ts) for n, ts in enumerate([10, 12, 12])]
+    assert LedgerRpcClient(tied, ManualClock(12), TEST_CHAIN).head_number() == 2
+
+
+@given(st.lists(st.integers(0, 5), min_size=1, max_size=12), st.integers(-2, 70))
+def test_a_block_is_served_exactly_when_it_is_at_or_below_the_head(gaps, now):
+    """block_at's own test, its timestamp against the clock, agrees with
+    number <= head_number() on any ledger with non-decreasing timestamps."""
+    stamps = [sum(gaps[:n + 1]) for n in range(len(gaps))]
+    headers = [make_header(number=n, timestamp=ts) for n, ts in enumerate(stamps)]
+    client = LedgerRpcClient(headers, ManualClock(now), TEST_CHAIN)
+    head = client.head_number()
+    for number in range(-1, len(headers) + 1):
+        if 0 <= number <= head:
+            assert client.fetch_block(number) == headers[number]
+        else:
+            with pytest.raises(BlockNotFound):
+                client.fetch_block(number)
+
+
+@given(st.integers(0, 2**80), st.integers(0, 2**40), st.integers(0, 2**64),
+       st.integers(0, 2**64), st.none() | st.integers(0, 2**64))
+def test_wire_quantities_are_encode_quantity(number, timestamp, gas, base_fee, priority):
+    header = make_header(number=number, timestamp=timestamp, gas_used=gas, gas_limit=gas,
+                         base_fee_wei=base_fee, priority_fee_wei=priority)
+    expected = {"number": number, "timestamp": timestamp, "gasUsed": gas, "gasLimit": gas,
+                "baseFeePerGas": base_fee}
+    if priority is not None:
+        expected["priorityFeeObserved"] = priority
+    assert encode_header_wire(header) == {key: encode_quantity(value)
+                                          for key, value in expected.items()}
+
+
+@pytest.mark.parametrize("field", ["number", "timestamp"])
+def test_wire_refuses_a_negative_number_or_timestamp(field):
+    with pytest.raises(ValueError, match="non-negative"):
+        encode_header_wire(make_header(**{field: -1}))
