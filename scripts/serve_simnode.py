@@ -19,7 +19,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from evmon.simnode import ScaledClock, SimNodeServer, generate_scenario, scenario_from_dict
+from evmon.simnode import ScaledClock, generate_scenario, scenario_from_dict
+from evmon.simserver import SimNodeServer
 
 
 def main() -> int:

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, TextIO, cast
 
 from evmon import cep, metrics, records
-from evmon.ingest import BlockSource, RpcClient, poll_chain
+from evmon.ingest import BlockSource, poll_chain
 from evmon.model import (
     ChainRef,
     GasQuantity,
@@ -440,8 +440,8 @@ def run_monitor(
     writes) the run report; shutdown flushes open windows as partial
     summaries. A chain thread that fails to start sets stop_event, which
     ends the chains already started, and its error propagates. Without a
-    client_factory each chain gets an RpcClient, closed when its ingest
-    ends; clients from a client_factory stay the caller's to close.
+    client_factory each chain gets an evmon.rpc.RpcClient, closed when its
+    ingest ends; clients from a client_factory stay the caller's to close.
     """
     stop = stop_event if stop_event is not None else threading.Event()
     timer = None
@@ -449,6 +449,9 @@ def run_monitor(
         timer = threading.Timer(duration_s, stop.set)
         timer.daemon = True
         timer.start()
+    if client_factory is None:
+        # only a run that speaks HTTP loads it, and before any chain thread starts
+        from evmon.rpc import RpcClient
     build_client = client_factory or (lambda profile: RpcClient(profile.rpc_url, profile.chain))
 
     def drive(consumers: dict[str, _ChainConsumer]) -> None:

@@ -14,26 +14,25 @@ One retry policy covers both calls, and nothing in it exits the process:
   found;
 - a block not found (announced before it is servable) waits one poll
   interval, then the head is polled again;
-- a block that decodes invalid waits one poll interval and is fetched
-  again. The third invalid decode of one block, counted across transport
-  failures and reset by an answer or a not-found, halts this chain's
-  ingest, preferring data integrity over availability: poll_chain raises
-  InvalidHeader("halted at block N: ...").
+- a block that decodes invalid, or that comes back under another number,
+  waits one poll interval and is fetched again. The third such answer for
+  one block, counted across transport failures and reset by an answer or
+  a not-found, halts this chain's ingest, preferring data integrity over
+  availability: poll_chain raises InvalidHeader("halted at block N: ...").
 
 poll_chain alone decides, through its idle callback, when its caller
 processes what it emitted.
+
+This module holds the polling, the retry policy and the wire decoder, and
+loads no HTTP code: the HTTP transport, RpcClient, is evmon.rpc.
 """
 
 from __future__ import annotations
 
-import base64
-import http.client
-import json
 import logging
 import threading
 import time
 from typing import Any, Callable, Protocol
-from urllib.parse import unquote, urlsplit
 
 from evmon.model import (
     ChainRef,
@@ -157,98 +156,6 @@ class BlockSource(Protocol):
     def fetch_block(self, number: int) -> RawBlockHeader: ...
 
 
-class RpcClient:
-    """JSON-RPC 2.0 over HTTP POST on one kept-alive connection to one endpoint.
-
-    The connection goes straight to the endpoint's host: proxy environment
-    variables are ignored and redirects are not followed (a 3xx is an
-    RpcUnavailable like any status other than 200). An https endpoint is
-    verified against the system trust store, and user:pass@ in the URL is
-    sent as Basic authorization. A reply is taken only when its id is the
-    request's (JSON-RPC 2.0, section 5).
-    """
-
-    def __init__(self, endpoint: str, chain: ChainRef, timeout_s: float = 10.0) -> None:
-        self.endpoint = endpoint
-        self.chain = chain
-        self.timeout_s = timeout_s
-        url = urlsplit(endpoint)
-        self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        self._headers = {"Content-Type": "application/json"}
-        if url.username is not None:
-            credentials = f"{unquote(url.username)}:{unquote(url.password or '')}"
-            self._headers["Authorization"] = \
-                "Basic " + base64.b64encode(credentials.encode()).decode("ascii")
-        connection_class: type[http.client.HTTPConnection] = (
-            http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection)
-        # an explicit port, or http.client would read an IPv6 host's last group as one
-        self._connection = connection_class(
-            url.hostname or "", url.port or connection_class.default_port, timeout=timeout_s)
-        self._next_id = 0
-
-    def _post(self, payload: bytes) -> tuple[int, bytes]:
-        """One request and its whole response on the kept-alive connection.
-
-        A server may close a connection while it is idle; the next request
-        on it then fails before any response arrives. Such a request is sent
-        once more on a fresh connection (both methods are reads, so this is
-        safe); a failure on a fresh connection is not retried.
-        """
-        reused = self._connection.sock is not None
-        try:
-            self._connection.request("POST", self._path, payload, self._headers)
-            response = self._connection.getresponse()
-        except (BrokenPipeError, ConnectionResetError):  # includes RemoteDisconnected
-            if not reused:
-                raise
-            self._connection.close()
-            self._connection.request("POST", self._path, payload, self._headers)
-            response = self._connection.getresponse()
-        return response.status, response.read()
-
-    def _call(self, method: str, params: list[Any]) -> Any:
-        self._next_id += 1
-        payload = {"jsonrpc": "2.0", "id": self._next_id, "method": method, "params": params}
-        try:
-            status, data = self._post(json.dumps(payload).encode())
-        except (OSError, http.client.HTTPException) as exc:
-            self._connection.close()  # the next call reconnects
-            raise RpcUnavailable(f"{self.endpoint}: {exc}") from exc
-        if status != 200:
-            raise RpcUnavailable(f"{self.endpoint}: HTTP {status}")
-        try:
-            body = json.loads(data)
-        except ValueError as exc:
-            raise RpcUnavailable(f"{self.endpoint}: non-JSON response") from exc
-        if not isinstance(body, dict):
-            raise RpcUnavailable(f"{self.endpoint}: response is {type(body).__name__}, "
-                                 "not an object")
-        reply_id = body.get("id")
-        if type(reply_id) is not int or reply_id != self._next_id:
-            self._connection.close()  # the replies on it no longer pair with the requests
-            raise RpcUnavailable(f"{self.endpoint}: reply id {reply_id!r} does not match "
-                                 f"request id {self._next_id}")
-        if "error" in body and body["error"] is not None:
-            raise RpcUnavailable(f"{self.endpoint}: rpc error {body['error']}")
-        return body.get("result")
-
-    def head_number(self) -> int:
-        result = self._call("eth_blockNumber", [])
-        try:
-            return parse_quantity(result)
-        except MalformedQuantity as exc:
-            raise RpcUnavailable(f"bad eth_blockNumber result: {exc}") from None
-
-    def fetch_block(self, number: int) -> RawBlockHeader:
-        result = self._call("eth_getBlockByNumber", [encode_quantity(number), False])
-        if result is None:
-            raise BlockNotFound(f"{self.chain.name}: block {number} not found")
-        return decode_block_fields(self.chain, result)
-
-    def close(self) -> None:
-        self._connection.close()
-
-
 def poll_chain(
     profile: NetworkProfile,
     emit: Callable[[RawBlockHeader], None],
@@ -300,6 +207,9 @@ def poll_chain(
                 head = client.head_number()
             else:
                 header = client.fetch_block(next_number)
+                if header.number != next_number:
+                    raise InvalidHeader(f"asked for block {next_number}, "
+                                        f"got block {header.number}")
         except RpcUnavailable as exc:
             log.warning("%s: %s failed (%s); backing off %.1fs", profile.chain.name,
                         "head poll" if polling else f"fetch {next_number}", exc, backoff_s)

@@ -24,11 +24,13 @@ from evmon.cli import (
     run_replay,
     run_stats,
 )
-from evmon.ingest import InvalidHeader, RpcClient
+from evmon.ingest import InvalidHeader
 from evmon.model import GasQuantity, InvalidProfile, MetricKind, PriorityPolicy
 from evmon.normalize import Normalizer
 from evmon.records import header_to_dict, sample_to_dict, to_line
-from evmon.simnode import LedgerRpcClient, ManualClock, SimNodeServer, generate_scenario
+from evmon.rpc import RpcClient
+from evmon.simnode import LedgerRpcClient, ManualClock, generate_scenario
+from evmon.simserver import SimNodeServer
 from evmon.metrics import EmptySeries
 from evmon.streamlog import StreamLog
 from evmon.model import ChainRef, MetricSample
@@ -1015,7 +1017,7 @@ def test_monitor_closes_only_the_clients_it_built(tmp_path, monkeypatch):
             self.closed = True
             super().close()
 
-    monkeypatch.setattr(cli, "RpcClient", RecordingClient)
+    monkeypatch.setattr("evmon.rpc.RpcClient", RecordingClient)
     scenario = constant_fee_scenario(block_count=20)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)

@@ -24,7 +24,6 @@ from evmon.ingest import (
     BlockNotFound,
     InvalidHeader,
     MalformedQuantity,
-    RpcClient,
     RpcUnavailable,
     decode_block_fields,
     encode_quantity,
@@ -33,14 +32,15 @@ from evmon.ingest import (
 )
 from evmon.ingest import log as ingest_log
 from evmon.model import FeeQuantity, GasQuantity, RawBlockHeader
+from evmon.rpc import RpcClient
 from evmon.simnode import (
     LedgerRpcClient,
     ManualClock,
     ScaledClock,
-    SimNodeServer,
     encode_header_wire,
     generate_scenario,
 )
+from evmon.simserver import SimNodeServer
 
 
 def test_parse_quantity_zero():
@@ -258,6 +258,26 @@ def test_invalid_header_halts_chain_after_retries():
                    max_blocks=10, start_number=0)
     # halted at the poisoned block, earlier emits kept
     assert [h.number for h in emitted] == [0, 1, 2]
+
+
+def test_a_block_answered_under_another_number_halts_the_chain():
+    """A node that answers fetch_block(1) with block 7 sent an invalid
+    block: it is fetched again like one, then the chain halts, so no
+    number is emitted out of order."""
+    fetched = []
+
+    class WrongBlockSource(ScriptedSource):
+        def fetch_block(self, number):
+            fetched.append(number)
+            return super().fetch_block(7 if number == 1 else number)
+
+    emitted = []
+    with pytest.raises(InvalidHeader,
+                       match="halted at block 1: asked for block 1, got block 7"):
+        poll_chain(make_profile(), emitted.append, client=WrongBlockSource([3], ledger(10)),
+                   max_blocks=4, start_number=0)
+    assert [h.number for h in emitted] == [0]
+    assert fetched == [0] + [1] * INVALID_HEADER_RETRIES
 
 
 class WaitRecorder(threading.Event):
@@ -588,7 +608,7 @@ def test_full_scenario_ingest_is_complete_and_ordered():
 
 # Calls that cProfile counts (Python and C functions) per block of poll_chain
 # fetching a 400-block backlog from a LedgerRpcClient, on CPython 3.11
-INGEST_CALLS_PER_BLOCK = 15.1
+INGEST_CALLS_PER_BLOCK = 14.1
 
 
 def test_ingest_makes_a_bounded_number_of_calls_per_block():
@@ -802,8 +822,9 @@ import evmon
 for module in pkgutil.iter_modules(evmon.__path__):
     importlib.import_module(f"evmon.{module.name}")
 from conftest import constant_fee_scenario
-from evmon.ingest import RpcClient
-from evmon.simnode import ManualClock, SimNodeServer, generate_scenario
+from evmon.rpc import RpcClient
+from evmon.simnode import ManualClock, generate_scenario
+from evmon.simserver import SimNodeServer
 scenario = constant_fee_scenario(block_count=3)
 ledger = generate_scenario(scenario)
 with SimNodeServer(ledger, ManualClock(scenario.start_time_s + 10_000)) as server:
@@ -814,11 +835,35 @@ print("ok")
 """
 
 
-def test_evmon_runs_without_requests():
+def run_fresh_interpreter(program, *args):
+    """The stdout of program run by a new interpreter with src and tests on
+    its path; a non-zero exit fails the test."""
     tests_dir = Path(__file__).resolve().parent
     src_dir = tests_dir.parent / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src_dir), str(tests_dir)]))
-    result = subprocess.run([sys.executable, "-c", GUARD_PROGRAM], env=env,
+    result = subprocess.run([sys.executable, "-c", program, *args], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "ok"
+    return result.stdout.strip()
+
+
+def test_evmon_runs_without_requests():
+    assert run_fresh_interpreter(GUARD_PROGRAM) == "ok"
+
+
+STARTUP_PROGRAM = """
+import sys
+from evmon import cli, records, simnode
+cli.load_config(sys.argv[1])
+http_modules = {"http.client", "http.server", "socketserver", "ssl", "email",
+                "evmon.rpc", "evmon.simserver"}
+print(sorted(http_modules & set(sys.modules)))
+"""
+
+
+def test_startup_loads_no_http_code():
+    """The imports of a replay, stats or plot run, or of a monitor over
+    in-process clients, and its config load, bring in no HTTP client or
+    server: only a monitor run without a client_factory imports evmon.rpc."""
+    config = Path(__file__).resolve().parent / "fixtures" / "replay_config.json"
+    assert run_fresh_interpreter(STARTUP_PROGRAM, str(config)) == "[]"

@@ -21,13 +21,13 @@ from evmon.simnode import (
     LedgerRpcClient,
     ManualClock,
     Scenario,
-    SimNodeServer,
     Xorshift64Star,
     encode_header_wire,
     generate_scenario,
     next_base_fee,
     scenario_from_dict,
 )
+from evmon.simserver import SimNodeServer
 
 
 def scenario_to_dict(scenario):
@@ -400,6 +400,18 @@ def test_ledger_refuses_decreasing_timestamps():
         SimNodeServer(headers, ManualClock(0))
     tied = [make_header(number=n, timestamp=ts) for n, ts in enumerate([10, 12, 12])]
     assert LedgerRpcClient(tied, ManualClock(12), TEST_CHAIN).head_number() == 2
+
+
+def test_ledger_refuses_headers_not_numbered_from_zero():
+    """Block n is served from headers[n], so a ledger whose headers are
+    not numbered 0, 1, 2, ... is refused when it is built, by the
+    in-process client and the server alike."""
+    late = [make_header(number=n, timestamp=1000 + n) for n in range(10, 13)]
+    with pytest.raises(ValueError, match="ledger block 0 is numbered 10"):
+        LedgerRpcClient(late, ManualClock(2000), TEST_CHAIN)
+    gapped = [make_header(number=n, timestamp=1000 + n) for n in (0, 1, 3)]
+    with pytest.raises(ValueError, match="ledger block 2 is numbered 3"):
+        SimNodeServer(gapped, ManualClock(2000))
 
 
 @given(st.lists(st.integers(0, 5), min_size=1, max_size=12), st.integers(-2, 70))
