@@ -14,7 +14,9 @@ than terminating the stream, as do records (or windows) a stage function
 fails on. An exception from the source or the sink, or an OSError (a
 failed write) or a BaseException that is no Exception (KeyboardInterrupt)
 from any stage function, aborts the run: the original exception
-propagates, and the run's report holds the counts reached.
+propagates, and the run's dead letters are those reached. The engine
+counts nothing else: what a run produced is what its sink consumed, so
+a caller that needs counts has its writers count the lines they wrote.
 
 The engine is push-driven: a PipelineRun carries each record through
 every stage in the caller's thread, and run_pipeline feeds one from a
@@ -25,7 +27,7 @@ to several pipelines in one thread, with no queue between them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 
@@ -84,71 +86,30 @@ class DeadLetter:
     reason: str
 
 
-@dataclass
-class RunReport:
-    """Exact record accounting for one pipeline run.
-
-    Besides records_in, only the rare events are counted as they happen:
-    a dead letter, an abort (an exception that leaves a stage function or
-    the sink, and propagates) and a window a window stage emits. stage_out,
-    the records each stage passed on, is derived from those, so a record
-    crossing a Map costs no increment: a Map or the Sink passes what it
-    received less its dead letters and aborts, and a window stage passes
-    the windows it emitted. The counts are exact under aborts: a record
-    that aborts at a stage counts at every stage before it and at none
-    from it on.
-    """
-
-    records_in: int = 0
-    dead_letters: list[DeadLetter] = field(default_factory=list)
-    aborts: list[int] = field(default_factory=list)  # per stage
-    windows_out: list[int | None] = field(default_factory=list)  # None: not a window stage
-
-    @property
-    def stage_out(self) -> list[int]:
-        dead = [0] * len(self.aborts)
-        for letter in self.dead_letters:
-            dead[letter.stage_index] += 1
-        out, passed = [], self.records_in
-        for emitted, failed, aborted in zip(self.windows_out, dead, self.aborts):
-            passed = passed - failed - aborted if emitted is None else emitted
-            out.append(passed)
-        return out
-
-    @property
-    def records_out(self) -> int:
-        out = self.stage_out
-        return out[-1] if out else 0
-
-
 Push = Callable[[Any], None]
 
 
-def _map(fn: Callable[[Any], Any], index: int, report: RunReport, downstream: Push) -> Push:
+def _map(fn: Callable[[Any], Any], index: int, dead_letters: list[DeadLetter],
+         downstream: Push) -> Push:
     """Push fn(record) downstream; a record fn fails on becomes a dead letter,
     except for an OSError (a failed write) or a BaseException that is no
-    Exception, which count as an abort and propagate."""
-    dead_letters, aborts = report.dead_letters, report.aborts
+    Exception, which propagate."""
 
     def push(record: Any) -> None:
         try:
             value = fn(record)
         except OSError:
-            aborts[index] += 1
             raise
         except Exception as exc:  # noqa: BLE001 - per-record isolation is the contract
             dead_letters.append(DeadLetter(index, record, f"map: {exc}"))
             return
-        except BaseException:
-            aborts[index] += 1
-            raise
         downstream(value)
 
     return push
 
 
-def _window(width_s: int, fn: Callable[[FlushedWindow], Any], index: int, report: RunReport,
-            downstream: Push) -> tuple[Push, Callable[[], None]]:
+def _window(width_s: int, fn: Callable[[FlushedWindow], Any], index: int,
+            dead_letters: list[DeadLetter], downstream: Push) -> tuple[Push, Callable[[], None]]:
     """A window stage's push and end-of-stream flush, which pass fn of each
     closed window downstream, as a Map of the windows would.
 
@@ -156,22 +117,16 @@ def _window(width_s: int, fn: Callable[[FlushedWindow], Any], index: int, report
     below the open window's end joins it; one at or past the end closes
     it and opens [floor(ts / width) * width, +width).
     """
-    windows_out = report.windows_out
     watermark: float = -math.inf
     start, end = 0, -math.inf
     members: list = []  # the open window's records; empty when none is open
-
-    def counted(value: Any) -> None:
-        windows_out[index] += 1
-        downstream(value)
-
-    emit = _map(fn, index, report, counted)
+    emit = _map(fn, index, dead_letters, downstream)
 
     def push(record: Any) -> None:
         nonlocal watermark, start, end, members
         ts = record.timestamp
         if ts < watermark:
-            report.dead_letters.append(
+            dead_letters.append(
                 DeadLetter(index, record, f"late: ts {ts} behind watermark {watermark}")
             )
             return
@@ -196,14 +151,14 @@ def _window(width_s: int, fn: Callable[[FlushedWindow], Any], index: int, report
 class PipelineRun:
     """A stage tuple driven by push: each record passes every stage before
     push returns; finish() flushes open windows as partial and returns the
-    report. An exception from the sink, or an OSError or a BaseException
-    that is no Exception from a stage function, aborts: it propagates as it
-    is, and report holds the counts reached. Any other failure of a map or
-    window aggregate is per record, a dead letter.
+    dead letters. An exception from the sink, or an OSError or a
+    BaseException that is no Exception from a stage function, aborts: it
+    propagates as it is, and dead_letters holds those reached. Any other
+    failure of a map or window aggregate is per record, a dead letter.
 
     push is a plain function bound at construction, the stage closures
-    chained: it counts the record in and calls the first stage, and a Map
-    stage runs its fn and then the next stage, with no count of its own.
+    chained: it is the first stage's own closure, and a Map stage runs its
+    fn and then the next stage. The Sink's consume is the last closure.
     """
 
     def __init__(self, stages: tuple[Stage, ...]) -> None:
@@ -211,45 +166,29 @@ class PipelineRun:
             raise ValueError("pipeline must end in a Sink")
         if sum(isinstance(s, Sink) for s in stages) != 1:
             raise ValueError("pipeline must contain exactly one Sink, the terminal stage")
-        self.report = report = RunReport(
-            aborts=[0] * len(stages),
-            windows_out=[0 if isinstance(s, TumblingWindow) else None for s in stages])
-        sink_index = len(stages) - 1
-        consume, aborts = stages[sink_index].consume, report.aborts
-
-        def sink(record: Any) -> None:
-            try:
-                consume(record)
-            except BaseException:
-                aborts[sink_index] += 1
-                raise
-
+        self.dead_letters: list[DeadLetter] = []
         self._flushes: list[Callable[[], None]] = []
-        first = sink
-        for i in reversed(range(sink_index)):
+        push = stages[-1].consume
+        for i in reversed(range(len(stages) - 1)):
             stage = stages[i]
             if isinstance(stage, TumblingWindow):
-                first, flush = _window(stage.width_s, stage.fn, i, report, first)
+                push, flush = _window(stage.width_s, stage.fn, i, self.dead_letters, push)
                 self._flushes.insert(0, flush)  # upstream windows flush first
             else:
-                first = _map(stage.fn, i, report, first)
-
-        def push(record: Any) -> None:
-            report.records_in += 1
-            first(record)
-
+                push = _map(stage.fn, i, self.dead_letters, push)
         self.push = push
 
-    def finish(self) -> RunReport:
+    def finish(self) -> list[DeadLetter]:
         for flush in self._flushes:
             flush()
-        return self.report
+        return self.dead_letters
 
 
-def run_pipeline(pipeline: Pipeline) -> RunReport:
+def run_pipeline(pipeline: Pipeline) -> list[DeadLetter]:
     """A PipelineRun fed from the source until exhaustion, then finished,
-    returning its report. An exception from the source aborts the run like
-    one from the sink: it propagates as it is, and no report is returned."""
+    returning its dead letters. An exception from the source aborts the run
+    like one from the sink: it propagates as it is, and nothing is
+    returned."""
     run = PipelineRun(pipeline.stages)
     for record in pipeline.source:
         run.push(record)

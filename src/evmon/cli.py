@@ -185,12 +185,14 @@ class _ConsumerEnded(Exception):
     """A header offered to a chain's consumer after it ended."""
 
 
-def _normalize_stages(profile: NetworkProfile, files: dict[str, TextIO],
+def _normalize_stages(profile: NetworkProfile, files: dict[str, TextIO], lines: dict[str, int],
                       fan_out: Callable[[NormalizedBlockRecord], None]) -> tuple[cep.Stage, ...]:
-    """tap_raw, normalize, publish. The writers and the writes are bound
-    here, once: whoever replaces a records writer (a test, the tracer) does
-    so before the run builds its pipelines."""
+    """tap_raw, normalize, publish; each writer counts in lines, by file
+    name, the lines it wrote. The writers and the writes are bound here,
+    once: whoever replaces a records writer (a test, the tracer) does so
+    before the run builds its pipelines."""
     write_raw, write_normalized = files["raw.jsonl"].write, files["normalized.jsonl"].write
+    lines["raw.jsonl"] = lines["normalized.jsonl"] = 0
     header_line, normalized_line = records.header_line, records.normalized_line
     raw_line = ""  # the line tap_raw wrote for the header in flight
 
@@ -198,21 +200,25 @@ def _normalize_stages(profile: NetworkProfile, files: dict[str, TextIO],
         nonlocal raw_line
         raw_line = header_line(header)
         write_raw(raw_line)
+        lines["raw.jsonl"] += 1
         return header
 
     def publish(record: NormalizedBlockRecord) -> None:
         # write first: a record whose line failed must not reach the metrics.
         # Each record reaches publish in the push that tapped its header.
         write_normalized(normalized_line(record, raw_line))
+        lines["normalized.jsonl"] += 1
         fan_out(record)
 
     return (cep.Map(tap_raw), cep.Map(Normalizer(profile).normalize), cep.Sink(publish))
 
 
 def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict[str, TextIO],
-                   collector: array) -> tuple[cep.Stage, ...]:
+                   lines: dict[str, int], collector: array) -> tuple[cep.Stage, ...]:
     write_sample = files[f"{kind.value}.jsonl"].write
-    window_file = files[f"{kind.value}_windows.jsonl"]
+    window_name = f"{kind.value}_windows.jsonl"
+    write_window = files[window_name].write
+    lines[window_name] = 0
     sample_line, collect = records.sample_line, collector.append
     make_sample = (
         metrics.gas_price_sample
@@ -236,7 +242,8 @@ def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict
         )
 
     def sink(summary: WindowSummary) -> None:
-        window_file.write(records.to_line(records.window_summary_to_dict(summary)))
+        write_window(records.to_line(records.window_summary_to_dict(summary)))
+        lines[window_name] += 1
 
     return (
         cep.Map(make_sample),
@@ -268,7 +275,7 @@ class _ChainConsumer:
     """One chain's consumer of raw.<chain>: normalize, whose sink pushes
     each record into every metric pipeline still running, all in the
     thread that drives it, writing the chain's six files. A pipeline that
-    aborts is dropped and leaves its report and an error naming it.
+    aborts is dropped and leaves its dead letters and an error naming it.
 
     Both modes drive it alike, from the thread that feeds the chain: take
     for each header, which steps every 500; run_held when the feed
@@ -281,19 +288,22 @@ class _ChainConsumer:
         self.topic = f"raw.{self.chain.name}"
         self.blocks_ingested = 0
         self.errors: list[str] = []
-        self.full_run_values: dict[str, array] = {}  # each metric kind's samples
+        self.full_run_values: dict[str, array] = {}  # one value per sample line written
+        self.lines: dict[str, int] = {}  # by file name, the lines its writer wrote
         self._unread = 0  # records appended since the last run_held
         self._broker = broker
         broker.create_topic(self.topic)
         self._handle = broker.subscribe(self.topic)
         self._files = _open_chain_files(stack, config.output_dir / self.chain.name)
-        self._normalize = cep.PipelineRun(_normalize_stages(profile, self._files, self._fan_out))
-        # every pipeline by name, normalize first: each run holds its report
+        self._normalize = cep.PipelineRun(
+            _normalize_stages(profile, self._files, self.lines, self._fan_out))
+        # every pipeline by name, normalize first: each run holds its dead letters
         self.runs = {"normalize": self._normalize}
         for kind in METRIC_KINDS:
             self.full_run_values[kind.value] = collector = array("d")
             self.runs[kind.value] = cep.PipelineRun(
-                _metric_stages(profile.chain, kind, config.window_s, self._files, collector))
+                _metric_stages(profile.chain, kind, config.window_s, self._files, self.lines,
+                               collector))
         # (name, run) of each metric pipeline still running. _failed binds a
         # new tuple, so a loop over the old one goes on undisturbed.
         self._metric_runs = tuple(self.runs.items())[1:]
@@ -386,7 +396,7 @@ def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) 
     for chain, consumer in consumers.items():
         with open(config.output_dir / chain / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
             for name, run in consumer.runs.items():
-                for dead in run.report.dead_letters:
+                for dead in run.dead_letters:
                     fh.write(records.to_line({"pipeline": name, "stage": dead.stage_index,
                                               "reason": dead.reason}))
     return _write_report(config, consumers)
@@ -395,18 +405,16 @@ def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) 
 def _write_report(config: RunConfig, consumers: dict[str, _ChainConsumer]) -> dict[str, Any]:
     chains: dict[str, Any] = {}
     for chain, consumer in consumers.items():
-        reports = {name: run.report for name, run in consumer.runs.items()}
-        norm = reports["normalize"]
-        metric = {kind.value: reports[kind.value] for kind in METRIC_KINDS}
+        lines, values = consumer.lines, consumer.full_run_values
         chains[chain] = {
             "blocks_ingested": consumer.blocks_ingested,
-            "raw_records": norm.stage_out[0],  # the lines tap_raw wrote
-            "normalized_records": norm.records_out,
-            "samples": {k: r.stage_out[1] for k, r in metric.items()},  # the samples tap wrote
-            "windows": {k: r.records_out for k, r in metric.items()},
-            "dead_letters": sum(len(r.dead_letters) for r in reports.values()),
+            "raw_records": lines["raw.jsonl"],
+            "normalized_records": lines["normalized.jsonl"],
+            "samples": {k: len(v) for k, v in values.items()},
+            "windows": {k: lines[f"{k}_windows.jsonl"] for k in values},
+            "dead_letters": sum(len(run.dead_letters) for run in consumer.runs.values()),
             "full_run_stats": {k: records.stats_to_dict(metrics.summarize(v)) if v else None
-                               for k, v in consumer.full_run_values.items()},
+                               for k, v in values.items()},
             "errors": consumer.errors,
         }
     report = {

@@ -114,6 +114,17 @@ def _is_http_endpoint(url: str) -> bool:
     return parts.scheme in ("http", "https") and bool(parts.hostname)
 
 
+def chain_problem(chain: ChainRef) -> str | None:
+    """Why chain cannot name a network, or None: its name must be a
+    nonempty ASCII identifier (it names the chain's output directory) and
+    its chain id positive."""
+    if not isinstance(chain.name, str) or not re.fullmatch(r"[A-Za-z0-9_\-]+", chain.name):
+        return f"chain name must be a nonempty ASCII identifier ([A-Za-z0-9_-]), got {chain.name!r}"
+    if chain.chain_id <= 0:
+        return f"{chain.name}: chain_id must be positive, got {chain.chain_id}"
+    return None
+
+
 @dataclass(frozen=True)
 class NetworkProfile:
     """Per-chain configuration encoding that chain's reporting semantics.
@@ -141,12 +152,8 @@ class NetworkProfile:
 
     def __post_init__(self) -> None:
         chain = self.chain
-        if not chain.name or not re.fullmatch(r"[A-Za-z0-9_\-]+", chain.name):
-            raise InvalidProfile(
-                f"chain name must be a nonempty ASCII identifier ([A-Za-z0-9_-]), got {chain.name!r}"
-            )
-        if chain.chain_id <= 0:
-            raise InvalidProfile(f"{chain.name}: chain_id must be positive, got {chain.chain_id}")
+        if (problem := chain_problem(chain)) is not None:
+            raise InvalidProfile(problem)
         if not _is_http_endpoint(self.rpc_url):
             raise InvalidProfile(f"{chain.name}: malformed endpoint {self.rpc_url!r}; "
                                  "expected http:// or https:// and a host")

@@ -24,6 +24,8 @@ from evmon.ingest import (
 )
 from evmon.model import ChainRef, RawBlockHeader
 
+TIMEOUT_S = 10.0  # for each connect and each socket read
+
 
 class RpcClient:
     """JSON-RPC 2.0 over HTTP POST on one kept-alive connection to one endpoint.
@@ -36,10 +38,9 @@ class RpcClient:
     request's (JSON-RPC 2.0, section 5).
     """
 
-    def __init__(self, endpoint: str, chain: ChainRef, timeout_s: float = 10.0) -> None:
+    def __init__(self, endpoint: str, chain: ChainRef) -> None:
         self.endpoint = endpoint
         self.chain = chain
-        self.timeout_s = timeout_s
         url = urlsplit(endpoint)
         self._path = (url.path or "/") + (f"?{url.query}" if url.query else "")
         self._headers = {"Content-Type": "application/json"}
@@ -51,7 +52,7 @@ class RpcClient:
             http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection)
         # an explicit port, or http.client would read an IPv6 host's last group as one
         self._connection = connection_class(
-            url.hostname or "", url.port or connection_class.default_port, timeout=timeout_s)
+            url.hostname or "", url.port or connection_class.default_port, timeout=TIMEOUT_S)
         self._next_id = 0
 
     def _post(self, payload: bytes) -> tuple[int, bytes]:

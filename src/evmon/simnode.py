@@ -22,13 +22,14 @@ priority-fee estimate when a priority model is configured.
 from __future__ import annotations
 
 import bisect
+import math
 import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Protocol
 
 from evmon.ingest import BlockNotFound, decode_block_fields
-from evmon.model import ChainRef, FeeQuantity, GasQuantity, RawBlockHeader
+from evmon.model import ChainRef, FeeQuantity, GasQuantity, RawBlockHeader, chain_problem
 
 _MASK64 = 2**64 - 1
 _MULTIPLIER = 0x2545F4914F6CDD1D
@@ -64,6 +65,10 @@ class Xorshift64Star:
 class ConstantBaseFee:
     base_fee_wei: int
 
+    def __post_init__(self) -> None:
+        if self.base_fee_wei < 0:
+            raise InvalidScenario(f"base_fee_wei must be non-negative, got {self.base_fee_wei}")
+
 
 @dataclass(frozen=True)
 class AdaptiveBaseFee:
@@ -73,6 +78,11 @@ class AdaptiveBaseFee:
     min_wei: int = 0
     adjust_denominator: int = 8
     target_ratio: float = 0.5
+
+    def __post_init__(self) -> None:
+        if (self.initial_wei < 0 or self.min_wei < 0 or self.adjust_denominator <= 0
+                or not 0.0 < self.target_ratio <= 1.0):
+            raise InvalidScenario(f"bad adaptive regime {self}")
 
 
 Regime = ConstantBaseFee | AdaptiveBaseFee
@@ -85,6 +95,11 @@ class UsageModel:
     mean_ratio: float
     jitter_ratio: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.mean_ratio <= 1.0 or not 0.0 <= self.jitter_ratio < math.inf:
+            raise InvalidScenario(
+                f"usage model needs mean_ratio in [0,1] and finite jitter_ratio >= 0, got {self}")
+
 
 @dataclass(frozen=True)
 class PriorityFeeModel:
@@ -93,9 +108,17 @@ class PriorityFeeModel:
     mean_wei: int
     jitter_wei: int = 0
 
+    def __post_init__(self) -> None:
+        if self.mean_wei < 0 or self.jitter_wei < 0:
+            raise InvalidScenario(f"priority model needs non-negative wei, got {self}")
+
 
 @dataclass(frozen=True)
 class Scenario:
+    """Every instance is valid, one made by dataclasses.replace included:
+    construction raises InvalidScenario for a value out of range (its
+    chain by NetworkProfile's rule), as each part does for its own."""
+
     chain: ChainRef
     seed: int
     block_count: int
@@ -105,6 +128,18 @@ class Scenario:
     reported_limit: GasQuantity
     priority_model: PriorityFeeModel | None = None
     start_time_s: int = 1_700_000_000
+
+    def __post_init__(self) -> None:
+        if (problem := chain_problem(self.chain)) is not None:
+            raise InvalidScenario(problem)
+        if self.block_count <= 0:
+            raise InvalidScenario(f"block_count must be positive, got {self.block_count}")
+        if self.block_interval_s <= 0:
+            raise InvalidScenario(f"block_interval_s must be positive, got {self.block_interval_s}")
+        if self.start_time_s < 0:
+            raise InvalidScenario(f"start_time_s must be non-negative, got {self.start_time_s}")
+        if isinstance(self.regime, AdaptiveBaseFee) and self.reported_limit.value <= 0:
+            raise InvalidScenario("an adaptive regime needs a positive reported_limit")
 
 
 def next_base_fee(current_wei: int, gas_used: int, effective_limit: int, regime: Regime) -> int:
@@ -137,21 +172,7 @@ def generate_scenario(scenario: Scenario) -> list[RawBlockHeader]:
     n * block_interval_s; the base fee follows the regime, updated from
     each block's gas_used; gas_used never exceeds reported_limit.
     """
-    if scenario.block_count <= 0:
-        raise InvalidScenario(f"block_count must be positive, got {scenario.block_count}")
-    if scenario.block_interval_s <= 0:
-        raise InvalidScenario(
-            f"block_interval_s must be positive, got {scenario.block_interval_s}"
-        )
     usage = scenario.usage_model
-    if not 0.0 <= usage.mean_ratio <= 1.0 or usage.jitter_ratio < 0.0:
-        raise InvalidScenario(
-            f"usage model needs mean_ratio in [0,1] and jitter_ratio >= 0, got {usage}"
-        )
-    if isinstance(scenario.regime, AdaptiveBaseFee):
-        if scenario.regime.adjust_denominator <= 0 or not 0.0 < scenario.regime.target_ratio <= 1.0:
-            raise InvalidScenario(f"bad adaptive regime {scenario.regime}")
-
     limit = scenario.reported_limit.value
     # single float->int conversions; the per-block path below is integer-only
     mean_gas = round(limit * usage.mean_ratio)

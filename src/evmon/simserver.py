@@ -106,18 +106,24 @@ class SimNodeServer(ThreadingHTTPServer):
 
     Usable as a context manager; .url is the endpoint to point a profile
     at. The ledger is immutable; only the clock readout changes. stop()
-    also ends every kept-alive connection, as a node that goes down does.
+    also ends every kept-alive connection, as a node that goes down does,
+    and returns once every handler thread has ended.
     """
+
+    daemon_threads = False  # so server_close joins the handler threads
 
     def __init__(self, headers: list[RawBlockHeader], clock: Clock, port: int = 0) -> None:
         self.ledger = _Ledger(headers, clock)
         self._thread: threading.Thread | None = None
+        self._stopping = False
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
         super().__init__(("127.0.0.1", port), _Handler)
 
     def finish_request(self, request: Any, client_address: Any) -> None:
         with self._open_lock:
+            if self._stopping:
+                return  # accepted before stop(); closed unanswered
             self._open.add(request)
         try:
             super().finish_request(request, client_address)
@@ -136,13 +142,15 @@ class SimNodeServer(ThreadingHTTPServer):
 
     def stop(self) -> None:
         self.shutdown()
-        self.server_close()
         with self._open_lock:
+            self._stopping = True
             for connection in self._open:
                 try:
-                    connection.shutdown(socket.SHUT_RDWR)  # its handler reads EOF and ends
+                    # a request in flight is answered; the handler's next read is EOF
+                    connection.shutdown(socket.SHUT_RD)
                 except OSError:
                     pass  # the client closed it first
+        self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
 

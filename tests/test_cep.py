@@ -60,8 +60,8 @@ def collecting_sink(into):
 
 def run_map(records, fn):
     out = []
-    report = run_pipeline(Pipeline(source=records, stages=(Map(fn), collecting_sink(out))))
-    return out, report
+    dead_letters = run_pipeline(Pipeline(source=records, stages=(Map(fn), collecting_sink(out))))
+    return out, dead_letters
 
 
 def test_map_identity_preserves_stream():
@@ -84,25 +84,24 @@ def test_map_failure_goes_to_dead_letters():
             raise RuntimeError("boom")
         return record
 
-    out, report = run_map(headers(10), explode_on_three)
+    out, dead_letters = run_map(headers(10), explode_on_three)
     assert len(out) == 9
-    assert len(report.dead_letters) == 1
-    assert report.dead_letters[0].record.number == 3
+    assert len(dead_letters) == 1
+    assert dead_letters[0].record.number == 3
 
 
 def test_run_pipeline_counts_identity():
     out = []
-    report = run_pipeline(Pipeline(source=headers(10), stages=(Map(lambda r: r),
-                                                               collecting_sink(out))))
-    assert report.records_in == 10
-    assert report.stage_out == [10, 10]
+    dead_letters = run_pipeline(Pipeline(source=headers(10), stages=(Map(lambda r: r),
+                                                                     collecting_sink(out))))
+    assert dead_letters == []
     assert len(out) == 10
 
 
 def test_window_flushes_when_timestamp_passes_end():
     records = [make_header(number=i, timestamp=t) for i, t in enumerate((0, 30, 61))]
     flushed = []
-    report = run_pipeline(
+    dead_letters = run_pipeline(
         Pipeline(
             source=records,
             stages=(TumblingWindow(60, lambda fw: fw), collecting_sink(flushed)),
@@ -115,7 +114,7 @@ def test_window_flushes_when_timestamp_passes_end():
     assert (first.start, first.end) == (0, 60)
     assert last.partial is True  # open window flushed at exhaustion
     assert len(last.records) == 1
-    assert len(report.dead_letters) == 0
+    assert len(dead_letters) == 0
 
 
 def test_late_record_goes_to_dead_letters():
@@ -125,12 +124,12 @@ def test_late_record_goes_to_dead_letters():
         make_header(number=2, timestamp=100),
     ]
     out = []
-    report = run_pipeline(
+    dead_letters = run_pipeline(
         Pipeline(source=records,
                  stages=(TumblingWindow(60, lambda fw: fw), collecting_sink(out)))
     )
-    assert len(report.dead_letters) == 1
-    assert "late" in report.dead_letters[0].reason
+    assert len(dead_letters) == 1
+    assert "late" in dead_letters[0].reason
     assert sum(len(fw.records) for fw in out) == 2
 
 
@@ -146,29 +145,33 @@ def test_sink_failure_aborts_with_report():
         raise OSError("disk full")
 
     run = PipelineRun((Map(lambda r: r), Sink(bad_sink)))
+    pushed = []
     with pytest.raises(OSError, match="disk full"):
         for record in headers(5):
+            pushed.append(record)
             run.push(record)
-    assert run.report.records_in == 1
-    assert run.report.stage_out == [1, 0]
+    assert len(pushed) == 1
+    assert run.dead_letters == []
 
 
-@pytest.mark.parametrize("stage,records_in", [(Map, 1), (lambda fn: TumblingWindow(60, fn), 2)],
+@pytest.mark.parametrize("stage,pushes", [(Map, 1), (lambda fn: TumblingWindow(60, fn), 2)],
                          ids=["map", "window"])
-def test_stage_oserror_aborts_with_report(stage, records_in):
+def test_stage_oserror_aborts_with_report(stage, pushes):
     """An OSError from a stage function is a failed write: it aborts the
     run like a sink failure instead of becoming a dead letter."""
     def disk_full(value):
         raise OSError("disk full")
 
     # one header every 30 s from 1000: the second closes the first 60 s window
-    run = PipelineRun((stage(disk_full), collecting_sink([])))
+    out, pushed = [], []
+    run = PipelineRun((stage(disk_full), collecting_sink(out)))
     with pytest.raises(OSError, match="disk full"):
         for record in headers(5):
+            pushed.append(record)
             run.push(record)
-    assert run.report.records_in == records_in
-    assert run.report.stage_out == [0, 0]
-    assert run.report.dead_letters == []
+    assert len(pushed) == pushes
+    assert out == []
+    assert run.dead_letters == []
 
 
 def test_source_failure_aborts_with_report():
@@ -193,17 +196,16 @@ def test_aggregate_failure_goes_to_dead_letters_at_window_stage():
         return len(window.records)
 
     out = []
-    report = run_pipeline(
+    dead_letters = run_pipeline(
         Pipeline(source=records,
                  stages=(Map(lambda r: r), TumblingWindow(60, count_or_explode),
                          collecting_sink(out)))
     )
     assert out == [1, 1, 1]
-    assert len(report.dead_letters) == 1
-    dead = report.dead_letters[0]
+    assert len(dead_letters) == 1
+    dead = dead_letters[0]
     assert dead.stage_index == 1
     assert dead.record.start == 60
-    assert report.stage_out == [4, 3, 3]
 
 
 def test_order_preserved_through_map_and_filter():
@@ -224,7 +226,7 @@ def test_window_conservation_over_scenario_stream():
     profile = make_profile(chain=ledger[0].chain)
     normalizer = Normalizer(profile)
     summaries = []
-    report = run_pipeline(
+    dead_letters = run_pipeline(
         Pipeline(
             source=ledger,
             stages=(
@@ -235,7 +237,7 @@ def test_window_conservation_over_scenario_stream():
             ),
         )
     )
-    assert report.records_in == 1000
+    assert dead_letters == []
     assert sum(stats.count for stats in summaries) == 1000
 
 
@@ -266,12 +268,11 @@ class _Stop(Exception):
 
 def reference_run(events, width, map_fails, aggregate_fails, abort=None):
     """The engine's contract for (Map, TumblingWindow, Sink) as one plain
-    loop over lists: (sink outputs, records_in, stage_out, dead letters,
-    whether the run aborted). abort is None or (where, n): the n-th call
-    (from 0) of the map, the window aggregate or the sink raises, which
-    ends the run with every count reached."""
-    out, stage_out, dead = [], [0, 0, 0], []
-    records_in = 0
+    loop over lists: (sink outputs, dead letters, whether the run aborted).
+    abort is None or (where, n): the n-th call (from 0) of the map, the
+    window aggregate or the sink raises, which ends the run with every
+    output and dead letter reached."""
+    out, dead = [], []
     calls = dict.fromkeys(("map", "aggregate", "sink"), 0)
     open_window, watermark = None, None
 
@@ -286,19 +287,15 @@ def reference_run(events, width, map_fails, aggregate_fails, abort=None):
             window = FlushedWindow(start, start + width, tuple(members), partial)
             dead.append((1, f"map: window {start}", window))
         else:
-            stage_out[1] += 1
             call("sink")
             out.append((start, [e.seq for e in members], partial))
-            stage_out[2] += 1
 
     try:
         for event in events:
-            records_in += 1
             call("map")
             if event.seq in map_fails:
                 dead.append((0, f"map: event {event.seq}", event))
                 continue
-            stage_out[0] += 1
             ts = event.timestamp
             if watermark is not None and ts < watermark:
                 dead.append((1, f"late: ts {ts} behind watermark {watermark}", event))
@@ -314,8 +311,8 @@ def reference_run(events, width, map_fails, aggregate_fails, abort=None):
         if open_window is not None:
             aggregate(*open_window, True)
     except _Stop:
-        return out, records_in, stage_out, dead, True
-    return out, records_in, stage_out, dead, False
+        return out, dead, True
+    return out, dead, False
 
 
 # where an abort is raised, and what: an OSError (a failed write) from any
@@ -343,8 +340,8 @@ ABORTS = [("map", OSError), ("aggregate", OSError), ("sink", OSError),
 @example(stamps=[0, 30, 61, 200], width=60, map_fails=set(), aggregate_fails=set(),
          abort=(("sink", OSError), 2))
 def test_push_engine_matches_reference_model(stamps, width, map_fails, aggregate_fails, abort):
-    """Outputs, records_in, stage_out and dead letters equal the model's,
-    also when a stage aborts the run at a drawn call."""
+    """Outputs and dead letters equal the model's, also when a stage aborts
+    the run at a drawn call."""
     events = [Event(ts, seq) for seq, ts in enumerate(stamps)]
     (where, error), at = abort if abort is not None else ((None, None), None)
     calls = dict.fromkeys(("map", "aggregate", "sink"), 0)
@@ -381,11 +378,8 @@ def test_push_engine_matches_reference_model(stamps, width, map_fails, aggregate
     except (OSError, KeyboardInterrupt) as exc:
         assert type(exc) is error
         aborted = True
-    expected_out, records_in, stage_out, expected_dead, expected_aborted = reference_run(
+    expected_out, expected_dead, expected_aborted = reference_run(
         events, width, map_fails, aggregate_fails, None if abort is None else (where, at))
     assert aborted == expected_aborted
     assert out == expected_out
-    assert run.report.records_in == records_in
-    assert run.report.stage_out == stage_out
-    assert run.report.records_out == stage_out[-1]
-    assert [(d.stage_index, d.reason, d.record) for d in run.report.dead_letters] == expected_dead
+    assert [(d.stage_index, d.reason, d.record) for d in run.dead_letters] == expected_dead

@@ -11,7 +11,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from conftest import adaptive_fee_scenario, constant_fee_scenario
+from conftest import adaptive_fee_scenario, constant_fee_scenario, make_header
 from evmon import cli, metrics, records
 from evmon.cli import (
     ConfigParse,
@@ -335,7 +335,7 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
 
 # Calls that cProfile counts (Python and C functions) per block of a warm
 # replay of tests/fixtures/replay_fixture.jsonl, on CPython 3.11
-REPLAY_CALLS_PER_BLOCK = 75.1
+REPLAY_CALLS_PER_BLOCK = 68.7
 
 
 def test_replay_makes_a_bounded_number_of_calls_per_block(tmp_path):
@@ -529,6 +529,29 @@ def test_replay_aborts_a_pipeline_whose_series_write_fails(tmp_path, monkeypatch
             kind.value: kind.value == pipeline for kind in MetricKind}
     others = [e for c, e in report["chains"].items() if c != chain]
     assert others and all(e["errors"] == [] and e["normalized_records"] == 200 for e in others)
+
+
+def test_replay_writes_each_dead_letter_with_its_pipeline_stage_and_reason(tmp_path):
+    """A late header is a dead letter at a metric pipeline's window stage,
+    and a header with a zero gas limit one at block_usage_ratio's sample
+    stage; dead_letters.jsonl holds exactly those lines, and the report
+    counts them."""
+    chain = ChainRef("ethereum_like", 1)
+    headers = [make_header(number=n, timestamp=ts, chain=chain)
+               for n, ts in enumerate((1000, 1012, 1005, 1024))]
+    headers[1] = make_header(number=1, timestamp=1012, gas_used=0, gas_limit=0, chain=chain)
+    input_path = tmp_path / "headers.jsonl"
+    input_path.write_text("".join(records.header_line(h) for h in headers), encoding="utf-8")
+    config = load_config(write_config(tmp_path, [network_entry("ethereum_like", 1)]))
+    report = run_replay(input_path, config)
+    assert read_lines(config.output_dir / "ethereum_like" / "dead_letters.jsonl") == [
+        '{"pipeline":"gas_price_gwei","stage":2,"reason":"late: ts 1005 behind watermark 1012"}',
+        '{"pipeline":"block_usage_ratio","stage":0,'
+        '"reason":"map: block 1 of ethereum_like has effective limit 0"}',
+    ]
+    entry = report["chains"]["ethereum_like"]
+    assert entry["samples"] == {"gas_price_gwei": 4, "block_usage_ratio": 3}
+    assert entry["dead_letters"] == 2
 
 
 def test_replay_empty_input(tmp_path):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import TEST_CHAIN, constant_fee_scenario, make_header, make_profile
-from evmon import ingest
+from evmon import ingest, rpc
 from evmon.ingest import (
     BACKOFF_CAP_S,
     INVALID_HEADER_RETRIES,
@@ -491,8 +491,9 @@ def test_fetch_block_from_simnode():
         client.close()
 
 
-def test_rpc_client_reports_unreachable_endpoint():
-    client = RpcClient("http://127.0.0.1:1", TEST_CHAIN, timeout_s=0.2)
+def test_rpc_client_reports_unreachable_endpoint(monkeypatch):
+    monkeypatch.setattr(rpc, "TIMEOUT_S", 0.2)
+    client = RpcClient("http://127.0.0.1:1", TEST_CHAIN)
     with pytest.raises(RpcUnavailable):
         client.head_number()
 
@@ -746,7 +747,7 @@ def test_a_failure_on_a_fresh_connection_is_not_retried():
             pass
 
     with recording_server(ClosingHandler) as url:
-        client = RpcClient(url, TEST_CHAIN, timeout_s=5)
+        client = RpcClient(url, TEST_CHAIN)
         with pytest.raises(RpcUnavailable):
             client.head_number()
     assert ClosingHandler.posts_seen == 1

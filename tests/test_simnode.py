@@ -1,7 +1,10 @@
 
+import dataclasses
 import http.client
 import json
+import math
 import socket
+import threading
 import time
 from pathlib import Path
 from urllib.parse import urlsplit
@@ -195,14 +198,38 @@ def test_scenario_dict_round_trip():
     (("regime", "target_ratio"), None),
 ])
 def test_scenario_numbers_are_never_coerced(path, value):
-    obj = scenario_to_dict(adaptive_fee_scenario())
+    obj = with_value(scenario_to_dict(adaptive_fee_scenario()), path, value)
+    with pytest.raises(InvalidScenario, match=f"{path[-1]} must be"):
+        scenario_from_dict(obj)
+
+
+def with_value(obj, path, value):
+    """obj with the value at path (a tuple of keys) set to value."""
     *parents, key = path
     target = obj
     for parent in parents:
         target = target[parent]
     target[key] = value
-    with pytest.raises(InvalidScenario, match=f"{key} must be"):
-        scenario_from_dict(obj)
+    return obj
+
+
+@pytest.mark.parametrize("path, value", [
+    (("chain", "name"), 5), (("chain", "name"), "../x"), (("chain", "chain_id"), -1),
+    (("start_time_s",), -10), (("priority", "jitter_wei"), -5), (("reported_limit",), 0),
+    (("usage", "jitter_ratio"), math.nan), (("usage", "jitter_ratio"), math.inf),
+    (("regime", "initial_wei"), -1),
+])
+def test_scenario_refuses_values_out_of_range(path, value):
+    """A value of the right type but out of range is an InvalidScenario
+    when the scenario is built, never an error later in generation."""
+    obj = with_value(scenario_to_dict(adaptive_fee_scenario(block_count=10)), path, value)
+    with pytest.raises(InvalidScenario):
+        generate_scenario(scenario_from_dict(obj))
+
+
+def test_a_replaced_scenario_checks_itself():
+    with pytest.raises(InvalidScenario, match="start_time_s must be non-negative"):
+        dataclasses.replace(constant_fee_scenario(), start_time_s=-10)
 
 
 def test_scenario_ratio_fields_take_json_integers():
@@ -360,6 +387,60 @@ def test_server_keeps_a_connection_alive_until_it_stops():
             connection.getresponse()  # a stopped node answers no kept-alive connection
     finally:
         connection.close()
+
+
+class HeldClock:
+    """A clock whose now() blocks until release is set; entered is set
+    once a caller is inside."""
+
+    def __init__(self, now):
+        self._now = now
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def now(self):
+        self.entered.set()
+        self.release.wait(10)
+        return self._now
+
+
+def test_server_stop_waits_for_its_handler_threads():
+    """stop() returns only once every handler thread has ended: a request
+    held inside the clock holds stop() until the clock answers, and the
+    request is still answered."""
+    scenario = constant_fee_scenario(block_count=3)
+    clock = HeldClock(scenario.start_time_s + 10_000)
+    server = SimNodeServer(generate_scenario(scenario), clock)
+    server.start()
+    parts = urlsplit(server.url)
+    payload = json.dumps({"jsonrpc": "2.0", "id": 1, "method": "eth_blockNumber",
+                          "params": []}).encode()
+    replies = []
+
+    def ask():
+        connection = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        try:
+            connection.request("POST", "/", payload, {"Content-Type": "application/json"})
+            replies.append(json.loads(connection.getresponse().read())["result"])
+        finally:
+            connection.close()
+
+    client = threading.Thread(target=ask)
+    stopper = threading.Thread(target=server.stop)
+    try:
+        client.start()
+        assert clock.entered.wait(5)
+        stopper.start()
+        stopper.join(0.5)
+        assert stopper.is_alive()  # held by the handler inside now()
+    finally:
+        clock.release.set()
+        client.join(5)
+        if stopper.ident is None:  # never started
+            server.stop()
+        stopper.join(5)
+    assert not stopper.is_alive() and not client.is_alive()
+    assert replies == ["0x2"]
 
 
 def test_ledger_client_round_trips_full_scenario():
