@@ -11,9 +11,10 @@ thread per chain, its ingest, which hands over each block it fetches;
 ingest.poll_chain alone decides when else the consumer runs (its idle
 callback). Each chain's files have one writer, which writes in offset
 order, so replay's outputs are byte-identical across runs. A metric
-pipeline whose file write fails is dropped; when normalize ends, the
-consumer refuses every later header, which stops the chain's producer,
-and flushes the metric pipelines' windows.
+pipeline whose file write or flush fails is dropped; when normalize, or
+the flush of its files, fails, the consumer refuses every later header,
+which stops the chain's producer, and flushes the metric pipelines'
+windows.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort.
@@ -30,10 +31,10 @@ import signal
 import sys
 import threading
 from array import array
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator, TextIO, cast
+from typing import Any, Callable, TextIO, cast
 
 from evmon import cep, metrics, records
 from evmon.ingest import BlockSource, poll_chain
@@ -49,7 +50,6 @@ from evmon.model import (
     SummaryStats,
 )
 from evmon.normalize import Normalizer
-from evmon.records import WindowSummary
 from evmon.streamlog import StreamLog
 
 log = logging.getLogger(__name__)
@@ -219,7 +219,7 @@ def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict
     window_name = f"{kind.value}_windows.jsonl"
     write_window = files[window_name].write
     lines[window_name] = 0
-    sample_line, collect = records.sample_line, collector.append
+    sample_line, window_line, collect = records.sample_line, records.window_line, collector.append
     make_sample = (
         metrics.gas_price_sample
         if kind is MetricKind.GAS_PRICE_GWEI
@@ -231,18 +231,12 @@ def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict
         collect(sample.value)
         return sample
 
-    def aggregate(window: cep.FlushedWindow) -> WindowSummary:
-        return WindowSummary(
-            chain=chain,
-            kind=kind,
-            window_start=window.start,
-            window_end=window.end,
-            stats=metrics.summarize_samples(window.records),
-            partial=window.partial,
-        )
+    def aggregate(window: cep.FlushedWindow) -> str:
+        return window_line(chain, kind, window.start, window.end,
+                           metrics.summarize_samples(window.records), window.partial)
 
-    def sink(summary: WindowSummary) -> None:
-        write_window(records.to_line(records.window_summary_to_dict(summary)))
+    def sink(line: str) -> None:
+        write_window(line)
         lines[window_name] += 1
 
     return (
@@ -294,25 +288,36 @@ class _ChainConsumer:
         self._broker = broker
         broker.create_topic(self.topic)
         self._handle = broker.subscribe(self.topic)
-        self._files = _open_chain_files(stack, config.output_dir / self.chain.name)
+        files = _open_chain_files(stack, config.output_dir / self.chain.name)
         self._normalize = cep.PipelineRun(
-            _normalize_stages(profile, self._files, self.lines, self._fan_out))
-        # every pipeline by name, normalize first: each run holds its dead letters
+            _normalize_stages(profile, files, self.lines, self._fan_out))
+        # every pipeline by name, normalize first: each run holds its dead
+        # letters, and writes the two files _files holds under its name
         self.runs = {"normalize": self._normalize}
+        self._files = {"normalize": (files["raw.jsonl"], files["normalized.jsonl"])}
         for kind in METRIC_KINDS:
             self.full_run_values[kind.value] = collector = array("d")
             self.runs[kind.value] = cep.PipelineRun(
-                _metric_stages(profile.chain, kind, config.window_s, self._files, self.lines,
+                _metric_stages(profile.chain, kind, config.window_s, files, self.lines,
                                collector))
+            self._files[kind.value] = (files[f"{kind.value}.jsonl"],
+                                       files[f"{kind.value}_windows.jsonl"])
         # (name, run) of each metric pipeline still running. _failed binds a
         # new tuple, so a loop over the old one goes on undisturbed.
         self._metric_runs = tuple(self.runs.items())[1:]
         self._ended = False
 
     def _failed(self, name: str, exc: BaseException) -> None:
+        """Drop the pipeline name, which writes nothing more, so its files
+        are closed at once. Closing a file whose write or flush failed
+        raises that failure again, the one reported here, so it is ignored
+        rather than ending the run when the files are closed."""
         self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != name)
         self.errors.append(f"{name}: {exc}")
         log.error("%s: %s pipeline failed", self.chain.name, name, exc_info=exc)
+        for fh in self._files[name]:
+            with suppress(OSError):
+                fh.close()
 
     def _fan_out(self, record: NormalizedBlockRecord) -> None:
         for name, run in self._metric_runs:
@@ -320,14 +325,6 @@ class _ChainConsumer:
                 run.push(record)
             except Exception as exc:  # noqa: BLE001 - drop only this pipeline
                 self._failed(name, exc)
-
-    def _held(self) -> Iterator[RawBlockHeader]:
-        """The records the topic holds, the very objects appended,
-        committing each batch; ends on the first empty poll."""
-        while batch := self._broker.poll(self._handle, _STEP):
-            for _, header in batch:
-                yield header
-            self._broker.commit(self._handle, batch[-1][0])
 
     def take(self, header: RawBlockHeader) -> None:
         """Append one header to the chain's topic and count it as ingested;
@@ -342,20 +339,32 @@ class _ChainConsumer:
             self.run_held()
 
     def run_held(self) -> None:
-        """Push every record the topic holds through the pipelines, then
-        flush the files; nothing to do when no record came since the last
-        run. A failed normalize, or flush, ends the consumer."""
+        """Push every record the topic holds, the very objects appended,
+        through the pipelines, committing each batch until a poll comes
+        back empty; then flush each pipeline's files. Nothing to do when
+        no record came since the last run. A failed normalize, or flush of
+        its files, ends the consumer; a failed flush of a metric
+        pipeline's file drops that pipeline alone."""
         if self._ended or not self._unread:
             return
         self._unread = 0
-        push = self._normalize.push
+        broker, handle, push = self._broker, self._handle, self._normalize.push
         try:
-            for header in self._held():
-                push(header)
-            for fh in self._files.values():
+            while batch := broker.poll(handle, _STEP):
+                for _, header in batch:
+                    push(header)
+                broker.commit(handle, batch[-1][0])
+            for fh in self._files["normalize"]:
                 fh.flush()
-        except Exception as exc:  # noqa: BLE001 - from normalize or a flush
+        except Exception as exc:  # noqa: BLE001 - from normalize or its flush
             self.end(exc)
+            return
+        for name, _ in self._metric_runs:
+            try:
+                for fh in self._files[name]:
+                    fh.flush()
+            except Exception as exc:  # noqa: BLE001 - drop only this pipeline
+                self._failed(name, exc)
 
     def end(self, error: BaseException | None = None) -> None:
         """Refuse every later header, which stops the producer, and finish

@@ -110,9 +110,13 @@ def decode_block_fields(chain: ChainRef, obj: dict[str, Any]) -> RawBlockHeader:
     provides one. Validates gas_used <= gas_limit.
 
     A field in canonical form (0x and minimal lowercase digits, as nodes
-    send it) is decoded inline, with no function call of its own; any
-    other value goes to parse_quantity, so a field is accepted, or refused
-    with the same text, exactly as parse_quantity alone decides.
+    send it) is decoded inline, with no function call of its own: it is
+    int(value, 16), and "0x%x" % that int gives value back. The check is
+    a %-format rather than an f-string because it is the cheaper of the
+    two, and both write the same string for every int, a negative one
+    included. Any other value goes to parse_quantity, so a field is
+    accepted, or refused with the same text, exactly as parse_quantity
+    alone decides.
     """
     if not isinstance(obj, dict):
         raise InvalidHeader(f"block object is {type(obj).__name__}, not an object")
@@ -127,7 +131,7 @@ def decode_block_fields(chain: ChainRef, obj: dict[str, Any]) -> RawBlockHeader:
             quantity = None
         # int() also takes 0X, a sign, '_', whitespace and non-ASCII digits:
         # only the canonical form is taken here
-        if quantity is None or f"0x{quantity:x}" != value:
+        if quantity is None or "0x%x" % quantity != value:
             quantity = _field_quantity(key, value)
         fields[key] = quantity
     if fields["gasUsed"] > fields["gasLimit"]:
@@ -140,7 +144,7 @@ def decode_block_fields(chain: ChainRef, obj: dict[str, Any]) -> RawBlockHeader:
             tip = int(priority, 16)
         except (TypeError, ValueError):
             tip = None
-        if tip is None or f"0x{tip:x}" != priority:
+        if tip is None or "0x%x" % tip != priority:
             tip = _field_quantity("priorityFeeObserved", priority)
         priority = FeeQuantity(tip)
     return RawBlockHeader(chain, fields["number"], fields["timestamp"],

@@ -6,12 +6,12 @@ value. Encoding is compact JSON with insertion-ordered keys, so equal
 records always serialize to identical bytes; every line round-trips
 parse -> serialize -> parse to an equal value.
 
-The three line types written for every block, header_line,
-normalized_line and sample_line, format their fixed schema directly
-instead of building a dict for json. The *_to_dict functions are the
-reference encoding: each writer's line equals to_line of the matching
-dict, byte for byte. The rarer window summaries and dead letters are
-written with to_line.
+Every line a run writes for a block or a window has a writer that
+formats its fixed schema directly instead of building a dict for json:
+header_line, normalized_line and sample_line for each block, window_line
+for each closed window. The *_to_dict functions are the reference
+encoding: each writer's line equals to_line of the matching dict, byte
+for byte. Only the rare dead letters are still written with to_line.
 
 A normalized record carries its header as reported, so its line is the
 header's line extended by eff_limit, eff_price_wei and flags:
@@ -117,6 +117,19 @@ def sample_line(sample: MetricSample) -> str:
     repr is what json writes for it."""
     return (f'{_prefixes[sample.chain]}"number":{sample.block_number},"ts":{sample.timestamp},'
             f'"kind":{_KINDS[sample.kind]},"value":{sample.value!r}}}\n')
+
+
+def window_line(chain: ChainRef, kind: MetricKind, start: int, end: int,
+                stats: SummaryStats, partial: bool) -> str:
+    """to_line(window_summary_to_dict(WindowSummary(chain, kind, start,
+    end, stats, partial))), without the summary or the dict. The stats
+    are finite floats, as metrics.summarize gives them, whose repr is
+    what json writes."""
+    return (f'{_prefixes[chain]}"kind":{_KINDS[kind]},"window_start":{start},'
+            f'"window_end":{end},"count":{stats.count},"median":{stats.median!r},'
+            f'"q1":{stats.q1!r},"q3":{stats.q3!r},"iqr":{stats.iqr!r},'
+            f'"min":{stats.min!r},"max":{stats.max!r},'
+            f'"partial":{"true" if partial else "false"}}}\n')
 
 
 def header_to_dict(header: RawBlockHeader) -> dict[str, Any]:

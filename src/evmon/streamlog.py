@@ -80,7 +80,10 @@ class StreamLog:
 
     def append(self, topic: str, payload: Any) -> int:
         """Append one record; returns its assigned offset."""
-        t = self._topic(topic)
+        try:
+            t = self._topics[topic]  # _topic's lookup, without its call per record
+        except KeyError:
+            raise TopicMissing(topic) from None
         with t.lock:
             t.payloads.append(payload)
             return t.committed + len(t.payloads)

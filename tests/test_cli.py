@@ -1,6 +1,8 @@
 import collections
 import cProfile
 import dataclasses
+import errno
+import io
 import json
 import signal
 import sys
@@ -333,9 +335,31 @@ def test_replay_serializes_each_record_once_at_its_file(tmp_path, monkeypatch):
     assert len(formatted) == len(read_lines(fixture))
 
 
+def test_replay_writes_each_window_line_without_json(tmp_path, monkeypatch):
+    """records.window_line writes every window summary, and no window
+    builds a dict or a json encode: a replay of the fixture, which has no
+    dead letters, never calls window_summary_to_dict or to_line, and
+    writes the same bytes."""
+    fixtures = Path(__file__).parent / "fixtures"
+    fixture = fixtures / "replay_fixture.jsonl"
+    config = load_config(fixtures / "replay_config.json")
+    run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "plain"))
+    expected = output_bytes(tmp_path / "plain")
+
+    def refuse(*args):
+        raise AssertionError("a line was encoded through json")
+
+    monkeypatch.setattr(records, "window_summary_to_dict", refuse)
+    monkeypatch.setattr(records, "to_line", refuse)
+    report = run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "patched"))
+    assert output_bytes(tmp_path / "patched") == expected
+    assert all(chain["windows"] and chain["dead_letters"] == 0
+               for chain in report["chains"].values())
+
+
 # Calls that cProfile counts (Python and C functions) per block of a warm
 # replay of tests/fixtures/replay_fixture.jsonl, on CPython 3.11
-REPLAY_CALLS_PER_BLOCK = 68.7
+REPLAY_CALLS_PER_BLOCK = 66.2
 
 
 def test_replay_makes_a_bounded_number_of_calls_per_block(tmp_path):
@@ -658,14 +682,14 @@ def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, de
     """A metric pipeline whose window sink raises is dropped, so with a
     5-record step normalize, ingest and the other metric pipeline run on."""
     monkeypatch.setattr(cli, "_STEP", 5)
-    window_summary_to_dict = records.window_summary_to_dict
+    window_line = records.window_line
 
-    def disk_full_for_dead(summary):
-        if summary.kind in dead:
+    def disk_full_for_dead(chain, kind, *args):
+        if kind in dead:
             raise OSError("disk full")
-        return window_summary_to_dict(summary)
+        return window_line(chain, kind, *args)
 
-    monkeypatch.setattr(records, "window_summary_to_dict", disk_full_for_dead)
+    monkeypatch.setattr(records, "window_line", disk_full_for_dead)
     scenario = constant_fee_scenario(block_count=1000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -682,6 +706,83 @@ def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, de
         samples = len(read_lines(chain_dir / f"{kind.value}.jsonl"))
         assert chain["samples"][kind.value] == samples
         assert (samples < 1000) if kind in dead else (samples == 1000)
+
+
+class FullDisk(io.RawIOBase):
+    """A file on a full disk: every write its buffers pass on fails."""
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def replay_with_a_file_on_a_full_disk(tmp_path, monkeypatch, chain, name):
+    """A replay of the fixture at a 5-header step, with chain's file name
+    on a full disk: the buffered file takes each write and fails when the
+    consumer run flushes it. Returns the report and the clean replay's
+    output bytes."""
+    fixtures = Path(__file__).parent / "fixtures"
+    fixture = fixtures / "replay_fixture.jsonl"
+    config = load_config(fixtures / "replay_config.json")
+    run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "plain"))
+    expected = output_bytes(tmp_path / "plain")
+    open_chain_files = cli._open_chain_files
+
+    def one_file_on_a_full_disk(stack, chain_dir):
+        files = open_chain_files(stack, chain_dir)
+        if chain_dir.name == chain:
+            files[name] = stack.enter_context(
+                io.TextIOWrapper(io.BufferedWriter(FullDisk()), encoding="utf-8"))
+        return files
+
+    monkeypatch.setattr(cli, "_STEP", 5)
+    monkeypatch.setattr(cli, "_open_chain_files", one_file_on_a_full_disk)
+    report = run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "out"))
+    return report, expected
+
+
+@pytest.mark.parametrize("kind", list(MetricKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("name", ["{}.jsonl", "{}_windows.jsonl"], ids=["samples", "windows"])
+def test_a_failed_flush_drops_only_the_metric_pipeline_of_its_file(tmp_path, monkeypatch,
+                                                                  kind, name):
+    """A flush that fails on a metric pipeline's sample or window file
+    drops that pipeline alone, which is not flushed again: normalize and
+    the other metric pipeline run on to the end of the input, the run
+    writes its report, and every file that the pipelines left running
+    write equals a clean replay's."""
+    report, expected = replay_with_a_file_on_a_full_disk(
+        tmp_path, monkeypatch, "ethereum_like", name.format(kind.value))
+    assert report["chains"]["ethereum_like"]["errors"] == [
+        f"{kind.value}: [Errno 28] No space left on device"]
+    assert report["chains"]["arbitrum_like"]["errors"] == []
+    got = output_bytes(tmp_path / "out")
+    dropped = {f"ethereum_like/{kind.value}.jsonl", f"ethereum_like/{kind.value}_windows.jsonl"}
+    assert {path: data for path, data in got.items()
+            if path not in dropped and path != "run_report.json"} == {
+        path: data for path, data in expected.items()
+        if path not in dropped and path != "run_report.json"}
+
+
+@pytest.mark.parametrize("name", ["raw.jsonl", "normalized.jsonl"])
+def test_a_failed_flush_of_a_normalize_file_ends_its_chain_alone(tmp_path, monkeypatch, name):
+    """A flush that fails on raw.jsonl or normalized.jsonl fails normalize,
+    which ends the chain's consumer at its first run: the metric pipelines
+    finish the 5 records they received, as partial windows, and the other
+    chain runs to the end of the input."""
+    report, expected = replay_with_a_file_on_a_full_disk(
+        tmp_path, monkeypatch, "ethereum_like", name)
+    chain = report["chains"]["ethereum_like"]
+    assert chain["errors"] == ["normalize: [Errno 28] No space left on device"]
+    assert chain["blocks_ingested"] == 200
+    assert chain["samples"] == {kind.value: 5 for kind in MetricKind}
+    assert report["chains"]["arbitrum_like"]["errors"] == []
+    got = output_bytes(tmp_path / "out")
+    for kind in MetricKind:
+        assert len(read_lines(tmp_path / "out" / "ethereum_like" / f"{kind.value}.jsonl")) == 5
+    assert {path: data for path, data in got.items() if path.startswith("arbitrum_like/")} == {
+        path: data for path, data in expected.items() if path.startswith("arbitrum_like/")}
 
 
 def test_duration_timer_does_not_outlive_the_run(tmp_path):
@@ -891,14 +992,15 @@ def test_each_chain_runs_one_thread(tmp_path, monkeypatch, fault):
         return normalize(self, header)
 
     monkeypatch.setattr(Normalizer, "normalize", normalize_meeting_at_block_10)
-    failing = {"metric_sink": (records, "window_summary_to_dict"),
+    failing = {"metric_sink": (records, "window_line"),
                "normalize": (records, "normalized_line")}.get(fault)
     if failing is not None:
         original = getattr(*failing)
 
         def disk_full_on_arbitrum_block_20(record, *args):
-            # a window summary names its chain; a normalized record, its header
-            chain = record.chain if fault == "metric_sink" else record.header.chain
+            # a window line's first argument is its chain; a normalized record
+            # names its chain in its header
+            chain = record if fault == "metric_sink" else record.header.chain
             if chain.name == "arbitrum_like" and (
                     fault == "metric_sink" or record.header.number == 20):
                 raise OSError("disk full")

@@ -180,6 +180,31 @@ def test_decode_block_fields_matches_the_reference(obj):
     assert decoded_or_error(decode_block_fields, obj) == decoded_or_error(reference_decode, obj)
 
 
+@pytest.mark.parametrize("key", ["baseFeePerGas", "priorityFeeObserved"])
+@pytest.mark.parametrize("value, verdict", [("-0x5", "missing 0x prefix"),
+                                            ("0x-5", "non-hex characters"),
+                                            (" 0x5", "missing 0x prefix"),
+                                            ("0x05", 5)])
+def test_decode_gives_a_field_the_verdict_of_parse_quantity(key, value, verdict):
+    """int(value, 16) reads -5 from "-0x5", whose canonical form "0x-5"
+    int() refuses; neither sign, nor whitespace, nor a leading zero passes
+    the inline check, so each value gets parse_quantity's verdict and
+    text."""
+    obj = {**wire(make_header(priority_fee_wei=1)), key: value}
+    try:
+        expected = parse_quantity(value)
+    except MalformedQuantity as exc:
+        assert verdict in str(exc)
+        with pytest.raises(InvalidHeader) as refused:
+            decode_block_fields(TEST_CHAIN, obj)
+        assert str(refused.value) == f"field {key}: {exc}"
+    else:
+        assert expected == verdict
+        header = decode_block_fields(TEST_CHAIN, obj)
+        fee = header.base_fee_per_gas if key == "baseFeePerGas" else header.priority_fee_observed
+        assert fee == FeeQuantity(verdict)
+
+
 class ScriptedSource:
     """A BlockSource driven by a scripted head sequence, for poll tests."""
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from evmon.metrics import summarize
 from evmon.model import (
     ChainRef,
     FeeQuantity,
@@ -30,6 +31,7 @@ from evmon.records import (
     sample_line,
     sample_to_dict,
     to_line,
+    window_line,
     window_summary_from_dict,
     window_summary_to_dict,
 )
@@ -151,6 +153,21 @@ def test_normalized_line_writes_every_flag_subset():
 @example(MetricSample(ChainRef("c", 1), 0, 0, MetricKind.BLOCK_USAGE_RATIO, 1e16))
 def test_sample_line_matches_the_reference_encoding(sample):
     assert sample_line(sample) == to_line(sample_to_dict(sample))
+
+
+window_values = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1 / 3, 1e16]),
+    st.floats(min_value=0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(chain=any_chains, kind=st.sampled_from(list(MetricKind)), start=big_ints,
+       end=big_ints, values=st.lists(window_values, min_size=1, max_size=9),
+       partial=st.booleans())
+def test_window_line_matches_the_reference_encoding(chain, kind, start, end, values, partial):
+    stats = summarize(values)
+    assert window_line(chain, kind, start, end, stats, partial) == to_line(
+        window_summary_to_dict(WindowSummary(chain, kind, start, end, stats, partial)))
 
 
 def test_header_from_dict_shares_one_chain_ref_per_chain():
