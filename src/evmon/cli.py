@@ -1,23 +1,26 @@
 """Operator-facing command line: monitor, replay, stats, plot.
 
 monitor and replay share one engine. Each configured chain has one
-consumer of its raw topic: the normalize pipeline, whose sink pushes each
-normalized record into one metric pipeline per metric kind in the same
-thread. The consumer runs in the thread that feeds its topic, and no
-thread ever blocks on the log. In both modes a consumer runs on what
-its topic holds every 500 headers. replay runs in the calling thread:
-its reader hands each header to its chain's consumer. monitor runs one
-thread per chain, its ingest, which hands over each block it fetches;
-ingest.poll_chain alone decides when else the consumer runs (its idle
-callback). Each chain's files have one writer, which writes in offset
-order, so replay's outputs are byte-identical across runs. A metric
-pipeline whose file write or flush fails is dropped; when normalize, or
-the flush of its files, fails, the consumer refuses every later header,
-which stops the chain's producer, and flushes the metric pipelines'
-windows.
+consumer of its raw topic, which steps over each batch of up to 500
+headers it polls: the normalize pipeline runs over the whole batch, and
+then one metric pipeline per metric kind runs over the records normalize
+published, each a single loop in the same thread. The consumer runs in
+the thread that feeds its topic, and no thread ever blocks on the log.
+In both modes a consumer runs on what its topic holds every 500
+headers. replay runs in the calling thread: its reader hands each header
+to its chain's consumer. monitor runs one thread per chain, its ingest,
+which hands over each block it fetches; ingest.poll_chain alone decides
+when else the consumer runs (its idle callback). Each chain's files have
+one writer, which writes in offset order, so replay's outputs are
+byte-identical across runs, whatever the batch sizes. A metric pipeline
+whose file write or flush fails is dropped; when normalize, or the flush
+of its files, fails, the consumer refuses every later header, which
+stops the chain's producer, and flushes the metric pipelines' windows.
+Each count in the run report is the lines its file held at its last
+successful flush or close.
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
-abort.
+abort, 4 a run whose report holds chain errors (monitor, replay).
 """
 
 from __future__ import annotations
@@ -185,40 +188,15 @@ class _ConsumerEnded(Exception):
     """A header offered to a chain's consumer after it ended."""
 
 
-def _normalize_stages(profile: NetworkProfile, files: dict[str, TextIO], lines: dict[str, int],
-                      fan_out: Callable[[NormalizedBlockRecord], None]) -> tuple[cep.Stage, ...]:
-    """tap_raw, normalize, publish; each writer counts in lines, by file
-    name, the lines it wrote. The writers and the writes are bound here,
-    once: whoever replaces a records writer (a test, the tracer) does so
-    before the run builds its pipelines."""
-    write_raw, write_normalized = files["raw.jsonl"].write, files["normalized.jsonl"].write
-    lines["raw.jsonl"] = lines["normalized.jsonl"] = 0
-    header_line, normalized_line = records.header_line, records.normalized_line
-    raw_line = ""  # the line tap_raw wrote for the header in flight
-
-    def tap_raw(header: RawBlockHeader) -> RawBlockHeader:
-        nonlocal raw_line
-        raw_line = header_line(header)
-        write_raw(raw_line)
-        lines["raw.jsonl"] += 1
-        return header
-
-    def publish(record: NormalizedBlockRecord) -> None:
-        # write first: a record whose line failed must not reach the metrics.
-        # Each record reaches publish in the push that tapped its header.
-        write_normalized(normalized_line(record, raw_line))
-        lines["normalized.jsonl"] += 1
-        fan_out(record)
-
-    return (cep.Map(tap_raw), cep.Map(Normalizer(profile).normalize), cep.Sink(publish))
-
-
-def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict[str, TextIO],
-                   lines: dict[str, int], collector: array) -> tuple[cep.Stage, ...]:
-    write_sample = files[f"{kind.value}.jsonl"].write
+def _metric_run(chain: ChainRef, kind: MetricKind, window_s: int, files: dict[str, TextIO],
+                written: dict[str, int], collector: array) -> cep.WindowRun:
+    """sample (stage 0), tap (1), window (2) and sink for one metric kind.
+    The tap and the sink count in written, by file name, the lines they
+    wrote; the tap collects the value of each sample it wrote."""
+    sample_name = f"{kind.value}.jsonl"
+    write_sample = files[sample_name].write
     window_name = f"{kind.value}_windows.jsonl"
     write_window = files[window_name].write
-    lines[window_name] = 0
     sample_line, window_line, collect = records.sample_line, records.window_line, collector.append
     make_sample = (
         metrics.gas_price_sample
@@ -226,10 +204,10 @@ def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict
         else metrics.block_usage_sample
     )
 
-    def tap(sample: Any) -> Any:
+    def tap(sample: Any) -> None:
         write_sample(sample_line(sample))
+        written[sample_name] += 1
         collect(sample.value)
-        return sample
 
     def aggregate(window: cep.FlushedWindow) -> str:
         return window_line(chain, kind, window.start, window.end,
@@ -237,24 +215,18 @@ def _metric_stages(chain: ChainRef, kind: MetricKind, window_s: int, files: dict
 
     def sink(line: str) -> None:
         write_window(line)
-        lines[window_name] += 1
+        written[window_name] += 1
 
-    return (
-        cep.Map(make_sample),
-        cep.Map(tap),
-        cep.TumblingWindow(window_s, aggregate),
-        cep.Sink(sink),
-    )
+    return cep.WindowRun(make_sample, tap, window_s, aggregate, sink)
 
 
-_CHAIN_FILES = (
-    "raw.jsonl",
-    "normalized.jsonl",
-    "gas_price_gwei.jsonl",
-    "block_usage_ratio.jsonl",
-    "gas_price_gwei_windows.jsonl",
-    "block_usage_ratio_windows.jsonl",
-)
+# each pipeline's two files, by pipeline name
+_PIPELINE_FILES = {
+    "normalize": ("raw.jsonl", "normalized.jsonl"),
+    **{kind.value: (f"{kind.value}.jsonl", f"{kind.value}_windows.jsonl")
+       for kind in METRIC_KINDS},
+}
+_CHAIN_FILES = tuple(name for names in _PIPELINE_FILES.values() for name in names)
 
 
 def _open_chain_files(stack: ExitStack, chain_dir: Path) -> dict[str, TextIO]:
@@ -266,10 +238,11 @@ def _open_chain_files(stack: ExitStack, chain_dir: Path) -> dict[str, TextIO]:
 
 
 class _ChainConsumer:
-    """One chain's consumer of raw.<chain>: normalize, whose sink pushes
-    each record into every metric pipeline still running, all in the
-    thread that drives it, writing the chain's six files. A pipeline that
-    aborts is dropped and leaves its dead letters and an error naming it.
+    """One chain's consumer of raw.<chain>, which writes the chain's six
+    files in the thread that drives it. Each step takes one polled batch:
+    normalize runs over all of it, and then every metric pipeline still
+    running over the records normalize published. A pipeline that aborts
+    is dropped and leaves its dead letters and an error naming it.
 
     Both modes drive it alike, from the thread that feeds the chain: take
     for each header, which steps every 500; run_held when the feed
@@ -282,49 +255,99 @@ class _ChainConsumer:
         self.topic = f"raw.{self.chain.name}"
         self.blocks_ingested = 0
         self.errors: list[str] = []
-        self.full_run_values: dict[str, array] = {}  # one value per sample line written
-        self.lines: dict[str, int] = {}  # by file name, the lines its writer wrote
+        # one value per sample line written, and per line on disk once the run ended
+        self.full_run_values: dict[str, array] = {}
+        self.lines = dict.fromkeys(_CHAIN_FILES, 0)  # by file name, its lines on disk
+        self._written = dict.fromkeys(_CHAIN_FILES, 0)  # and the lines written into it
         self._unread = 0  # records appended since the last run_held
         self._broker = broker
         broker.create_topic(self.topic)
         self._handle = broker.subscribe(self.topic)
-        files = _open_chain_files(stack, config.output_dir / self.chain.name)
-        self._normalize = cep.PipelineRun(
-            _normalize_stages(profile, files, self.lines, self._fan_out))
-        # every pipeline by name, normalize first: each run holds its dead
-        # letters, and writes the two files _files holds under its name
-        self.runs = {"normalize": self._normalize}
-        self._files = {"normalize": (files["raw.jsonl"], files["normalized.jsonl"])}
+        self._files = _open_chain_files(stack, config.output_dir / self.chain.name)
+        # whoever replaces normalize, a records writer or a sample function
+        # (a test, the tracer) does so before the run builds its consumers
+        self._normalize_fns = (records.header_line, self._files["raw.jsonl"].write,
+                               Normalizer(profile).normalize, records.normalized_line,
+                               self._files["normalized.jsonl"].write)
+        # every pipeline's dead letters by name, normalize first
+        self.dead_letters: dict[str, list[cep.DeadLetter]] = {"normalize": []}
+        runs = []
         for kind in METRIC_KINDS:
             self.full_run_values[kind.value] = collector = array("d")
-            self.runs[kind.value] = cep.PipelineRun(
-                _metric_stages(profile.chain, kind, config.window_s, files, self.lines,
-                               collector))
-            self._files[kind.value] = (files[f"{kind.value}.jsonl"],
-                                       files[f"{kind.value}_windows.jsonl"])
+            run = _metric_run(profile.chain, kind, config.window_s, self._files,
+                              self._written, collector)
+            self.dead_letters[kind.value] = run.dead_letters
+            runs.append((kind.value, run))
         # (name, run) of each metric pipeline still running. _failed binds a
         # new tuple, so a loop over the old one goes on undisturbed.
-        self._metric_runs = tuple(self.runs.items())[1:]
+        self._metric_runs = tuple(runs)
         self._ended = False
 
-    def _failed(self, name: str, exc: BaseException) -> None:
-        """Drop the pipeline name, which writes nothing more, so its files
-        are closed at once. Closing a file whose write or flush failed
-        raises that failure again, the one reported here, so it is ignored
-        rather than ending the run when the files are closed."""
-        self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != name)
-        self.errors.append(f"{name}: {exc}")
-        log.error("%s: %s pipeline failed", self.chain.name, name, exc_info=exc)
-        for fh in self._files[name]:
-            with suppress(OSError):
-                fh.close()
+    def _flush(self, pipeline: str) -> None:
+        """Flush pipeline's files, counting the lines written into each one
+        flushed as on disk. A file's count moves only here and when _failed
+        closes it."""
+        files, lines, written = self._files, self.lines, self._written
+        for name in _PIPELINE_FILES[pipeline]:
+            files[name].flush()
+            lines[name] = written[name]
 
-    def _fan_out(self, record: NormalizedBlockRecord) -> None:
-        for name, run in self._metric_runs:
-            try:
-                run.push(record)
-            except Exception as exc:  # noqa: BLE001 - drop only this pipeline
-                self._failed(name, exc)
+    def _failed(self, pipeline: str, exc: BaseException) -> None:
+        """Drop pipeline, which writes nothing more, so its files are closed
+        at once. Closing a file whose write or flush failed raises that
+        failure again, the one reported here, so it is ignored rather than
+        ending the run when the files are closed; such a file keeps the
+        count of its last flush, and so do the pipeline's sample values."""
+        self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != pipeline)
+        self.errors.append(f"{pipeline}: {exc}")
+        log.error("%s: %s pipeline failed", self.chain.name, pipeline, exc_info=exc)
+        for name in _PIPELINE_FILES[pipeline]:
+            with suppress(OSError):
+                self._files[name].close()
+                self.lines[name] = self._written[name]
+        if pipeline in self.full_run_values:
+            del self.full_run_values[pipeline][self.lines[f"{pipeline}.jsonl"]:]
+
+    def _step(self, batch: list[tuple[int, RawBlockHeader]]) -> None:
+        """Run normalize over batch, each header through tap_raw (stage 0),
+        normalize (1) and publish (2), then every metric pipeline still
+        running over the records published; a metric pipeline that aborts
+        is dropped. An abort of normalize propagates once the records
+        published before it reached the metric pipelines."""
+        header_line, write_raw, normalize, normalized_line, write_normalized = \
+            self._normalize_fns
+        dead = self.dead_letters["normalize"]
+        published: list[NormalizedBlockRecord] = []
+        raw = 0
+        try:
+            for _, header in batch:
+                try:
+                    raw_line = header_line(header)
+                    write_raw(raw_line)
+                except OSError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - per-record isolation
+                    dead.append(cep.DeadLetter(0, header, f"map: {exc}"))
+                    continue
+                raw += 1
+                try:
+                    record = normalize(header)
+                except OSError:
+                    raise
+                except Exception as exc:  # noqa: BLE001 - per-record isolation
+                    dead.append(cep.DeadLetter(1, header, f"map: {exc}"))
+                    continue
+                # write first: a record whose line failed must not reach the metrics
+                write_normalized(normalized_line(record, raw_line))
+                published.append(record)
+        finally:
+            self._written["raw.jsonl"] += raw
+            self._written["normalized.jsonl"] += len(published)
+            for pipeline, run in self._metric_runs:
+                try:
+                    run.step(published)
+                except Exception as exc:  # noqa: BLE001 - drop only this pipeline
+                    self._failed(pipeline, exc)
 
     def take(self, header: RawBlockHeader) -> None:
         """Append one header to the chain's topic and count it as ingested;
@@ -339,51 +362,46 @@ class _ChainConsumer:
             self.run_held()
 
     def run_held(self) -> None:
-        """Push every record the topic holds, the very objects appended,
-        through the pipelines, committing each batch until a poll comes
-        back empty; then flush each pipeline's files. Nothing to do when
-        no record came since the last run. A failed normalize, or flush of
-        its files, ends the consumer; a failed flush of a metric
-        pipeline's file drops that pipeline alone."""
+        """Step over every batch the topic holds, the very objects appended,
+        committing each, until a poll comes back empty; then flush each
+        pipeline's files. Nothing to do when no record came since the last
+        run. A failed normalize, or flush of its files, ends the consumer;
+        a failed flush of a metric pipeline's file drops that pipeline
+        alone."""
         if self._ended or not self._unread:
             return
         self._unread = 0
-        broker, handle, push = self._broker, self._handle, self._normalize.push
+        broker, handle = self._broker, self._handle
         try:
             while batch := broker.poll(handle, _STEP):
-                for _, header in batch:
-                    push(header)
+                self._step(batch)
                 broker.commit(handle, batch[-1][0])
-            for fh in self._files["normalize"]:
-                fh.flush()
+            self._flush("normalize")
         except Exception as exc:  # noqa: BLE001 - from normalize or its flush
             self.end(exc)
             return
-        for name, _ in self._metric_runs:
+        for pipeline, _ in self._metric_runs:
             try:
-                for fh in self._files[name]:
-                    fh.flush()
+                self._flush(pipeline)
             except Exception as exc:  # noqa: BLE001 - drop only this pipeline
-                self._failed(name, exc)
+                self._failed(pipeline, exc)
 
     def end(self, error: BaseException | None = None) -> None:
         """Refuse every later header, which stops the producer, and finish
-        every pipeline still running, so open windows are written as
-        partial. error is why normalize stopped early, if it did. Does
-        nothing once ended."""
+        every metric pipeline still running, so open windows are written as
+        partial, and flush its files. error is why normalize stopped early,
+        if it did. Does nothing once ended."""
         if self._ended:
             return
         self._ended = True
-        runs = self._metric_runs
-        if error is None:
-            runs = (("normalize", self._normalize), *runs)
-        else:
+        if error is not None:
             self._failed("normalize", error)
-        for name, run in runs:
+        for pipeline, run in self._metric_runs:
             try:
                 run.finish()
+                self._flush(pipeline)
             except Exception as exc:  # noqa: BLE001 - drop only this pipeline
-                self._failed(name, exc)
+                self._failed(pipeline, exc)
 
 
 def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) -> dict[str, Any]:
@@ -404,8 +422,8 @@ def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) 
 
     for chain, consumer in consumers.items():
         with open(config.output_dir / chain / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
-            for name, run in consumer.runs.items():
-                for dead in run.dead_letters:
+            for name, dead_letters in consumer.dead_letters.items():
+                for dead in dead_letters:
                     fh.write(records.to_line({"pipeline": name, "stage": dead.stage_index,
                                               "reason": dead.reason}))
     return _write_report(config, consumers)
@@ -421,7 +439,7 @@ def _write_report(config: RunConfig, consumers: dict[str, _ChainConsumer]) -> di
             "normalized_records": lines["normalized.jsonl"],
             "samples": {k: len(v) for k, v in values.items()},
             "windows": {k: lines[f"{k}_windows.jsonl"] for k in values},
-            "dead_letters": sum(len(run.dead_letters) for run in consumer.runs.values()),
+            "dead_letters": sum(map(len, consumer.dead_letters.values())),
             "full_run_stats": {k: records.stats_to_dict(metrics.summarize(v)) if v else None
                                for k, v in values.items()},
             "errors": consumer.errors,
@@ -670,6 +688,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(asctime)s %(name)s %(message)s")
     args = _build_parser().parse_args(argv)
+    report: dict[str, Any] = {"chains": {}}
     try:
         if args.command == "monitor":
             config = load_config(args.config)
@@ -677,15 +696,16 @@ def main(argv: list[str] | None = None) -> int:
             previous = {sig: signal.signal(sig, lambda *_: stop.set())
                         for sig in (signal.SIGINT, signal.SIGTERM)}
             try:
-                run_monitor(config, max_blocks=args.max_blocks, duration_s=args.duration_s,
-                            stop_event=stop, start_number=args.start_block)
+                report = run_monitor(config, max_blocks=args.max_blocks,
+                                     duration_s=args.duration_s, stop_event=stop,
+                                     start_number=args.start_block)
             finally:
                 for sig, handler in previous.items():
                     # None: the handler was not set from Python and cannot be put back
                     signal.signal(sig, signal.SIG_DFL if handler is None else handler)
         elif args.command == "replay":
             config = load_config(args.config)
-            run_replay(args.input, config)
+            report = run_replay(args.input, config)
         elif args.command == "stats":
             run_stats(args.input, args.out)
         elif args.command == "plot":
@@ -699,7 +719,11 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime abort: {exc}", file=sys.stderr)
         return 3
-    return 0
+    errors = [f"{chain}: {error}" for chain, entry in report["chains"].items()
+              for error in entry["errors"]]
+    for error in errors:
+        print(f"chain error: {error}", file=sys.stderr)
+    return 4 if errors else 0
 
 
 if __name__ == "__main__":

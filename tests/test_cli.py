@@ -358,15 +358,13 @@ def test_replay_writes_each_window_line_without_json(tmp_path, monkeypatch):
 
 
 # Calls that cProfile counts (Python and C functions) per block of a warm
-# replay of tests/fixtures/replay_fixture.jsonl, on CPython 3.11
-REPLAY_CALLS_PER_BLOCK = 66.2
+# replay of tests/fixtures/replay_fixture.jsonl, on CPython 3.11: in steps
+# of 500 headers, and in steps of one header, the batches of a paced feed
+REPLAY_CALLS_PER_BLOCK = 55.8
+REPLAY_CALLS_PER_BLOCK_AT_STEP_1 = 80.7
 
 
-def test_replay_makes_a_bounded_number_of_calls_per_block(tmp_path):
-    """A deterministic guard on the work per block: the calls cProfile
-    counts over a whole replay, per block, stay within 3% of the figure
-    the per-block path makes today. A second formatting of each header,
-    or a method call per pipeline hop, exceeds it."""
+def replay_calls_per_block(tmp_path):
     fixtures = Path(__file__).parent / "fixtures"
     fixture = fixtures / "replay_fixture.jsonl"
     config = load_config(fixtures / "replay_config.json")
@@ -376,8 +374,27 @@ def test_replay_makes_a_bounded_number_of_calls_per_block(tmp_path):
     profile.runcall(run_replay, fixture, dataclasses.replace(config, output_dir=tmp_path / "out"))
     # summed per code object: pstats keys by (file, line, name), under which
     # the __init__ of every dataclass is one entry
-    per_block = sum(entry.callcount for entry in profile.getstats()) / len(read_lines(fixture))
+    return sum(entry.callcount for entry in profile.getstats()) / len(read_lines(fixture))
+
+
+def test_replay_makes_a_bounded_number_of_calls_per_block(tmp_path):
+    """A deterministic guard on the work per block: the calls cProfile
+    counts over a whole replay, per block, stay within 3% of the figure
+    the per-block path makes today. A second formatting of each header,
+    or a method call per pipeline hop, exceeds it."""
+    per_block = replay_calls_per_block(tmp_path)
     assert per_block <= REPLAY_CALLS_PER_BLOCK * 1.03, per_block
+
+
+def test_replay_in_one_header_steps_makes_a_bounded_number_of_calls_per_block(
+        tmp_path, monkeypatch):
+    """The same guard on the work per consumer step: at one header per
+    step, as a paced monitor feed mostly runs, each block pays a whole
+    step's overhead (a poll, a commit, an empty poll, six flushes), which
+    stays within 3% of today's figure."""
+    monkeypatch.setattr(cli, "_STEP", 1)
+    per_block = replay_calls_per_block(tmp_path)
+    assert per_block <= REPLAY_CALLS_PER_BLOCK_AT_STEP_1 * 1.03, per_block
 
 
 def test_replay_builds_one_flushed_window_per_window(tmp_path, monkeypatch):
@@ -433,6 +450,34 @@ def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
     assert output_bytes(tmp_path / "small") == expected
     assert len(retained) == 2
     assert max(retained.values()) == 3
+
+
+def test_replay_writes_the_same_bytes_whatever_its_step(tmp_path, monkeypatch):
+    """The consumer steps over whole batches, and where the batches end
+    changes no output byte: a replay with a late header and a zero-limit
+    block writes every per-chain file, dead_letters.jsonl and
+    run_report.json identically at steps of 1, 7 and 500 headers."""
+    arb = generate_scenario(constant_fee_scenario(block_count=120))
+    eth = generate_scenario(adaptive_fee_scenario(block_count=120))
+    eth[40] = dataclasses.replace(eth[40], timestamp=eth[38].timestamp - 1)  # late
+    eth[77] = dataclasses.replace(eth[77], gas_used=GasQuantity(0), gas_limit=GasQuantity(0))
+    input_path = tmp_path / "recorded.jsonl"
+    write_headers(input_path, [arb, eth])
+    config = load_config(write_config(
+        tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)],
+        window_s=60))
+    outputs = []
+    for step in (1, 7, 500):
+        monkeypatch.setattr(cli, "_STEP", step)
+        out = tmp_path / f"step_{step}"
+        report = run_replay(input_path, dataclasses.replace(config, output_dir=out))
+        outputs.append(output_bytes(out))
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(outputs[0]) == 1 + 7 * 2  # run_report.json, six files and dead letters
+    dead = read_lines(tmp_path / "step_1" / "ethereum_like" / "dead_letters.jsonl")
+    assert [json.loads(line)["stage"] for line in dead] == [2, 2, 0]
+    assert report["chains"]["ethereum_like"]["samples"] == {
+        "gas_price_gwei": 120, "block_usage_ratio": 119}
 
 
 def test_replay_at_default_retention_holds_the_reader_back(tmp_path, monkeypatch):
@@ -743,6 +788,23 @@ def replay_with_a_file_on_a_full_disk(tmp_path, monkeypatch, chain, name):
     return report, expected
 
 
+def assert_counts_are_lines_on_disk(report, out):
+    """Every count in the report equals the lines its file holds, a file on
+    the full disk included (it holds none), and a chain's full-run stats
+    cover exactly its counted samples."""
+    for chain, entry in report["chains"].items():
+        chain_dir = out / chain
+        assert entry["raw_records"] == len(read_lines(chain_dir / "raw.jsonl"))
+        assert entry["normalized_records"] == len(read_lines(chain_dir / "normalized.jsonl"))
+        for kind in MetricKind:
+            samples = entry["samples"][kind.value]
+            assert samples == len(read_lines(chain_dir / f"{kind.value}.jsonl"))
+            assert entry["windows"][kind.value] == len(
+                read_lines(chain_dir / f"{kind.value}_windows.jsonl"))
+            stats = entry["full_run_stats"][kind.value]
+            assert (stats["count"] if stats else 0) == samples
+
+
 @pytest.mark.parametrize("kind", list(MetricKind), ids=lambda kind: kind.value)
 @pytest.mark.parametrize("name", ["{}.jsonl", "{}_windows.jsonl"], ids=["samples", "windows"])
 def test_a_failed_flush_drops_only_the_metric_pipeline_of_its_file(tmp_path, monkeypatch,
@@ -757,6 +819,7 @@ def test_a_failed_flush_drops_only_the_metric_pipeline_of_its_file(tmp_path, mon
     assert report["chains"]["ethereum_like"]["errors"] == [
         f"{kind.value}: [Errno 28] No space left on device"]
     assert report["chains"]["arbitrum_like"]["errors"] == []
+    assert_counts_are_lines_on_disk(report, tmp_path / "out")
     got = output_bytes(tmp_path / "out")
     dropped = {f"ethereum_like/{kind.value}.jsonl", f"ethereum_like/{kind.value}_windows.jsonl"}
     assert {path: data for path, data in got.items()
@@ -778,6 +841,7 @@ def test_a_failed_flush_of_a_normalize_file_ends_its_chain_alone(tmp_path, monke
     assert chain["blocks_ingested"] == 200
     assert chain["samples"] == {kind.value: 5 for kind in MetricKind}
     assert report["chains"]["arbitrum_like"]["errors"] == []
+    assert_counts_are_lines_on_disk(report, tmp_path / "out")
     got = output_bytes(tmp_path / "out")
     for kind in MetricKind:
         assert len(read_lines(tmp_path / "out" / "ethereum_like" / f"{kind.value}.jsonl")) == 5
@@ -1344,6 +1408,44 @@ def test_main_exit_codes(tmp_path):
         with pytest.raises(SystemExit) as exited:
             main(["monitor", "--config", str(config), "--duration-s", "0.2", flag, value])
         assert exited.value.code == 2, (flag, value)
+
+
+def disk_full_on_10th_normalized_line(monkeypatch):
+    normalized_line = records.normalized_line
+    calls = []
+
+    def disk_full(record, *args):
+        calls.append(record)
+        if len(calls) == 10:
+            raise OSError("disk full")
+        return normalized_line(record, *args)
+
+    monkeypatch.setattr(records, "normalized_line", disk_full)
+
+
+def test_replay_with_a_chain_error_exits_4(tmp_path, monkeypatch, capsys):
+    """A replay that ran to its end but whose report holds a chain error
+    exits 4 and names the error; the report and the files are written."""
+    input_path, config_path = two_chain_fixture(tmp_path, blocks=20)
+    disk_full_on_10th_normalized_line(monkeypatch)
+    assert main(["replay", "--input", str(input_path), "--config", str(config_path)]) == 4
+    assert "chain error: arbitrum_like: normalize: disk full" in capsys.readouterr().err
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text(encoding="utf-8"))
+    assert report["chains"]["ethereum_like"]["normalized_records"] == 20
+
+
+def test_monitor_with_a_chain_error_exits_4(tmp_path, monkeypatch, capsys):
+    scenario = constant_fee_scenario(block_count=20)
+    ledger = generate_scenario(scenario)
+    clock = ManualClock(scenario.start_time_s + 10**6)
+    disk_full_on_10th_normalized_line(monkeypatch)
+    with SimNodeServer(ledger, clock) as server:
+        config = write_config(tmp_path, [network_entry("arbitrum_like", 42161,
+                                                       rpc_url=server.url)])
+        assert main(["monitor", "--config", str(config), "--max-blocks", "20",
+                     "--start-block", "0"]) == 4
+    assert "chain error: arbitrum_like: normalize: disk full" in capsys.readouterr().err
+    assert (tmp_path / "out" / "run_report.json").exists()
 
 
 def test_plot_bucket_must_be_positive_before_the_input_is_read(tmp_path, capsys):
