@@ -1,23 +1,11 @@
 """Operator-facing command line: monitor, replay, stats, plot.
 
-monitor and replay share one engine. Each configured chain has one
-consumer of its raw topic, which steps over each batch of up to 500
-headers it polls: the normalize pipeline runs over the whole batch, and
-then one metric pipeline per metric kind runs over the records normalize
-published, each a single loop in the same thread. The consumer runs in
-the thread that feeds its topic, and no thread ever blocks on the log.
-In both modes a consumer runs on what its topic holds every 500
-headers. replay runs in the calling thread: its reader hands each header
-to its chain's consumer. monitor runs one thread per chain, its ingest,
-which hands over each block it fetches; ingest.poll_chain alone decides
-when else the consumer runs (its idle callback). Each chain's files have
-one writer, which writes in offset order, so replay's outputs are
-byte-identical across runs, whatever the batch sizes. A metric pipeline
-whose file write or flush fails is dropped; when normalize, or the flush
-of its files, fails, the consumer refuses every later header, which
-stops the chain's producer, and flushes the metric pipelines' windows.
-Each count in the run report is the lines its file held at its last
-successful flush or close.
+monitor and replay drive one engine, evmon.cep, in which each chain's
+consumer runs in the thread that feeds it. replay runs in the calling
+thread: its reader hands each header to its chain's consumer. monitor
+runs one thread per chain, its ingest, which hands over each block it
+fetches; ingest.poll_chain alone decides when else the consumer runs
+(its idle callback).
 
 Exit codes: 0 success, 1 config error, 2 input/data error, 3 runtime
 abort, 4 a run whose report holds chain errors (monitor, replay).
@@ -33,32 +21,24 @@ import os
 import signal
 import sys
 import threading
-from array import array
-from contextlib import ExitStack, suppress
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, TextIO, cast
+from typing import Any, Callable, cast
 
 from evmon import cep, metrics, records
 from evmon.ingest import BlockSource, poll_chain
 from evmon.model import (
-    ChainRef,
     GasQuantity,
     InvalidProfile,
-    MetricKind,
     NetworkProfile,
-    NormalizedBlockRecord,
     PriorityPolicy,
     RawBlockHeader,
     SummaryStats,
 )
-from evmon.normalize import Normalizer
-from evmon.streamlog import StreamLog
 
 log = logging.getLogger(__name__)
 
 OUTPUT_DIR_ENV = "EVMON_OUTPUT_DIR"
-METRIC_KINDS = (MetricKind.GAS_PRICE_GWEI, MetricKind.BLOCK_USAGE_RATIO)
 
 
 class ConfigParse(Exception):
@@ -178,278 +158,15 @@ def load_config(path: Path | str) -> RunConfig:
     )
 
 
-# --- the pipeline engine -----------------------------------------------------
-
-
-_STEP = 500  # headers per consumer step, and records per poll
-
-
-class _ConsumerEnded(Exception):
-    """A header offered to a chain's consumer after it ended."""
-
-
-def _metric_run(chain: ChainRef, kind: MetricKind, window_s: int, files: dict[str, TextIO],
-                written: dict[str, int], collector: array) -> cep.WindowRun:
-    """sample (stage 0), tap (1), window (2) and sink for one metric kind.
-    The tap and the sink count in written, by file name, the lines they
-    wrote; the tap collects the value of each sample it wrote."""
-    sample_name = f"{kind.value}.jsonl"
-    write_sample = files[sample_name].write
-    window_name = f"{kind.value}_windows.jsonl"
-    write_window = files[window_name].write
-    sample_line, window_line, collect = records.sample_line, records.window_line, collector.append
-    make_sample = (
-        metrics.gas_price_sample
-        if kind is MetricKind.GAS_PRICE_GWEI
-        else metrics.block_usage_sample
-    )
-
-    def tap(sample: Any) -> None:
-        write_sample(sample_line(sample))
-        written[sample_name] += 1
-        collect(sample.value)
-
-    def aggregate(window: cep.FlushedWindow) -> str:
-        return window_line(chain, kind, window.start, window.end,
-                           metrics.summarize_samples(window.records), window.partial)
-
-    def sink(line: str) -> None:
-        write_window(line)
-        written[window_name] += 1
-
-    return cep.WindowRun(make_sample, tap, window_s, aggregate, sink)
-
-
-# each pipeline's two files, by pipeline name
-_PIPELINE_FILES = {
-    "normalize": ("raw.jsonl", "normalized.jsonl"),
-    **{kind.value: (f"{kind.value}.jsonl", f"{kind.value}_windows.jsonl")
-       for kind in METRIC_KINDS},
-}
-_CHAIN_FILES = tuple(name for names in _PIPELINE_FILES.values() for name in names)
-
-
-def _open_chain_files(stack: ExitStack, chain_dir: Path) -> dict[str, TextIO]:
-    chain_dir.mkdir(parents=True, exist_ok=True)
-    return {
-        name: stack.enter_context(open(chain_dir / name, "w", encoding="utf-8"))
-        for name in _CHAIN_FILES
-    }
-
-
-class _ChainConsumer:
-    """One chain's consumer of raw.<chain>, which writes the chain's six
-    files in the thread that drives it. Each step takes one polled batch:
-    normalize runs over all of it, and then every metric pipeline still
-    running over the records normalize published. A pipeline that aborts
-    is dropped and leaves its dead letters and an error naming it.
-
-    Both modes drive it alike, from the thread that feeds the chain: take
-    for each header, which steps every 500; run_held when the feed
-    chooses (in monitor, poll_chain's idle); end finishes it.
-    """
-
-    def __init__(self, profile: NetworkProfile, config: RunConfig, broker: StreamLog,
-                 stack: ExitStack) -> None:
-        self.chain = profile.chain
-        self.topic = f"raw.{self.chain.name}"
-        self.blocks_ingested = 0
-        self.errors: list[str] = []
-        # one value per sample line written, and per line on disk once the run ended
-        self.full_run_values: dict[str, array] = {}
-        self.lines = dict.fromkeys(_CHAIN_FILES, 0)  # by file name, its lines on disk
-        self._written = dict.fromkeys(_CHAIN_FILES, 0)  # and the lines written into it
-        self._unread = 0  # records appended since the last run_held
-        self._broker = broker
-        broker.create_topic(self.topic)
-        self._handle = broker.subscribe(self.topic)
-        self._files = _open_chain_files(stack, config.output_dir / self.chain.name)
-        # whoever replaces normalize, a records writer or a sample function
-        # (a test, the tracer) does so before the run builds its consumers
-        self._normalize_fns = (records.header_line, self._files["raw.jsonl"].write,
-                               Normalizer(profile).normalize, records.normalized_line,
-                               self._files["normalized.jsonl"].write)
-        # every pipeline's dead letters by name, normalize first
-        self.dead_letters: dict[str, list[cep.DeadLetter]] = {"normalize": []}
-        runs = []
-        for kind in METRIC_KINDS:
-            self.full_run_values[kind.value] = collector = array("d")
-            run = _metric_run(profile.chain, kind, config.window_s, self._files,
-                              self._written, collector)
-            self.dead_letters[kind.value] = run.dead_letters
-            runs.append((kind.value, run))
-        # (name, run) of each metric pipeline still running. _failed binds a
-        # new tuple, so a loop over the old one goes on undisturbed.
-        self._metric_runs = tuple(runs)
-        self._ended = False
-
-    def _flush(self, pipeline: str) -> None:
-        """Flush pipeline's files, counting the lines written into each one
-        flushed as on disk. A file's count moves only here and when _failed
-        closes it."""
-        files, lines, written = self._files, self.lines, self._written
-        for name in _PIPELINE_FILES[pipeline]:
-            files[name].flush()
-            lines[name] = written[name]
-
-    def _failed(self, pipeline: str, exc: BaseException) -> None:
-        """Drop pipeline, which writes nothing more, so its files are closed
-        at once. Closing a file whose write or flush failed raises that
-        failure again, the one reported here, so it is ignored rather than
-        ending the run when the files are closed; such a file keeps the
-        count of its last flush, and so do the pipeline's sample values."""
-        self._metric_runs = tuple(entry for entry in self._metric_runs if entry[0] != pipeline)
-        self.errors.append(f"{pipeline}: {exc}")
-        log.error("%s: %s pipeline failed", self.chain.name, pipeline, exc_info=exc)
-        for name in _PIPELINE_FILES[pipeline]:
-            with suppress(OSError):
-                self._files[name].close()
-                self.lines[name] = self._written[name]
-        if pipeline in self.full_run_values:
-            del self.full_run_values[pipeline][self.lines[f"{pipeline}.jsonl"]:]
-
-    def _step(self, batch: list[tuple[int, RawBlockHeader]]) -> None:
-        """Run normalize over batch, each header through tap_raw (stage 0),
-        normalize (1) and publish (2), then every metric pipeline still
-        running over the records published; a metric pipeline that aborts
-        is dropped. An abort of normalize propagates once the records
-        published before it reached the metric pipelines."""
-        header_line, write_raw, normalize, normalized_line, write_normalized = \
-            self._normalize_fns
-        dead = self.dead_letters["normalize"]
-        published: list[NormalizedBlockRecord] = []
-        raw = 0
-        try:
-            for _, header in batch:
-                try:
-                    raw_line = header_line(header)
-                    write_raw(raw_line)
-                except OSError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - per-record isolation
-                    dead.append(cep.DeadLetter(0, header, f"map: {exc}"))
-                    continue
-                raw += 1
-                try:
-                    record = normalize(header)
-                except OSError:
-                    raise
-                except Exception as exc:  # noqa: BLE001 - per-record isolation
-                    dead.append(cep.DeadLetter(1, header, f"map: {exc}"))
-                    continue
-                # write first: a record whose line failed must not reach the metrics
-                write_normalized(normalized_line(record, raw_line))
-                published.append(record)
-        finally:
-            self._written["raw.jsonl"] += raw
-            self._written["normalized.jsonl"] += len(published)
-            for pipeline, run in self._metric_runs:
-                try:
-                    run.step(published)
-                except Exception as exc:  # noqa: BLE001 - drop only this pipeline
-                    self._failed(pipeline, exc)
-
-    def take(self, header: RawBlockHeader) -> None:
-        """Append one header to the chain's topic and count it as ingested;
-        every 500 unread ones, run the consumer. Raises _ConsumerEnded,
-        with the header not counted, once the consumer ended."""
-        if self._ended:
-            raise _ConsumerEnded(self.chain.name)
-        self._broker.append(self.topic, header)
-        self.blocks_ingested += 1
-        self._unread += 1
-        if self._unread == _STEP:
-            self.run_held()
-
-    def run_held(self) -> None:
-        """Step over every batch the topic holds, the very objects appended,
-        committing each, until a poll comes back empty; then flush each
-        pipeline's files. Nothing to do when no record came since the last
-        run. A failed normalize, or flush of its files, ends the consumer;
-        a failed flush of a metric pipeline's file drops that pipeline
-        alone."""
-        if self._ended or not self._unread:
-            return
-        self._unread = 0
-        broker, handle = self._broker, self._handle
-        try:
-            while batch := broker.poll(handle, _STEP):
-                self._step(batch)
-                broker.commit(handle, batch[-1][0])
-            self._flush("normalize")
-        except Exception as exc:  # noqa: BLE001 - from normalize or its flush
-            self.end(exc)
-            return
-        for pipeline, _ in self._metric_runs:
-            try:
-                self._flush(pipeline)
-            except Exception as exc:  # noqa: BLE001 - drop only this pipeline
-                self._failed(pipeline, exc)
-
-    def end(self, error: BaseException | None = None) -> None:
-        """Refuse every later header, which stops the producer, and finish
-        every metric pipeline still running, so open windows are written as
-        partial, and flush its files. error is why normalize stopped early,
-        if it did. Does nothing once ended."""
-        if self._ended:
-            return
-        self._ended = True
-        if error is not None:
-            self._failed("normalize", error)
-        for pipeline, run in self._metric_runs:
-            try:
-                run.finish()
-                self._flush(pipeline)
-            except Exception as exc:  # noqa: BLE001 - drop only this pipeline
-                self._failed(pipeline, exc)
-
-
-def _run(config: RunConfig, drive: Callable[[dict[str, _ChainConsumer]], None]) -> dict[str, Any]:
-    """Build every chain's consumer and let drive feed them. Then each
-    consumer runs what its topic still holds and ends, and the run report
-    is written and returned; if drive raised, its error propagates instead
-    of the report. drive ends any thread it starts."""
-    broker = StreamLog()
-    with ExitStack() as stack:
-        consumers = {profile.chain.name: _ChainConsumer(profile, config, broker, stack)
-                     for profile in config.networks}
-        try:
-            drive(consumers)
-        finally:
-            for consumer in consumers.values():
-                consumer.run_held()
-                consumer.end()
-
-    for chain, consumer in consumers.items():
-        with open(config.output_dir / chain / "dead_letters.jsonl", "w", encoding="utf-8") as fh:
-            for name, dead_letters in consumer.dead_letters.items():
-                for dead in dead_letters:
-                    fh.write(records.to_line({"pipeline": name, "stage": dead.stage_index,
-                                              "reason": dead.reason}))
-    return _write_report(config, consumers)
-
-
-def _write_report(config: RunConfig, consumers: dict[str, _ChainConsumer]) -> dict[str, Any]:
-    chains: dict[str, Any] = {}
-    for chain, consumer in consumers.items():
-        lines, values = consumer.lines, consumer.full_run_values
-        chains[chain] = {
-            "blocks_ingested": consumer.blocks_ingested,
-            "raw_records": lines["raw.jsonl"],
-            "normalized_records": lines["normalized.jsonl"],
-            "samples": {k: len(v) for k, v in values.items()},
-            "windows": {k: lines[f"{k}_windows.jsonl"] for k in values},
-            "dead_letters": sum(map(len, consumer.dead_letters.values())),
-            "full_run_stats": {k: records.stats_to_dict(metrics.summarize(v)) if v else None
-                               for k, v in values.items()},
-            "errors": consumer.errors,
-        }
+def _run(config: RunConfig,
+         drive: Callable[[dict[str, cep.ChainConsumer]], None]) -> dict[str, Any]:
+    """Run the engine (cep.run_chains) with drive feeding it, then write the
+    run report and return it; if drive raised, its error propagates."""
     report = {
         "window_s": config.window_s,
         "downsample_bucket_s": config.downsample_bucket_s,
-        "chains": chains,
+        "chains": cep.run_chains(config.networks, config.window_s, config.output_dir, drive),
     }
-    config.output_dir.mkdir(parents=True, exist_ok=True)
     path = config.output_dir / "run_report.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return report
@@ -489,7 +206,7 @@ def run_monitor(
         from evmon.rpc import RpcClient
     build_client = client_factory or (lambda profile: RpcClient(profile.rpc_url, profile.chain))
 
-    def drive(consumers: dict[str, _ChainConsumer]) -> None:
+    def drive(consumers: dict[str, cep.ChainConsumer]) -> None:
         def ingest(profile: NetworkProfile) -> None:
             consumer = consumers[profile.chain.name]
             client: BlockSource | None = None
@@ -498,7 +215,7 @@ def run_monitor(
                 poll_chain(profile, consumer.take, client=client, stop=stop,
                            max_blocks=max_blocks, start_number=start_number,
                            idle=consumer.run_held)
-            except _ConsumerEnded:
+            except cep.ConsumerEnded:
                 pass  # normalize ended, so the chain stops
             except Exception as exc:  # noqa: BLE001 - isolate this chain
                 consumer.errors.append(f"ingest: {exc}")
@@ -545,7 +262,7 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
     if not input_path.is_file():  # fail before the output files are truncated
         raise FileNotFoundError(f"no input file {input_path}")
 
-    def drive(consumers: dict[str, _ChainConsumer]) -> None:
+    def drive(consumers: dict[str, cep.ChainConsumer]) -> None:
         def route(header: RawBlockHeader) -> None:
             chain = header.chain
             consumer = consumers.get(chain.name)
@@ -558,7 +275,7 @@ def run_replay(input_path: Path | str, config: RunConfig) -> dict[str, Any]:
                                      f"{consumer.chain.chain_id}")
             try:
                 consumer.take(header)
-            except _ConsumerEnded:  # its normalize pipeline died; the record still counts
+            except cep.ConsumerEnded:  # its normalize pipeline died; the record still counts
                 consumer.blocks_ingested += 1
 
         cep.run_pipeline(cep.Pipeline(

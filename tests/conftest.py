@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import faulthandler
+import io
 
 import pytest
 
@@ -118,3 +120,26 @@ def adaptive_fee_scenario(
         reported_limit=GasQuantity(30_000_000),
         priority_model=PriorityFeeModel(mean_wei=2 * 10**9, jitter_wei=15 * 10**8),
     )
+
+
+class FullDisk(io.RawIOBase):
+    """A file on a full disk: every write its buffers pass on fails. Given
+    a path and room bytes left on its disk, writes first go on to path
+    until the room is used up, the one that fills it taking only what
+    fits, as an OS write does."""
+
+    def __init__(self, path=None, room=0):
+        super().__init__()
+        self.path, self.room = path, room
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if not self.room:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        taken = bytes(data[:self.room])
+        with open(self.path, "ab") as fh:
+            fh.write(taken)
+        self.room -= len(taken)
+        return len(taken)

@@ -1,10 +1,12 @@
+import ast
 import collections
 import cProfile
 import dataclasses
-import errno
 import io
 import json
+import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -13,8 +15,8 @@ from xml.etree import ElementTree
 
 import pytest
 
-from conftest import adaptive_fee_scenario, constant_fee_scenario, make_header
-from evmon import cli, metrics, records
+from conftest import FullDisk, adaptive_fee_scenario, constant_fee_scenario, make_header
+from evmon import cep, cli, metrics, records
 from evmon.cli import (
     ConfigParse,
     InputDataError,
@@ -31,7 +33,7 @@ from evmon.model import GasQuantity, InvalidProfile, MetricKind, PriorityPolicy
 from evmon.normalize import Normalizer
 from evmon.records import header_to_dict, sample_to_dict, to_line
 from evmon.rpc import RpcClient
-from evmon.simnode import LedgerRpcClient, ManualClock, generate_scenario
+from evmon.simnode import LedgerRpcClient, ManualClock, ScaledClock, generate_scenario
 from evmon.simserver import SimNodeServer
 from evmon.metrics import EmptySeries
 from evmon.streamlog import StreamLog
@@ -392,7 +394,7 @@ def test_replay_in_one_header_steps_makes_a_bounded_number_of_calls_per_block(
     step, as a paced monitor feed mostly runs, each block pays a whole
     step's overhead (a poll, a commit, an empty poll, six flushes), which
     stays within 3% of today's figure."""
-    monkeypatch.setattr(cli, "_STEP", 1)
+    monkeypatch.setattr(cep, "_STEP", 1)
     per_block = replay_calls_per_block(tmp_path)
     assert per_block <= REPLAY_CALLS_PER_BLOCK_AT_STEP_1 * 1.03, per_block
 
@@ -403,13 +405,13 @@ def test_replay_builds_one_flushed_window_per_window(tmp_path, monkeypatch):
     fixtures = Path(__file__).parent / "fixtures"
     config = load_config(fixtures / "replay_config.json")
     built = []
-    flushed_window = cli.cep.FlushedWindow
+    flushed_window = cep.FlushedWindow
 
     def counting(*args, **kwargs):
         built.append(flushed_window(*args, **kwargs))
         return built[-1]
 
-    monkeypatch.setattr(cli.cep, "FlushedWindow", counting)
+    monkeypatch.setattr(cep, "FlushedWindow", counting)
     report = run_replay(fixtures / "replay_fixture.jsonl",
                         dataclasses.replace(config, output_dir=tmp_path / "out"))
     windows = sum(n for chain in report["chains"].values() for n in chain["windows"].values())
@@ -439,7 +441,7 @@ def test_replay_at_retention_3_matches_a_default_replay(tmp_path, monkeypatch,
         return offset
 
     monkeypatch.setattr(StreamLog, "append", counted_append)
-    monkeypatch.setattr(cli, "_STEP", 3)
+    monkeypatch.setattr(cep, "_STEP", 3)
     switch_interval = sys.getswitchinterval()
     if switch_interval_s is not None:
         sys.setswitchinterval(switch_interval_s)
@@ -468,7 +470,7 @@ def test_replay_writes_the_same_bytes_whatever_its_step(tmp_path, monkeypatch):
         window_s=60))
     outputs = []
     for step in (1, 7, 500):
-        monkeypatch.setattr(cli, "_STEP", step)
+        monkeypatch.setattr(cep, "_STEP", step)
         out = tmp_path / f"step_{step}"
         report = run_replay(input_path, dataclasses.replace(config, output_dir=out))
         outputs.append(output_bytes(out))
@@ -688,7 +690,7 @@ def test_monitor_two_simnode_chains(tmp_path):
 def test_monitor_behind_retention_loses_nothing_silently(tmp_path, monkeypatch):
     """A 2,000-block backlog through a 5-record step: ingest runs its
     chain's consumer every 5 blocks, so every block reaches every file."""
-    monkeypatch.setattr(cli, "_STEP", 5)
+    monkeypatch.setattr(cep, "_STEP", 5)
     scenario = constant_fee_scenario(block_count=2000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -703,7 +705,7 @@ def test_monitor_behind_retention_loses_nothing_silently(tmp_path, monkeypatch):
 
 def test_catchup_larger_than_retention_writes_every_block(tmp_path, monkeypatch):
     """Two chains catch up on 3,000 blocks each through a 100-record step."""
-    monkeypatch.setattr(cli, "_STEP", 100)
+    monkeypatch.setattr(cep, "_STEP", 100)
     arb = constant_fee_scenario(block_count=3000)
     eth = adaptive_fee_scenario(block_count=3000)
     ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
@@ -726,7 +728,7 @@ def test_catchup_larger_than_retention_writes_every_block(tmp_path, monkeypatch)
 def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, dead):
     """A metric pipeline whose window sink raises is dropped, so with a
     5-record step normalize, ingest and the other metric pipeline run on."""
-    monkeypatch.setattr(cli, "_STEP", 5)
+    monkeypatch.setattr(cep, "_STEP", 5)
     window_line = records.window_line
 
     def disk_full_for_dead(chain, kind, *args):
@@ -753,37 +755,28 @@ def test_dead_metric_pipeline_does_not_stall_its_chain(tmp_path, monkeypatch, de
         assert (samples < 1000) if kind in dead else (samples == 1000)
 
 
-class FullDisk(io.RawIOBase):
-    """A file on a full disk: every write its buffers pass on fails."""
-
-    def writable(self):
-        return True
-
-    def write(self, data):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
-def replay_with_a_file_on_a_full_disk(tmp_path, monkeypatch, chain, name):
+def replay_with_a_file_on_a_full_disk(tmp_path, monkeypatch, chain, name, room=0):
     """A replay of the fixture at a 5-header step, with chain's file name
-    on a full disk: the buffered file takes each write and fails when the
-    consumer run flushes it. Returns the report and the clean replay's
-    output bytes."""
+    on a disk with room bytes left: the buffered file takes each write and
+    fails when a consumer run's flush finds the disk full. Returns the
+    report and the clean replay's output bytes."""
     fixtures = Path(__file__).parent / "fixtures"
     fixture = fixtures / "replay_fixture.jsonl"
     config = load_config(fixtures / "replay_config.json")
     run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "plain"))
     expected = output_bytes(tmp_path / "plain")
-    open_chain_files = cli._open_chain_files
+    open_chain_files = cep._open_chain_files
 
     def one_file_on_a_full_disk(stack, chain_dir):
         files = open_chain_files(stack, chain_dir)
         if chain_dir.name == chain:
             files[name] = stack.enter_context(
-                io.TextIOWrapper(io.BufferedWriter(FullDisk()), encoding="utf-8"))
+                io.TextIOWrapper(io.BufferedWriter(FullDisk(chain_dir / name, room)),
+                                 encoding="utf-8"))
         return files
 
-    monkeypatch.setattr(cli, "_STEP", 5)
-    monkeypatch.setattr(cli, "_open_chain_files", one_file_on_a_full_disk)
+    monkeypatch.setattr(cep, "_STEP", 5)
+    monkeypatch.setattr(cep, "_open_chain_files", one_file_on_a_full_disk)
     report = run_replay(fixture, dataclasses.replace(config, output_dir=tmp_path / "out"))
     return report, expected
 
@@ -849,6 +842,24 @@ def test_a_failed_flush_of_a_normalize_file_ends_its_chain_alone(tmp_path, monke
         path: data for path, data in expected.items() if path.startswith("arbitrum_like/")}
 
 
+def test_a_flush_that_fails_partway_counts_the_lines_it_left(tmp_path, monkeypatch):
+    """A flush whose OS write takes 1,000 bytes of its buffer before ENOSPC
+    leaves complete lines on disk that no flush succeeded for: the dropped
+    pipeline's samples and full-run stats cover exactly the complete lines
+    its file holds."""
+    report, _ = replay_with_a_file_on_a_full_disk(
+        tmp_path, monkeypatch, "ethereum_like", "gas_price_gwei.jsonl", room=1000)
+    entry = report["chains"]["ethereum_like"]
+    assert entry["errors"] == ["gas_price_gwei: [Errno 28] No space left on device"]
+    data = (tmp_path / "out" / "ethereum_like" / "gas_price_gwei.jsonl").read_bytes()
+    assert len(data) == 1000
+    complete = data.splitlines()[:data.count(b"\n")]
+    stats = entry["full_run_stats"]["gas_price_gwei"]
+    assert entry["samples"]["gas_price_gwei"] == stats["count"] == len(complete) == 9
+    assert stats == records.stats_to_dict(metrics.summarize(
+        [json.loads(line)["value"] for line in complete]))
+
+
 def test_duration_timer_does_not_outlive_the_run(tmp_path):
     """A run that ends before duration_s cancels its timer, so the
     caller's stop_event stays clear afterwards."""
@@ -881,7 +892,7 @@ def test_stop_while_ingest_is_held_back_flushes_partial_windows(tmp_path, monkey
         return block_usage_sample(record)
 
     monkeypatch.setattr(metrics, "block_usage_sample", stalled)
-    monkeypatch.setattr(cli, "_STEP", 5)
+    monkeypatch.setattr(cep, "_STEP", 5)
     scenario = constant_fee_scenario(block_count=1000)
     ledger = generate_scenario(scenario)
     clock = ManualClock(scenario.start_time_s + 10**6)
@@ -1039,7 +1050,7 @@ def test_each_chain_runs_one_thread(tmp_path, monkeypatch, fault):
     eth = adaptive_fee_scenario(block_count=100)
     ledgers = {"arbitrum_like": generate_scenario(arb), "ethereum_like": generate_scenario(eth)}
     clock = ManualClock(max(arb.start_time_s, eth.start_time_s) + 10**6)
-    monkeypatch.setattr(cli, "_STEP", 5)
+    monkeypatch.setattr(cep, "_STEP", 5)
     config = load_config(write_config(
         tmp_path, [network_entry("arbitrum_like", 42161), network_entry("ethereum_like", 1)],
         window_s=5))
@@ -1239,8 +1250,8 @@ def test_replay_of_recorded_monitor_run_matches(tmp_path, monkeypatch):
         network_entry("arbitrum_like", 42161, priority_policy="exclude"),
         network_entry("ethereum_like", 1),
     ]))
-    for step in (3, cli._STEP):
-        monkeypatch.setattr(cli, "_STEP", step)
+    for step in (3, cep._STEP):
+        monkeypatch.setattr(cep, "_STEP", step)
         monitor_out = tmp_path / f"live_{step}"
         report = run_monitor(
             dataclasses.replace(config, output_dir=monitor_out),
@@ -1468,6 +1479,52 @@ def test_monitor_restores_the_signal_handlers_it_replaced(tmp_path):
     assert signal.getsignal(signal.SIGTERM) == term_before
 
 
+def test_monitor_process_stopped_by_sigint_writes_what_a_replay_of_its_raw_writes(tmp_path):
+    """A real evmon monitor process following two mock nodes, sent SIGINT
+    once raw.jsonl has lines, exits 0 and writes its report; each chain's
+    last window of each kind is partial, and every file it wrote, the
+    report included, equals a replay of its own raw.jsonl."""
+    arb = constant_fee_scenario(block_count=3000)
+    eth = adaptive_fee_scenario(block_count=500)
+    # a 600 s backlog, then 300 virtual seconds a second
+    with SimNodeServer(generate_scenario(arb), ScaledClock(arb.start_time_s + 600, 300)) as a, \
+         SimNodeServer(generate_scenario(eth), ScaledClock(eth.start_time_s + 600, 300)) as b:
+        config_path = write_config(tmp_path, [
+            network_entry("arbitrum_like", 42161, rpc_url=a.url, priority_policy="exclude"),
+            network_entry("ethereum_like", 1, rpc_url=b.url),
+        ])
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        with open(tmp_path / "stderr.txt", "w", encoding="utf-8") as stderr:
+            process = subprocess.Popen(
+                [sys.executable, "-m", "evmon.cli", "monitor", "--config", str(config_path),
+                 "--start-block", "0"], env=env, stdout=stderr, stderr=stderr)
+            try:
+                deadline = time.monotonic() + 30
+                while not all((out / chain / "raw.jsonl").is_file()
+                              and (out / chain / "raw.jsonl").stat().st_size
+                              for chain in ("arbitrum_like", "ethereum_like")):
+                    assert time.monotonic() < deadline, "monitor wrote no raw.jsonl line"
+                    assert process.poll() is None, "monitor ended before it was signalled"
+                    time.sleep(0.01)
+                process.send_signal(signal.SIGINT)
+                assert process.wait(timeout=30) == 0, (tmp_path / "stderr.txt").read_text()
+            finally:
+                process.kill()
+                process.wait()
+    assert (out / "run_report.json").is_file()
+    for chain in ("arbitrum_like", "ethereum_like"):
+        for kind in MetricKind:
+            last = read_lines(out / chain / f"{kind.value}_windows.jsonl")[-1]
+            assert json.loads(last)["partial"] is True
+    recorded = tmp_path / "recorded.jsonl"
+    recorded.write_bytes(b"".join((out / chain / "raw.jsonl").read_bytes()
+                                  for chain in ("arbitrum_like", "ethereum_like")))
+    config = load_config(config_path)
+    run_replay(recorded, dataclasses.replace(config, output_dir=tmp_path / "replayed"))
+    assert output_bytes(out) == output_bytes(tmp_path / "replayed")
+
+
 @pytest.mark.parametrize("key,value", [("number", 5.7), ("base_fee_wei", 3.9), ("ts", "100"),
                                        ("gas_used", True), ("number", -1)])
 def test_replay_of_a_value_that_is_not_a_json_integer_exits_2(tmp_path, capsys, key, value):
@@ -1547,3 +1604,23 @@ def test_main_replay_and_plot_end_to_end(tmp_path):
     assert main(["plot", "--input", str(series), "--bucket", "60",
                  "--out", str(tmp_path / "arb.svg")]) == 0
     assert (tmp_path / "arb.csv").exists()
+
+
+def test_no_module_but_the_cli_imports_the_cli():
+    """The engine and every layer below the command line never reach back
+    into it: no module of evmon but cli imports evmon.cli, in any form of
+    import statement."""
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # a relative import is relative to the evmon package
+                module = ".".join(filter(None, ("evmon" if node.level else "", node.module)))
+                names = [module, *(f"{module}.{alias.name}" for alias in node.names)]
+            else:
+                continue
+            assert not [name for name in names if (name + ".").startswith("evmon.cli.")], \
+                f"{path.name}:{node.lineno} imports evmon.cli"
